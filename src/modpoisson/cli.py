@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -35,13 +34,11 @@ class RunConfig:
     tolerance: float = 1e-12
     rational: bool = False
     seed: int = None
-    jobs: int = 1
     options: SimpleNamespace = field(default_factory=SimpleNamespace)
 
     @classmethod
     def from_args(cls, args):
-        shared = {"command", "format", "output", "tolerance", "rational",
-                  "seed", "jobs"}
+        shared = {"command", "format", "output", "tolerance", "rational", "seed"}
         extras = {k: v for k, v in vars(args).items() if k not in shared}
         return cls(command=args.command,
                    fmt=getattr(args, "format", "csv"),
@@ -49,7 +46,6 @@ class RunConfig:
                    tolerance=getattr(args, "tolerance", 1e-12),
                    rational=getattr(args, "rational", False),
                    seed=getattr(args, "seed", None),
-                   jobs=getattr(args, "jobs", 1),
                    options=SimpleNamespace(**extras))
 
 
@@ -118,7 +114,8 @@ def _build_parser():
     p_cmp.add_argument("--eps-n", type=float)
     p_cmp.add_argument("--rho", type=float, default=2.0)
     p_cmp.add_argument("--tail-rn", type=float)
-    p_cmp.add_argument("--jobs", type=int, default=1)
+    p_cmp.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; ignored")
     _add_output_flags(p_cmp)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
@@ -250,13 +247,6 @@ def _cmd_scheme(config: RunConfig) -> int:
     return 0
 
 
-def _compare_task(payload):
-    spec, r_value, names, tolerance, eps_n, rho, tail_rn = payload
-    r_list = [] if r_value is None else [r_value]
-    return metrics.verify_bounds(spec, r_list, which=names, tolerance=tolerance,
-                                 eps_n=eps_n, rho=rho, tail_rn=tail_rn)
-
-
 def _cmd_compare(config: RunConfig) -> int:
     opt = config.options
     spec = _model_from_config(config)
@@ -265,18 +255,16 @@ def _cmd_compare(config: RunConfig) -> int:
     unknown = [n for n in names if n not in metrics.KNOWN_BOUNDS]
     if unknown:
         raise ValueError(f"unknown bound names: {unknown}")
+    # per-r rows print before the single rows, whatever the order of --bound
     per_r = tuple(n for n in names if n not in ("chen-stein", "lecam"))
     singles = tuple(n for n in names if n in ("chen-stein", "lecam"))
-    tasks = [(spec, r, (name,), config.tolerance, opt.eps_n, opt.rho, opt.tail_rn)
-             for name in per_r for r in r_list]
-    tasks += [(spec, None, (name,), config.tolerance, opt.eps_n, opt.rho,
-               opt.tail_rn) for name in singles]
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(_compare_task, tasks))
-    else:
-        chunks = [_compare_task(t) for t in tasks]
-    reports = [rep for chunk in chunks for rep in chunk]
+    if not per_r:
+        r_list = []  # no row uses --r, so an invalid order is not an error
+    reports = []
+    if r_list or singles:  # an empty sweep computes no model
+        reports = metrics.verify_bounds(spec, r_list, which=per_r + singles,
+                                        tolerance=config.tolerance, eps_n=opt.eps_n,
+                                        rho=opt.rho, tail_rn=opt.tail_rn)
     if config.fmt == "csv":
         _emit("\n".join(io.report_csv_lines(reports)), config.output)
     else:

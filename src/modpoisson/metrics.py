@@ -42,7 +42,7 @@ class InapplicableBoundError(ValueError):
 
 
 def _check_normalized(m):
-    if abs(m.total - 1.0) > 1e-6:
+    if abs(m.total - 1.0) > 1e-10:
         raise ValueError(f"measure total is {m.total!r}, not 1")
 
 
@@ -193,6 +193,10 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     limiting alphabet.  chen-stein and lecam always refer to the order-0
     scheme and emit a single row each.  Rows with failing preconditions
     are emitted with holds = None instead of raising.
+
+    The model pmf, its rate and its alphabet are computed once per call and
+    each order's distance once for all names, so callers should pass every
+    bound and order they need in one call.
     """
     unknown = [name for name in which if name not in KNOWN_BOUNDS]
     if unknown:

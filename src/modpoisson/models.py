@@ -540,4 +540,6 @@ def model_lambda(spec: ModelSpec, tolerance: float = 1e-12) -> float:
         return th * math.log(spec.n) + big_k + gamma_theta(th, tolerance)
     if spec.family == "fq_poly":
         return math.log(spec.n) + r_q(spec.q, tolerance) + EULER_GAMMA
+    if spec.big_n < 2:
+        raise ValueError("omega rate log log N + gamma needs N >= 2")
     return math.log(math.log(spec.big_n)) + EULER_GAMMA

@@ -141,6 +141,35 @@ def test_compare_jobs_match_serial(capsys):
     assert serial == parallel
 
 
+def test_compare_computes_model_once(monkeypatch, capsys):
+    from modpoisson.models import ModelSpec
+    calls = []
+    original = ModelSpec.pmf
+
+    def counting_pmf(self, *args, **kwargs):
+        calls.append(self.family)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelSpec, "pmf", counting_pmf)
+    code, out, _ = run_cli(["compare", "--model", "bernoulli", "--weights",
+                            "0.1,0.2,0.05", "--bound", "theorem-a,theorem-b,chen-stein",
+                            "--r", "0:3"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2 * 4 + 1
+    assert calls == ["bernoulli_sum"]
+
+
+def test_compare_omega_n1_names_precondition(capsys):
+    code, out, err = run_cli(["compare", "--model", "omega", "--N", "1",
+                              "--r", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: omega rate log log N + gamma needs N >= 2"]
+    code, out, _ = run_cli(["pmf", "--model", "omega", "--N", "1"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["k,mass", "0,1"]
+
+
 def test_compare_jsonl_matches_schema(capsys):
     import jsonschema
     from importlib import resources

@@ -47,6 +47,16 @@ def test_tv_rejects_unnormalized_input():
     object.__setattr__(bad, "total", 0.8)
     with pytest.raises(ValueError):
         total_variation(bad, poisson_pmf(1.0))
+    # just outside the 1e-10 normalization contract
+    near = Pmf.__new__(Pmf)
+    object.__setattr__(near, "offset", 0)
+    object.__setattr__(near, "masses", (0.5, 0.5 + 1e-8))
+    object.__setattr__(near, "total", 1.0 + 1e-8)
+    for distance in (total_variation, kolmogorov):
+        with pytest.raises(ValueError):
+            distance(near, poisson_pmf(1.0))
+        with pytest.raises(ValueError):
+            distance(poisson_pmf(1.0), near)
 
 
 def test_tv_accepts_rational_measures():
