@@ -4,8 +4,9 @@ The package splits into:
 
   symfunc    power sums, Newton identities, virtual-alphabet residue
              coefficients, residue evaluation (series and product form)
-  models     exact distributions of the model families and their
-             mod-Poisson rates
+  models     the one measure type (SignedMeasure, and Pmf for nonnegative
+             masses), exact distributions of the model families and
+             their mod-Poisson rates
   schemes    the order-r signed measures, Charlier differences,
              positivization, expectation functional
   metrics    total variation / Kolmogorov distances, the classical and

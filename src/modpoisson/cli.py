@@ -175,10 +175,7 @@ def _emit_measure(measure, config: RunConfig):
 
 def _cmd_pmf(config: RunConfig) -> int:
     spec = _model_from_config(config)
-    pmf = spec.pmf(rational=config.rational)
-    if hasattr(pmf, "to_float"):
-        pmf = pmf.to_float()
-    _emit_measure(pmf, config)
+    _emit_measure(spec.pmf(rational=config.rational).to_float(), config)
     return 0
 
 

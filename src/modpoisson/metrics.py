@@ -188,11 +188,11 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
                   tail_rn=None):
     """Measure d_TV(model, scheme) against each requested bound.
 
-    Bernoulli sums use the standard scheme from their finite weights; the
-    ewens / fq_poly / omega families use the derived scheme from their
-    limiting alphabet.  chen-stein and lecam always refer to the order-0
-    scheme and emit a single row each.  Rows with failing preconditions
-    are emitted with holds = None instead of raising.
+    Every family uses the derived scheme of its limiting alphabet, which
+    for Bernoulli sums is the finite alphabet of their weights.  chen-stein
+    and lecam always refer to the order-0 scheme and emit a single row
+    each.  Rows with failing preconditions are emitted with holds = None
+    instead of raising.
 
     The model pmf, its rate and its alphabet are computed once per call and
     each order's distance once for all names, so callers should pass every
@@ -216,17 +216,11 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     else:
         sigma2 = symfunc.power_sums_infinite(alphabet, 2).sigma2
 
-    def scheme_for(r):
-        if spec.family == "bernoulli_sum":
-            ps = symfunc.power_sums_finite(spec.weights, max(2, r))
-            return schemes.scheme_measure(symfunc.virtual_residue_coeffs(ps, r, lam))
-        return schemes.derived_scheme(lam, alphabet, r)
-
     tv_cache = {}
 
     def tv_for(r):
         if r not in tv_cache:
-            tv_cache[r] = total_variation(pmf, scheme_for(r))
+            tv_cache[r] = total_variation(pmf, schemes.derived_scheme(lam, alphabet, r))
         return tv_cache[r]
 
     def guarded(fn, *args):

@@ -16,13 +16,16 @@ exposed as a plain mass function:
 plus the mod-Poisson rate lam_n of each family and the empirical residue
 (ratio of the model pgf to the Poisson pgf), which is what the rate checks
 measure against the limiting product form.
+
+Every measure in the package is a SignedMeasure; a Pmf is one with
+nonnegative masses, exact when its masses are Fractions.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,6 +36,7 @@ from .symfunc import Alphabet, ToleranceError
 
 __all__ = [
     "EULER_GAMMA",
+    "SignedMeasure",
     "Pmf",
     "RationalPmf",
     "ModelSpec",
@@ -56,91 +60,92 @@ EULER_GAMMA = 0.5772156649015329
 _UNDERFLOW = 1e-320
 
 
-@dataclass(frozen=True)
-class Pmf:
-    """Probability mass function on a contiguous integer window.
+def _all_fractions(masses) -> bool:
+    return all(isinstance(m, Fraction) for m in masses)
 
-    masses[j] is the probability of offset + j; the window edges carry
-    nonzero mass.  total is the compensated sum and must be 1 within 1e-10
-    (truncation of sub-1e-300 tails keeps it far inside that).
+
+@dataclass(frozen=True)
+class SignedMeasure:
+    """Real-valued mass function with unit total on a contiguous integer window.
+
+    masses[j] is the mass of offset + j.  Exactness follows the mass type:
+    Fraction masses must total exactly 1, float masses 1 within 1e-10 by
+    compensated sum (truncation of sub-1e-300 tails keeps it far inside
+    that).  total is that sum, a Fraction or a float accordingly.
     """
 
     offset: int
     masses: tuple
-    total: float = 0.0
+    total: object = field(init=False)
 
     def __post_init__(self):
         if self.offset < 0:
             raise ValueError("offset must be >= 0")
         if not self.masses:
             raise ValueError("empty mass function")
-        if any(m < 0.0 for m in self.masses):
-            raise ValueError("negative mass in a Pmf")
-        object.__setattr__(self, "total", math.fsum(self.masses))
-        if abs(self.total - 1.0) > 1e-10:
-            raise ValueError(f"masses sum to {self.total!r}, not 1")
+        if _all_fractions(self.masses):
+            total = sum(self.masses, Fraction(0))
+            if total != 1:
+                raise ValueError("rational masses must sum to exactly 1")
+        else:
+            total = math.fsum(self.masses)
+            if abs(total - 1.0) > 1e-10:
+                raise ValueError(f"masses sum to {total!r}, not 1")
+        object.__setattr__(self, "total", total)
+
+    @property
+    def _exact(self) -> bool:
+        return isinstance(self.total, Fraction)
 
     @classmethod
     def from_masses(cls, offset, masses):
-        """Build a Pmf, trimming zero (or underflow-level) edges."""
+        """Build a measure, trimming zero edges (for floats, underflow-level ones)."""
         masses = list(masses)
+        floor = 0 if _all_fractions(masses) else _UNDERFLOW
         lo, hi = 0, len(masses)
-        while lo < hi - 1 and masses[lo] <= _UNDERFLOW:
+        while lo < hi - 1 and abs(masses[lo]) <= floor:
             lo += 1
-        while hi - 1 > lo and masses[hi - 1] <= _UNDERFLOW:
+        while hi - 1 > lo and abs(masses[hi - 1]) <= floor:
             hi -= 1
         return cls(offset + lo, tuple(masses[lo:hi]))
 
-    def mass(self, k: int) -> float:
+    def _sum(self, terms):
+        return sum(terms, Fraction(0)) if self._exact else math.fsum(terms)
+
+    def mass(self, k: int):
         j = k - self.offset
-        return self.masses[j] if 0 <= j < len(self.masses) else 0.0
+        if 0 <= j < len(self.masses):
+            return self.masses[j]
+        return Fraction(0) if self._exact else 0.0
 
     def support(self) -> range:
         return range(self.offset, self.offset + len(self.masses))
 
-    def mean(self) -> float:
-        return math.fsum(k * m for k, m in zip(self.support(), self.masses))
+    def mean(self):
+        return self._sum(k * m for k, m in zip(self.support(), self.masses))
 
-    def variance(self) -> float:
+    def variance(self):
         mu = self.mean()
-        return math.fsum((k - mu) ** 2 * m for k, m in zip(self.support(), self.masses))
+        return self._sum((k - mu) ** 2 * m for k, m in zip(self.support(), self.masses))
+
+    def to_float(self):
+        """The same measure with float masses, underflow-level edges trimmed."""
+        if not self._exact:
+            return self
+        return type(self).from_masses(self.offset, [float(m) for m in self.masses])
 
 
-@dataclass(frozen=True)
-class RationalPmf:
-    """Exact-rational mass function; totals exactly 1."""
-
-    offset: int
-    masses: tuple  # of Fraction
+class Pmf(SignedMeasure):
+    """A SignedMeasure with nonnegative masses: a probability mass function."""
 
     def __post_init__(self):
-        if sum(self.masses, Fraction(0)) != 1:
-            raise ValueError("rational masses must sum to exactly 1")
+        super().__post_init__()
         if any(m < 0 for m in self.masses):
-            raise ValueError("negative mass")
-
-    def mass(self, k: int) -> Fraction:
-        j = k - self.offset
-        return self.masses[j] if 0 <= j < len(self.masses) else Fraction(0)
-
-    def support(self) -> range:
-        return range(self.offset, self.offset + len(self.masses))
-
-    @property
-    def total(self) -> float:
-        return 1.0  # exact by construction
-
-    def to_float(self) -> Pmf:
-        return Pmf.from_masses(self.offset, [float(m) for m in self.masses])
+            raise ValueError("negative mass in a Pmf")
 
 
-def _trim_rational(offset, masses):
-    lo, hi = 0, len(masses)
-    while lo < hi - 1 and masses[lo] == 0:
-        lo += 1
-    while hi - 1 > lo and masses[hi - 1] == 0:
-        hi -= 1
-    return RationalPmf(offset + lo, tuple(masses[lo:hi]))
+#: exact-rational pmfs are Pmfs with Fraction masses
+RationalPmf = Pmf
 
 
 # --- Bernoulli convolutions -------------------------------------------------
@@ -195,9 +200,7 @@ def bernoulli_sum_pmf(weights, rational: bool = False):
             for j, m in enumerate(masses):
                 stay[j + 1] += m * p
             masses = stay
-        return _trim_rational(0, masses)
-    if not weights:
-        return Pmf(0, (1.0,))
+        return Pmf.from_masses(0, masses)
     return _bernoulli_fold_float(weights)
 
 
@@ -239,8 +242,6 @@ def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
     hs = _homogeneous_polynomials(theta_seq, n, rational)
     coeffs = hs[n]
     norm = sum(coeffs[1:], coeffs[0])
-    if rational:
-        return _trim_rational(0, [c / norm for c in coeffs])
     return Pmf.from_masses(0, [c / norm for c in coeffs])
 
 
@@ -260,17 +261,12 @@ def ewens_cycle_pmf(theta, n: int, rational: bool = False):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if rational:
-        th = Fraction(theta)
-        if th <= 0:
-            raise ValueError("theta must be positive")
-        inner = bernoulli_sum_pmf([th / (th + i) for i in range(1, n)], rational=True)
-        return RationalPmf(inner.offset + 1, inner.masses)
-    th = float(theta)
+    th = Fraction(theta) if rational else float(theta)
     if th <= 0:
         raise ValueError("theta must be positive")
-    if n == 1:
-        return Pmf(1, (1.0,))
+    if rational:
+        inner = bernoulli_sum_pmf([th / (th + i) for i in range(1, n)], rational=True)
+        return Pmf(inner.offset + 1, inner.masses)
     return _bernoulli_fold_float((th / (th + i) for i in range(1, n)), shift=1)
 
 
@@ -322,8 +318,7 @@ def fq_factor_pmf(q: int, n: int, rational: bool = False):
     total = sum(fs[n], Fraction(0))
     if total != q ** n:
         raise AssertionError(f"count identity f_n(1) = q^n failed: {total} != {q ** n}")
-    masses = [c / total for c in fs[n]]
-    exact = _trim_rational(0, masses)
+    exact = Pmf.from_masses(0, [c / total for c in fs[n]])
     return exact if rational else exact.to_float()
 
 

@@ -1,8 +1,9 @@
-"""Byte-for-byte golden outputs of `modpoisson compare`.
+"""Byte-for-byte golden outputs of the `modpoisson` commands.
 
-The goldens in golden/compare.json hold the exit code, stdout and stderr of
-each invocation below.  Regenerate them only when an output change is
-intended:  PYTHONPATH=src python tests/test_cli_golden.py
+The goldens in golden/compare.json (the `compare` sweeps) and
+golden/commands.json (`pmf`, `scheme` and `verify`) hold the exit code,
+stdout and stderr of each invocation below.  Regenerate them only when an
+output change is intended:  PYTHONPATH=src python tests/test_cli_golden.py
 """
 
 import json
@@ -13,6 +14,7 @@ import pytest
 from modpoisson.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "compare.json"
+COMMANDS_GOLDEN = Path(__file__).parent / "golden" / "commands.json"
 
 # 250 in-regime weights in [0.002, 0.014]: lam = 2, sigma^2 = 0.02
 WEIGHTS = ",".join(f"{0.002 * (1 + i % 7):g}" for i in range(250))
@@ -59,6 +61,36 @@ CASES = {
         "--model", "weighted-perm", "--theta-seq", "1,1,1", "--n", "3", "--r", "1"],
 }
 
+# full argv, subcommand first; lambda stays far below the 2.5e5 where the
+# Poisson normalization is known to break
+COMMANDS = {
+    "pmf_fq_rational_json": [
+        "pmf", "--model", "fq", "--q", "3", "--n", "8", "--rational",
+        "--format", "json"],
+    "pmf_ewens_rational_n300": [
+        "pmf", "--model", "ewens", "--theta", "1", "--n", "300", "--rational"],
+    "pmf_bernoulli_degenerate_rational": [
+        "pmf", "--model", "bernoulli", "--weights", "0.5,0.25,1,0", "--rational"],
+    "pmf_weighted_perm": [
+        "pmf", "--model", "weighted-perm", "--theta-seq", "1,0.5,2,1,3,0.25",
+        "--n", "6"],
+    "pmf_weighted_perm_rational": [
+        "pmf", "--model", "weighted-perm", "--theta-seq", "1,0.5,2,1,3,0.25",
+        "--n", "6", "--rational"],
+    "pmf_omega_n1": ["pmf", "--model", "omega", "--N", "1"],
+    "pmf_omega_n1_rational": ["pmf", "--model", "omega", "--N", "1", "--rational"],
+    "scheme_b2_negative_entries": [
+        "scheme", "--lambda", "2", "--b2", "-0.125", "--r", "2"],
+    "scheme_omega_positive": [
+        "scheme", "--alphabet", "omega", "--lambda", "12", "--r", "6", "--positive"],
+    "scheme_ewens_json": [
+        "scheme", "--alphabet", "ewens", "--theta", "1.3", "--lambda", "10",
+        "--r", "5", "--format", "json"],
+    "verify_oracles": ["verify", "--suite", "oracles"],
+    "verify_coefficients": [
+        "verify", "--suite", "coefficients", "--seed", "1", "--instances", "5"],
+}
+
 
 def _run(args, capsys):
     code = main(["compare"] + args)
@@ -72,21 +104,30 @@ def test_compare_matches_golden(case, capsys):
     assert _run(CASES[case], capsys) == expected
 
 
-def _regenerate():
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_command_matches_golden(case, capsys):
+    expected = json.loads(COMMANDS_GOLDEN.read_text(encoding="utf-8"))[case]
+    code = main(COMMANDS[case])
+    captured = capsys.readouterr()
+    assert {"exit": code, "stdout": captured.out, "stderr": captured.err} == expected
+
+
+def _regenerate(path, cases, prefix):
     import contextlib
     import io
 
     goldens = {}
-    for case, args in sorted(CASES.items()):
+    for case, args in sorted(cases.items()):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["compare"] + args)
+            code = main(prefix + args)
         goldens[case] = {"exit": code, "stdout": out.getvalue(),
                          "stderr": err.getvalue()}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
 
 
 if __name__ == "__main__":
-    _regenerate()
+    _regenerate(GOLDEN, CASES, ["compare"])
+    _regenerate(COMMANDS_GOLDEN, COMMANDS, [])

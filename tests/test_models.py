@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpoisson.models import (EULER_GAMMA, ModelSpec, bernoulli_sum_pmf,
-                               empirical_residue, ewens_cycle_pmf,
+from modpoisson.models import (EULER_GAMMA, ModelSpec, Pmf, RationalPmf,
+                               bernoulli_sum_pmf, empirical_residue,
+                               ewens_cycle_pmf,
                                fq_factor_pmf, gamma_theta,
                                gauss_irreducible_count, model_lambda,
                                omega_pmf, omega_values, r_q,
                                weighted_perm_cycle_pmf,
                                weighted_perm_normalization)
-from modpoisson.schemes import poisson_pmf
+from modpoisson.schemes import SignedMeasure, poisson_pmf
 from modpoisson.suites import fq_factor_histogram_by_enumeration
 
 from oracles import permutation_cycle_counts, weighted_cycle_histogram
@@ -365,3 +366,35 @@ def test_modelspec_validation():
         ModelSpec.omega(0)
     with pytest.raises(ValueError):
         ModelSpec.bernoulli([1.5])
+
+
+# --- the measure contract --------------------------------------------------------
+
+def test_exact_total_is_checked_exactly():
+    # 1 - 10^-30 would pass a 1e-10 float check; Fraction masses must total 1
+    short = (Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10 ** 30))
+    with pytest.raises(ValueError):
+        RationalPmf(0, short)
+    with pytest.raises(ValueError):
+        SignedMeasure(0, short)
+    assert RationalPmf(0, (Fraction(1, 2), Fraction(1, 2))).total == Fraction(1)
+
+
+def test_exact_masses_keep_tiny_edges_that_float_trims():
+    exact = ewens_cycle_pmf(1, 300, rational=True)
+    assert len(exact.masses) == 300
+    assert exact.mass(300) == Fraction(1, math.factorial(300))  # far below 1e-320
+    assert len(exact.to_float().masses) == 200
+
+
+def test_mass_outside_support_follows_mass_type():
+    exact = RationalPmf(2, (Fraction(1, 3), Fraction(2, 3)))
+    approx = exact.to_float()
+    for k in (0, 9):
+        assert exact.mass(k) == 0 and type(exact.mass(k)) is Fraction
+        assert approx.mass(k) == 0.0 and type(approx.mass(k)) is float
+
+
+def test_total_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        Pmf(0, (1.0,), total=5.0)

@@ -241,3 +241,19 @@ def test_expectation_agrees_with_direct_summation(seed):
     f = lambda k: float(values[k]) if k < len(values) else 0.0
     direct = math.fsum(nu.mass(k) * f(k) for k in nu.support())
     assert abs(expect_via_scheme(f, rc) - direct) < 1e-10
+
+
+# --- the measure contract ---------------------------------------------------------------
+
+def test_signed_measure_accepts_negative_mass_a_pmf_rejects():
+    from modpoisson.models import Pmf
+    with pytest.raises(ValueError):
+        Pmf(0, (-0.1, 1.1))
+    nu = SignedMeasure(0, (-0.1, 1.1))
+    assert nu.masses == (-0.1, 1.1) and nu.mass(0) == -0.1
+
+
+def test_float_total_is_checked_within_1e_10():
+    assert SignedMeasure(0, (0.5, 0.5 + 1e-11)).total == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        SignedMeasure(0, (0.5, 0.5 + 1e-9))
