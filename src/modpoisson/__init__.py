@@ -32,8 +32,8 @@ from .specialfn import (complex_log_gamma, cramer_bound_margin,
                         hermite_multiplication)
 from .symfunc import (Alphabet, PowerSums, ResidueCoeffs, ToleranceError,
                       elementary_from_power, power_from_elementary,
-                      power_sums_finite, power_sums_infinite,
-                      residue_product_eval, residue_series_eval,
+                      power_sums, power_sums_finite, power_sums_infinite,
+                      residue_coeffs, residue_product_eval, residue_series_eval,
                       stirling2_elementary_bridge, virtual_residue_coeffs)
 
 __version__ = "0.1.0"

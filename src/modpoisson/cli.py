@@ -13,40 +13,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 from . import io, metrics, schemes, suites, symfunc
 from .models import ModelSpec
 from .symfunc import Alphabet, ResidueCoeffs
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation.  The seed alone determines every randomized
-    instance a run generates, so equal configs give byte-identical output."""
-
-    command: str
-    fmt: str = "csv"
-    output: str = "-"
-    tolerance: float = 1e-12
-    rational: bool = False
-    seed: int = None
-    options: SimpleNamespace = field(default_factory=SimpleNamespace)
-
-    @classmethod
-    def from_args(cls, args):
-        shared = {"command", "format", "output", "tolerance", "rational", "seed"}
-        extras = {k: v for k, v in vars(args).items() if k not in shared}
-        return cls(command=args.command,
-                   fmt=getattr(args, "format", "csv"),
-                   output=getattr(args, "output", "-"),
-                   tolerance=getattr(args, "tolerance", 1e-12),
-                   rational=getattr(args, "rational", False),
-                   seed=getattr(args, "seed", None),
-                   options=SimpleNamespace(**extras))
+__all__ = ["main"]
 
 
 def _parse_float_list(text):
@@ -126,35 +98,34 @@ def _build_parser():
     return parser
 
 
-def _model_from_config(config: RunConfig) -> ModelSpec:
-    opt = config.options
-    if opt.model == "bernoulli":
-        weights = _collect_weights(opt)
+def _model_from_args(args) -> ModelSpec:
+    if args.model == "bernoulli":
+        weights = _collect_weights(args)
         if weights is None:
             raise ValueError("bernoulli model needs --weights or --weights-file")
         return ModelSpec.bernoulli(weights)
-    if opt.model == "ewens":
-        if opt.theta is None or opt.n is None:
+    if args.model == "ewens":
+        if args.theta is None or args.n is None:
             raise ValueError("ewens model needs --theta and --n")
-        return ModelSpec.ewens(opt.theta, opt.n)
-    if opt.model == "weighted-perm":
-        if not opt.theta_seq or opt.n is None:
+        return ModelSpec.ewens(args.theta, args.n)
+    if args.model == "weighted-perm":
+        if not args.theta_seq or args.n is None:
             raise ValueError("weighted-perm model needs --theta-seq and --n")
-        return ModelSpec.weighted_perm(_parse_float_list(opt.theta_seq), opt.n)
-    if opt.model == "fq":
-        if opt.q is None or opt.n is None:
+        return ModelSpec.weighted_perm(_parse_float_list(args.theta_seq), args.n)
+    if args.model == "fq":
+        if args.q is None or args.n is None:
             raise ValueError("fq model needs --q and --n")
-        return ModelSpec.fq_poly(opt.q, opt.n)
-    if opt.big_n is None:
+        return ModelSpec.fq_poly(args.q, args.n)
+    if args.big_n is None:
         raise ValueError("omega model needs --N")
-    return ModelSpec.omega(opt.big_n)
+    return ModelSpec.omega(args.big_n)
 
 
-def _collect_weights(opt):
-    if getattr(opt, "weights", None):
-        return _parse_float_list(opt.weights)
-    if getattr(opt, "weights_file", None):
-        return io.read_weights_csv(opt.weights_file)
+def _collect_weights(args):
+    if args.weights:
+        return _parse_float_list(args.weights)
+    if args.weights_file:
+        return io.read_weights_csv(args.weights_file)
     return None
 
 
@@ -166,65 +137,58 @@ def _emit(text: str, output: str):
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_measure(measure, config: RunConfig):
-    if config.fmt == "csv":
-        _emit("\n".join(io.mass_csv_lines(measure)), config.output)
+def _emit_measure(measure, args):
+    if args.format == "csv":
+        _emit("\n".join(io.mass_csv_lines(measure)), args.output)
     else:
-        _emit(json.dumps(io.mass_json_obj(measure), sort_keys=True), config.output)
+        _emit(json.dumps(io.mass_json_obj(measure), sort_keys=True), args.output)
 
 
-def _cmd_pmf(config: RunConfig) -> int:
-    spec = _model_from_config(config)
-    _emit_measure(spec.pmf(rational=config.rational).to_float(), config)
+def _cmd_pmf(args) -> int:
+    spec = _model_from_args(args)
+    _emit_measure(spec.pmf(rational=args.rational).to_float(), args)
     return 0
 
 
-def _named_alphabet(config: RunConfig) -> Alphabet:
-    opt, tol = config.options, config.tolerance
-    if opt.alphabet == "harmonic":
+def _named_alphabet(args) -> Alphabet:
+    tol = args.tolerance
+    if args.alphabet == "harmonic":
         return Alphabet.harmonic(tol)
-    if opt.alphabet == "omega":
+    if args.alphabet == "omega":
         return Alphabet.omega_limit(tol)
-    if opt.alphabet == "ewens":
-        if opt.theta is None:
+    if args.alphabet == "ewens":
+        if args.theta is None:
             raise ValueError("ewens alphabet needs --theta")
-        return Alphabet.ewens_limit(opt.theta, tol)
-    if opt.q is None:
+        return Alphabet.ewens_limit(args.theta, tol)
+    if args.q is None:
         raise ValueError("fq alphabet needs --q")
-    return Alphabet.fq_limit(opt.q, tol)
+    return Alphabet.fq_limit(args.q, tol)
 
 
-def _scheme_coeffs(config: RunConfig) -> ResidueCoeffs:
-    opt = config.options
-    lam = opt.lam
-    if opt.alphabet:
-        if opt.r is None:
-            raise ValueError("--alphabet needs an explicit --r")
-        if opt.r == 0:
-            return ResidueCoeffs(lam, ())
-        ps = symfunc.power_sums_infinite(_named_alphabet(config), max(2, opt.r))
-        return symfunc.virtual_residue_coeffs(ps, opt.r, lam)
-    weights = _collect_weights(opt)
-    if weights is not None:
-        if opt.r is None:
-            raise ValueError("--weights needs an explicit --r")
-        if opt.r == 0 or not weights:
-            return ResidueCoeffs(lam, (0.0,) * (opt.r or 0))
-        ps = symfunc.power_sums_finite(weights, max(2, opt.r))
-        return symfunc.virtual_residue_coeffs(ps, opt.r, lam)
+def _scheme_coeffs(args) -> ResidueCoeffs:
+    weights = None if args.alphabet else _collect_weights(args)
+    if args.alphabet or weights is not None:
+        if args.r is None:
+            flag = "--alphabet" if args.alphabet else "--weights"
+            raise ValueError(f"{flag} needs an explicit --r")
+        if args.r == 0:  # Po(lam): no alphabet is built, so none is checked
+            return ResidueCoeffs(args.lam, ())
+        alphabet = _named_alphabet(args) if args.alphabet else Alphabet.finite(weights)
+        return symfunc.residue_coeffs(alphabet, args.r, args.lam)
     b = []
-    if opt.b:
-        b = _parse_float_list(opt.b)
-    elif opt.b2 is not None:
-        b = [0.0, opt.b2]
-    r = len(b) if opt.r is None else opt.r
+    if args.b:
+        b = _parse_float_list(args.b)
+    elif args.b2 is not None:
+        b = [0.0, args.b2]
+    r = len(b) if args.r is None else args.r
+    if r < 0:
+        raise ValueError("r must be >= 0")
     b = (b + [0.0] * r)[:r]
-    return ResidueCoeffs(lam, tuple(b))
+    return ResidueCoeffs(args.lam, tuple(b))
 
 
-def _cmd_scheme(config: RunConfig) -> int:
-    opt = config.options
-    rc = _scheme_coeffs(config)
+def _cmd_scheme(args) -> int:
+    rc = _scheme_coeffs(args)
     sigma2 = -2.0 * rc.b[1] if rc.order >= 2 else None  # b_2 = -p_2/2
     if sigma2 is not None and sigma2 > 0.0:
         eta = 4.0 * math.sqrt(math.e * sigma2 / rc.lam)
@@ -233,22 +197,21 @@ def _cmd_scheme(config: RunConfig) -> int:
                   "inapplicable here; the measure itself is still exact",
                   file=sys.stderr)
     measure = schemes.scheme_measure(rc)
-    if opt.positive:
+    if args.positive:
         measure = schemes.rectify_positive(measure)
     else:
         negatives = sum(1 for m in measure.masses if m < 0.0)
         if negatives:
             print(f"warning: {negatives} negative entries in the signed measure "
                   "(use --positive to sweep them)", file=sys.stderr)
-    _emit_measure(measure, config)
+    _emit_measure(measure, args)
     return 0
 
 
-def _cmd_compare(config: RunConfig) -> int:
-    opt = config.options
-    spec = _model_from_config(config)
-    r_list = _parse_r_range(opt.r)
-    names = tuple(tok.strip() for tok in opt.bound.split(",") if tok.strip())
+def _cmd_compare(args) -> int:
+    spec = _model_from_args(args)
+    r_list = _parse_r_range(args.r)
+    names = tuple(tok.strip() for tok in args.bound.split(",") if tok.strip())
     unknown = [n for n in names if n not in metrics.KNOWN_BOUNDS]
     if unknown:
         raise ValueError(f"unknown bound names: {unknown}")
@@ -260,35 +223,33 @@ def _cmd_compare(config: RunConfig) -> int:
     reports = []
     if r_list or singles:  # an empty sweep computes no model
         reports = metrics.verify_bounds(spec, r_list, which=per_r + singles,
-                                        tolerance=config.tolerance, eps_n=opt.eps_n,
-                                        rho=opt.rho, tail_rn=opt.tail_rn)
-    if config.fmt == "csv":
-        _emit("\n".join(io.report_csv_lines(reports)), config.output)
+                                        tolerance=args.tolerance, eps_n=args.eps_n,
+                                        rho=args.rho, tail_rn=args.tail_rn)
+    if args.format == "csv":
+        _emit("\n".join(io.report_csv_lines(reports)), args.output)
     else:
-        _emit("\n".join(io.report_jsonl_lines(reports)), config.output)
+        _emit("\n".join(io.report_jsonl_lines(reports)), args.output)
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    opt = config.options
+def _cmd_verify(args) -> int:
     try:
-        result = suites.run_suite(opt.suite, seed=config.seed,
-                                  instances=opt.instances)
+        result = suites.run_suite(args.suite, seed=args.seed,
+                                  instances=args.instances)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(json.dumps(result.to_json_obj(), sort_keys=True), config.output)
+    _emit(json.dumps(result.to_json_obj(), sort_keys=True), args.output)
     return 0 if result.passed else 1
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = RunConfig.from_args(args)
     handlers = {"pmf": _cmd_pmf, "scheme": _cmd_scheme,
                 "compare": _cmd_compare, "verify": _cmd_verify}
     try:
-        return handlers[config.command](config)
-    except (ValueError, OSError) as exc:
+        return handlers[args.command](args)
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -89,7 +89,7 @@ class SignedMeasure:
                 raise ValueError("rational masses must sum to exactly 1")
         else:
             total = math.fsum(self.masses)
-            if abs(total - 1.0) > 1e-10:
+            if not abs(total - 1.0) <= 1e-10:
                 raise ValueError(f"masses sum to {total!r}, not 1")
         object.__setattr__(self, "total", total)
 

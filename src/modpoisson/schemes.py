@@ -23,8 +23,7 @@ import math
 import numpy as np
 
 from .models import Pmf, SignedMeasure
-from .symfunc import (Alphabet, ResidueCoeffs, power_sums_finite,
-                      power_sums_infinite, virtual_residue_coeffs)
+from .symfunc import Alphabet, ResidueCoeffs, residue_coeffs
 
 __all__ = [
     "SignedMeasure",
@@ -81,8 +80,10 @@ def scheme_measure(rc: ResidueCoeffs) -> SignedMeasure:
         for t in range(r + 1)
     ]
     out = np.zeros(len(nu0) + r)
-    for t, w in enumerate(shift_weights):
-        out[t: t + len(nu0)] += w * nu0
+    # non-finite or overflowing coefficients are left to the unit-total check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, w in enumerate(shift_weights):
+            out[t: t + len(nu0)] += w * nu0
     return SignedMeasure(0, tuple(out.tolist()))
 
 
@@ -111,15 +112,7 @@ def derived_scheme(lam: float, limiting_alphabet: Alphabet, r: int) -> SignedMea
     """Order-r scheme built from the limiting alphabet's residue coefficients."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if limiting_alphabet.kind == "finite":
-        if not limiting_alphabet.weights:
-            return scheme_measure(ResidueCoeffs(lam, (0.0,) * r))
-        ps = power_sums_finite(limiting_alphabet.weights, max(2, r))
-    else:
-        ps = power_sums_infinite(limiting_alphabet, max(2, r))
-    return scheme_measure(virtual_residue_coeffs(ps, r, lam))
+    return scheme_measure(residue_coeffs(limiting_alphabet, r, lam))
 
 
 def rectify_positive(nu: SignedMeasure) -> Pmf:

@@ -69,12 +69,6 @@ def random_bernoulli_instances(rng, count: int):
     return out
 
 
-def _scheme_family(wts, lam, rmax):
-    ps = symfunc.power_sums_finite(wts.tolist(), max(2, rmax))
-    return [schemes.scheme_measure(symfunc.virtual_residue_coeffs(ps, r, lam))
-            for r in range(rmax + 1)]
-
-
 def _suite_theorem_b(rec, seed, instances):
     rng = np.random.default_rng(seed)
     worst = 0.0

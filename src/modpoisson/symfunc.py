@@ -32,18 +32,20 @@ __all__ = [
     "PowerSums",
     "ResidueCoeffs",
     "ToleranceError",
+    "power_sums",
     "power_sums_finite",
     "power_sums_infinite",
     "elementary_from_power",
     "power_from_elementary",
     "virtual_residue_coeffs",
+    "residue_coeffs",
     "residue_series_eval",
     "residue_product_eval",
     "stirling2",
     "stirling2_elementary_bridge",
 ]
 
-ALPHABET_KINDS = ("finite", "ewens_limit", "harmonic", "omega_limit", "fq_limit")
+ALPHABET_KINDS = ("finite", "ewens_limit", "omega_limit", "fq_limit")
 
 #: double-precision floor for the tail-corrected series below
 _MIN_TOLERANCE = 1e-13
@@ -59,8 +61,8 @@ class Alphabet:
 
     kinds:
       finite       explicit weights in [0, 1]
-      ewens_limit  {theta/(theta+n-1), n >= 1}
-      harmonic     {1/n, n >= 1}
+      ewens_limit  {theta/(theta+n-1), n >= 1}; the harmonic alphabet
+                   {1/n, n >= 1} is its theta = 1 case, `Alphabet.harmonic()`
       omega_limit  harmonic together with {1/p, p prime}
       fq_limit     harmonic together with {q^-deg(P), P monic irreducible}
     """
@@ -97,7 +99,8 @@ class Alphabet:
 
     @classmethod
     def harmonic(cls, tolerance=1e-12):
-        return cls("harmonic", tolerance=tolerance)
+        """{1/n, n >= 1}: the Ewens alphabet at theta = 1."""
+        return cls.ewens_limit(1.0, tolerance)
 
     @classmethod
     def omega_limit(cls, tolerance=1e-12):
@@ -169,11 +172,18 @@ def power_sums_finite(weights, kmax: int) -> PowerSums:
     return PowerSums(vals)
 
 
+def power_sums(alphabet: Alphabet, kmax: int) -> PowerSums:
+    """p_1..p_kmax of any alphabet, finite or infinite."""
+    if alphabet.kind == "finite":
+        return power_sums_finite(alphabet.weights, kmax)
+    return power_sums_infinite(alphabet, kmax)
+
+
 def power_sums_infinite(alphabet: Alphabet, kmax: int) -> PowerSums:
     """Tail-corrected power sums of one of the infinite alphabet families.
 
-    harmonic:     p_k = zeta(k)
-    ewens_limit:  p_k = theta^k * hurwitz_zeta(k, theta)
+    ewens_limit:  p_k = theta^k * hurwitz_zeta(k, theta), which is zeta(k)
+                  for the harmonic alphabet (theta = 1)
     omega_limit:  p_k = zeta(k) + prime_zeta(k)
     fq_limit:     p_k = zeta(k) + sum_m I_q(m) q^(-k m)
 
@@ -196,8 +206,6 @@ def power_sums_infinite(alphabet: Alphabet, kmax: int) -> PowerSums:
 
 def _infinite_power_sum(alphabet: Alphabet, k: int) -> float:
     tol = alphabet.tolerance
-    if alphabet.kind == "harmonic":
-        return zeta(k)
     if alphabet.kind == "ewens_limit":
         th = alphabet.theta
         return th ** k * zeta(k, th)
@@ -313,6 +321,18 @@ def virtual_residue_coeffs(ps: PowerSums, rmax: int, lam: float) -> ResidueCoeff
     return ResidueCoeffs(lam=float(lam), b=tuple(e[1:]))
 
 
+def residue_coeffs(alphabet: Alphabet, r: int, lam: float) -> ResidueCoeffs:
+    """The order-r coefficients b_1..b_r = e_s(A') of any alphabet A.
+
+    Order 0 and the empty finite alphabet have all-zero coefficients.
+    """
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if r == 0 or (alphabet.kind == "finite" and not alphabet.weights):
+        return ResidueCoeffs(lam, (0.0,) * r)
+    return virtual_residue_coeffs(power_sums(alphabet, max(2, r)), r, lam)
+
+
 def residue_series_eval(rc: ResidueCoeffs, z) -> complex:
     """1 + sum_{s=1}^r b_s z^s, Horner evaluation."""
     z = complex(z)
@@ -323,11 +343,6 @@ def residue_series_eval(rc: ResidueCoeffs, z) -> complex:
 
 
 # --- residue evaluated from the product form -------------------------------
-
-def _zeta_tail(k: int, start: int) -> float:
-    """sum_{n > start} n^-k"""
-    return zeta(k, float(start + 1))
-
 
 def residue_product_eval(alphabet: Alphabet, z, tolerance=None) -> complex:
     """E(A', z) = prod_i (1 + a_i z) exp(-a_i z) over the whole alphabet.
@@ -378,54 +393,35 @@ def _split_head(alphabet: Alphabet, az: float):
     """Head weights (with multiplicities) and a tail power-sum evaluator.
 
     The head is chosen so every remaining weight a satisfies a * az <= 1/2,
-    which makes the tail log-series geometrically convergent.
+    which makes the tail log-series geometrically convergent.  Every
+    infinite kind holds the Ewens alphabet {theta/(theta+n-1)} (theta = 1,
+    the harmonic alphabet, for omega and fq); omega and fq add their side
+    atoms {1/p} and {q^-m}.
     """
     tol = alphabet.tolerance
-    if alphabet.kind == "harmonic":
-        n0 = max(1, math.ceil(2.0 * az))
-        if n0 > 10 ** 6:
-            raise ToleranceError(f"divergent tail request: |z| = {az:g} is too large")
-        head = [(1.0 / n, 1) for n in range(1, n0 + 1)]
-        tail = lambda k: _zeta_tail(k, n0)
-        return head, tail
+    th = alphabet.theta if alphabet.kind == "ewens_limit" else 1.0
+    n0 = max(2 if alphabet.kind == "omega_limit" else 1, math.ceil(2.0 * th * az))
+    m0 = 0
+    while alphabet.kind == "fq_limit" and float(alphabet.q) ** (m0 + 1) < 2.0 * az:
+        m0 += 1
+    if n0 > 10 ** 6 or m0 > 60:
+        raise ToleranceError(f"divergent tail request: |z| = {az:g} is too large")
+    head = [(th / (th + n - 1.0), 1) for n in range(1, n0 + 1)]
+    ewens_tail = lambda k: th ** k * zeta(k, th + n0)
     if alphabet.kind == "ewens_limit":
-        th = alphabet.theta
-        n0 = max(1, math.ceil(2.0 * th * az))
-        if n0 > 10 ** 6:
-            raise ToleranceError(f"divergent tail request: |z| = {az:g} is too large")
-        head = [(th / (th + n - 1.0), 1) for n in range(1, n0 + 1)]
-        tail = lambda k: th ** k * zeta(k, th + n0)
-        return head, tail
+        return head, ewens_tail
     if alphabet.kind == "omega_limit":
-        n0 = max(2, math.ceil(2.0 * az))
-        if n0 > 10 ** 6:
-            raise ToleranceError(f"divergent tail request: |z| = {az:g} is too large")
         head_primes = primes_up_to(n0)
-        head = [(1.0 / n, 1) for n in range(1, n0 + 1)]
         head += [(1.0 / p, 1) for p in head_primes]
-        tail = lambda k: (_zeta_tail(k, n0)
-                          + prime_zeta(k, tol)
-                          - math.fsum(p ** float(-k) for p in head_primes))
-        return head, tail
-    if alphabet.kind == "fq_limit":
+        side = lambda k: prime_zeta(k, tol)
+        side_head = lambda k: math.fsum(p ** float(-k) for p in head_primes)
+    else:
         q = alphabet.q
-        n0 = max(1, math.ceil(2.0 * az))
-        m0 = 0
-        while float(q) ** (m0 + 1) < 2.0 * az:
-            m0 += 1
-        if n0 > 10 ** 6 or m0 > 60:
-            raise ToleranceError(f"divergent tail request: |z| = {az:g} is too large")
-        head = [(1.0 / n, 1) for n in range(1, n0 + 1)]
         head += [(float(q) ** (-m), irreducible_count(q, m)) for m in range(1, m0 + 1)]
-
-        def tail(k, _q=q, _n0=n0, _m0=m0):
-            deg_side = _fq_degree_series(_q, k, tol)
-            deg_head = math.fsum(irreducible_count(_q, m) * float(_q) ** (-k * m)
-                                 for m in range(1, _m0 + 1))
-            return _zeta_tail(k, _n0) + deg_side - deg_head
-
-        return head, tail
-    raise AssertionError(alphabet.kind)
+        side = lambda k: _fq_degree_series(q, k, tol)
+        side_head = lambda k: math.fsum(irreducible_count(q, m) * float(q) ** (-k * m)
+                                        for m in range(1, m0 + 1))
+    return head, lambda k: ewens_tail(k) + side(k) - side_head(k)
 
 
 # --- moment bridge ----------------------------------------------------------

@@ -102,6 +102,27 @@ def test_scheme_warns_when_eta_is_large(capsys):
     assert out.splitlines()[0] == "k,mass"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--alphabet", "harmonic", "--r", "-1"], "r must be >= 0"),
+    (["--weights", "0.1,0.2", "--r", "-1"], "r must be >= 0"),
+    (["--weights", ",", "--r", "-1"], "r must be >= 0"),
+    (["--b2", "0.1", "--r", "-1"], "r must be >= 0"),
+    (["--b", "0.1,0.2", "--r", "-2"], "r must be >= 0"),
+    (["--weights", "1.5,0.2", "--r", "2"], "finite weights must lie in [0, 1]"),
+    (["--weights", "nan", "--r", "2"], "finite weights must lie in [0, 1]"),
+    (["--b", "nan", "--r", "1"], "not 1"),
+    (["--b2", "inf"], "error: "),
+    (["--alphabet", "ewens", "--theta", "1e-300", "--r", "1"], "error: "),
+], ids=["alphabet_r", "weights_r", "empty_weights_r", "b2_r", "b_r", "weight_above_1",
+        "weight_nan", "b_nan", "b2_inf", "theta_underflow"])
+def test_scheme_rejects_bad_order_weights_and_coefficients(args, message, capsys):
+    code, out, err = run_cli(["scheme", "--lambda", "2"] + args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+    assert message in err.splitlines()[-1]
+
+
 # --- compare ---------------------------------------------------------------------
 
 def test_compare_ewens_tv_improves(capsys):

@@ -86,7 +86,19 @@ COMMANDS = {
     "scheme_ewens_json": [
         "scheme", "--alphabet", "ewens", "--theta", "1.3", "--lambda", "10",
         "--r", "5", "--format", "json"],
+    "scheme_weights": [
+        "scheme", "--weights", "0.1,0.2,0.05", "--lambda", "2", "--r", "3"],
+    "scheme_weights_empty": [
+        "scheme", "--weights", ",", "--lambda", "2", "--r", "3"],
+    "scheme_harmonic": [
+        "scheme", "--alphabet", "harmonic", "--lambda", "7.5", "--r", "4"],
+    "scheme_fq": [
+        "scheme", "--alphabet", "fq", "--q", "3", "--lambda", "9", "--r", "5"],
+    "scheme_harmonic_r0_tiny_tolerance": [
+        "scheme", "--alphabet", "harmonic", "--lambda", "2", "--r", "0",
+        "--tolerance", "1e-20"],
     "verify_oracles": ["verify", "--suite", "oracles"],
+    "verify_rates": ["verify", "--suite", "rates"],
     "verify_coefficients": [
         "verify", "--suite", "coefficients", "--seed", "1", "--instances", "5"],
 }

@@ -59,6 +59,18 @@ def test_tv_rejects_unnormalized_input():
             distance(poisson_pmf(1.0), near)
 
 
+def test_tv_rejects_nan_total():
+    bad = Pmf.__new__(Pmf)
+    object.__setattr__(bad, "offset", 0)
+    object.__setattr__(bad, "masses", (0.5, math.nan))
+    object.__setattr__(bad, "total", math.nan)
+    for distance in (total_variation, kolmogorov):
+        with pytest.raises(ValueError):
+            distance(bad, poisson_pmf(1.0))
+        with pytest.raises(ValueError):
+            distance(poisson_pmf(1.0), bad)
+
+
 def test_tv_accepts_rational_measures():
     from fractions import Fraction
     from modpoisson.models import RationalPmf

@@ -395,6 +395,12 @@ def test_mass_outside_support_follows_mass_type():
         assert approx.mass(k) == 0.0 and type(approx.mass(k)) is float
 
 
+def test_float_measure_rejects_nan_mass():
+    for masses in ((0.5, math.nan), (math.nan,)):
+        with pytest.raises(ValueError, match="not 1"):
+            SignedMeasure(0, masses)
+
+
 def test_total_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         Pmf(0, (1.0,), total=5.0)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from modpoisson.symfunc import (Alphabet, PowerSums, ResidueCoeffs,
                                 ToleranceError, elementary_from_power,
-                                power_from_elementary, power_sums_finite,
-                                power_sums_infinite, prime_zeta,
+                                power_from_elementary, power_sums,
+                                power_sums_finite, power_sums_infinite,
+                                prime_zeta, residue_coeffs,
                                 residue_product_eval, residue_series_eval,
                                 stirling2, stirling2_elementary_bridge,
                                 virtual_residue_coeffs, zeta)
@@ -170,6 +171,42 @@ def test_coefficient_decay_bound(weights):
     for s in range(2, 31):
         cap = (math.e * ps.sigma2 / s) ** (s / 2.0)
         assert abs(rc.b[s - 1]) <= cap + 1e-12
+
+
+def test_residue_coeffs_order_zero_empty_alphabet_and_negative_order():
+    assert residue_coeffs(Alphabet.harmonic(), 0, 2.0) == ResidueCoeffs(2.0, ())
+    # order 0 needs no power sums, so an unreachable tolerance is never hit
+    assert residue_coeffs(Alphabet.harmonic(1e-20), 0, 2.0).b == ()
+    assert residue_coeffs(Alphabet.finite(()), 3, 2.0) == ResidueCoeffs(2.0, (0.0,) * 3)
+    for alphabet in (Alphabet.finite([0.5]), Alphabet.omega_limit()):
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            residue_coeffs(alphabet, -1, 2.0)
+
+
+@pytest.mark.parametrize("alphabet, chain", [
+    (Alphabet.finite([0.1, 0.2, 0.05]), lambda r: power_sums_finite([0.1, 0.2, 0.05], r)),
+    (Alphabet.fq_limit(3), lambda r: power_sums_infinite(Alphabet.fq_limit(3), r)),
+])
+def test_residue_coeffs_match_the_explicit_chain(alphabet, chain):
+    for r in (1, 2, 5):
+        expected = virtual_residue_coeffs(chain(max(2, r)), r, 7.5)
+        assert residue_coeffs(alphabet, r, 7.5) == expected
+
+
+def test_power_sums_dispatch_on_the_alphabet_kind():
+    assert power_sums(Alphabet.finite([0.5, 0.25]), 3) == power_sums_finite([0.5, 0.25], 3)
+    assert (power_sums(Alphabet.ewens_limit(2.5), 4)
+            == power_sums_infinite(Alphabet.ewens_limit(2.5), 4))
+    with pytest.raises(ValueError):
+        power_sums(Alphabet.finite(()), 2)
+
+
+def test_harmonic_is_the_ewens_alphabet_at_theta_one():
+    assert Alphabet.harmonic() == Alphabet.ewens_limit(1.0)
+    assert Alphabet.harmonic(1e-9) == Alphabet.ewens_limit(1.0, 1e-9)
+    assert Alphabet.harmonic().kind == "ewens_limit"
+    with pytest.raises(ValueError, match="unknown alphabet kind"):
+        Alphabet("harmonic")
 
 
 # --- residue evaluation ---------------------------------------------------------
