@@ -171,8 +171,6 @@ def _scheme_coeffs(args) -> ResidueCoeffs:
         if args.r is None:
             flag = "--alphabet" if args.alphabet else "--weights"
             raise ValueError(f"{flag} needs an explicit --r")
-        if args.r == 0:  # Po(lam): no alphabet is built, so none is checked
-            return ResidueCoeffs(args.lam, ())
         alphabet = _named_alphabet(args) if args.alphabet else Alphabet.finite(weights)
         return symfunc.residue_coeffs(alphabet, args.r, args.lam)
     b = []

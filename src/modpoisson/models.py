@@ -1,8 +1,10 @@
 """Exact finite-support distributions for the four model families.
 
-Every model is computed exactly (dynamic programming over floats with
-compensated totals, or big-integer / rational polynomial recursions) and
-exposed as a plain mass function:
+Every model is computed exactly and exposed as a plain mass function:
+float dynamic programming with compensated totals; integer recursions for
+the F_q counts and the rational Bernoulli fold, whose Fraction masses are
+formed once at the end; a Fraction recursion for rational h_n; and a numpy
+sieve for omega.  The families are
 
   bernoulli_sum        X = sum of independent Be(p_i)
   weighted_perm        number of cycles under cycle-weighted permutation
@@ -187,49 +189,62 @@ def bernoulli_sum_pmf(weights, rational: bool = False):
     """Distribution of sum_i Be(p_i) by exact convolution from delta_0.
 
     Degenerate weights are allowed: p = 1 is a deterministic shift and
-    p = 0 a no-op.  rational=True runs the same fold over Fractions.
+    p = 0 a no-op.  rational=True runs the same fold exactly, on integer
+    numerators over one common denominator: each weight p = a/d maps the
+    numerators c to c_j (d - a) + c_{j-1} a and multiplies the denominator
+    by d.  Its cost still grows steeply with the denominators: a float
+    weight carries up to 53 bits, so 400 float weights take about 1.4 s
+    and 3000 do not finish in 5 minutes.
     """
     weights = list(weights)
     if rational:
-        masses = [Fraction(1)]
+        nums, den = [1], 1
         for p in weights:
             p = Fraction(p)
             if not 0 <= p <= 1:
                 raise ValueError(f"Bernoulli weight {p} outside [0, 1]")
-            stay = [m * (1 - p) for m in masses] + [Fraction(0)]
-            for j, m in enumerate(masses):
-                stay[j + 1] += m * p
-            masses = stay
-        return Pmf.from_masses(0, masses)
+            a, d = p.numerator, p.denominator
+            nums = [c * (d - a) + b * a for c, b in zip(nums + [0], [0] + nums)]
+            den *= d
+        return Pmf.from_masses(0, [Fraction(c, den) for c in nums])
     return _bernoulli_fold_float(weights)
 
 
 # --- weighted permutations ---------------------------------------------------
 
 def _homogeneous_polynomials(theta_seq, n, rational):
-    """h_m(w Theta) for m = 0..n as coefficient lists in w.
+    """h_n(w Theta) as its coefficient list in w.
 
     Newton-type recursion m h_m = sum_{k=1}^m (w theta_k) h_{m-k}; each term
-    shifts the lower polynomial by one power of w.
+    shifts the lower polynomial by one power of w.  The float path keeps
+    h_0..h_n as the rows of one array and sums the terms of each m in the
+    order k = 1..m (a sequential cumsum, not a pairwise sum), so it gives
+    the same bits as adding the terms one at a time.
     """
-    zero = Fraction(0) if rational else 0.0
-    one = Fraction(1) if rational else 1.0
     theta = [Fraction(t) if rational else float(t) for t in theta_seq]
     if any(t <= 0 for t in theta):
         raise ValueError("cycle weights theta_k must be positive")
     if len(theta) < n:
         raise ValueError(f"need theta_1..theta_{n}")
-    hs = [[one]]
+    if not rational:
+        hs = np.zeros((n + 1, n + 1))
+        hs[0, 0] = 1.0
+        th = np.array(theta[:n]).reshape(-1, 1)
+        for m in range(1, n + 1):
+            terms = th[:m] * hs[m - 1::-1, :m]  # row k-1 is theta_k h_{m-k}
+            hs[m, 1:m + 1] = np.cumsum(terms, axis=0)[-1] * (1.0 / m)
+        return hs[n].tolist()
+    hs = [[Fraction(1)]]
     for m in range(1, n + 1):
-        coeffs = [zero] * (m + 1)
+        coeffs = [Fraction(0)] * (m + 1)
         for k in range(1, m + 1):
             tk = theta[k - 1]
             lower = hs[m - k]
             for j, c in enumerate(lower):
                 coeffs[j + 1] += tk * c
-        inv = Fraction(1, m) if rational else 1.0 / m
+        inv = Fraction(1, m)
         hs.append([c * inv for c in coeffs])
-    return hs
+    return hs[n]
 
 
 def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
@@ -239,16 +254,15 @@ def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    hs = _homogeneous_polynomials(theta_seq, n, rational)
-    coeffs = hs[n]
+    coeffs = _homogeneous_polynomials(theta_seq, n, rational)
     norm = sum(coeffs[1:], coeffs[0])
     return Pmf.from_masses(0, [c / norm for c in coeffs])
 
 
 def weighted_perm_normalization(theta_seq, n: int, rational: bool = False):
     """h_n(Theta), the partition function of the weighted measure."""
-    hs = _homogeneous_polynomials(theta_seq, n, rational)
-    return sum(hs[n][1:], hs[n][0])
+    coeffs = _homogeneous_polynomials(theta_seq, n, rational)
+    return sum(coeffs[1:], coeffs[0])
 
 
 def ewens_cycle_pmf(theta, n: int, rational: bool = False):
@@ -288,9 +302,11 @@ def fq_factor_pmf(q: int, n: int, rational: bool = False):
     """Distribution of the number of distinct irreducible factors over F_q.
 
     Builds the integer-coefficient polynomials
-    L_m(w) = sum_{k|m} (m/k) I_q(m/k) (1 - (1-w)^k), runs the recursion
-    m f_m = sum_k L_k f_{m-k} in exact rationals, checks the count identity
-    f_n(1) = q^n, and normalizes.
+    L_m(w) = sum_{k|m} (m/k) I_q(m/k) (1 - (1-w)^k) and runs the recursion
+    m f_m = sum_k L_k f_{m-k} on integers: f_m(w) counts the monic
+    degree-m polynomials by number of distinct factors, so the division by
+    m is exact (and checked).  Checks the count identity f_n(1) = q^n and
+    only then forms the rational masses f_n / q^n.
     """
     if prime_power_base(q) is None:
         raise ValueError("q must be a prime power >= 2")
@@ -305,47 +321,66 @@ def fq_factor_pmf(q: int, n: int, rational: bool = False):
                 for j, c in enumerate(_one_minus_power_poly(k)):
                     lm[j] += scale * c
         ls.append(lm)
-    fs = [[Fraction(1)]]
+    fs = [[1]]
     for m in range(1, n + 1):
-        coeffs = [Fraction(0)] * (m + 1)
+        coeffs = [0] * (m + 1)
         for k in range(1, m + 1):
             lk, lower = ls[k], fs[m - k]
             for i, a in enumerate(lk):
                 if a:
                     for j, b in enumerate(lower):
                         coeffs[i + j] += a * b
-        fs.append([c / m for c in coeffs])
-    total = sum(fs[n], Fraction(0))
+        if any(c % m for c in coeffs):
+            raise AssertionError(f"integer recursion failed: m f_m not divisible by m = {m}")
+        fs.append([c // m for c in coeffs])
+    total = sum(fs[n])
     if total != q ** n:
         raise AssertionError(f"count identity f_n(1) = q^n failed: {total} != {q ** n}")
-    exact = Pmf.from_masses(0, [c / total for c in fs[n]])
+    exact = Pmf.from_masses(0, [Fraction(c, total) for c in fs[n]])
     return exact if rational else exact.to_float()
 
 
 # --- distinct prime divisors --------------------------------------------------
 
 def omega_values(n_max: int) -> np.ndarray:
-    """omega(k) for k = 0..n_max (index 0 unused; omega(1) = 0)."""
+    """omega(k) for k = 0..n_max (index 0 unused; omega(1) = 0).
+
+    Each prime p <= sqrt(n_max) marks its multiples with one slice update.
+    A larger prime has fewer than sqrt(n_max) multiples j p, so those are
+    marked one multiplier j at a time, for all primes p <= n_max // j at once.
+    """
     counts = np.zeros(n_max + 1, dtype=np.uint8)
     if n_max >= 2:
+        root = int(n_max ** 0.5)
         is_prime = np.ones(n_max + 1, dtype=bool)
         is_prime[:2] = False
-        for p in range(2, int(n_max ** 0.5) + 1):
+        for p in range(2, root + 1):
             if is_prime[p]:
                 is_prime[p * p:: p] = False
-        for p in np.nonzero(is_prime)[0]:
+        primes = np.flatnonzero(is_prime)
+        del is_prime
+        split = np.searchsorted(primes, root, side="right")
+        for p in primes[:split]:
             counts[p::p] += 1
+        for j in range(1, n_max // (root + 1) + 1):
+            big = primes[split:np.searchsorted(primes, n_max // j, side="right")]
+            counts[j * big] += 1
     return counts
 
 
 def omega_pmf(n_max: int, memory_max: int = 10 ** 8) -> Pmf:
     """Distribution of the number of distinct prime divisors of a uniform
-    integer in {1..n_max}, by sieve."""
+    integer in {1..n_max}, by sieve.
+
+    Memory is about 2 bytes per integer: the uint8 omega array plus one
+    boolean mask at a time while counting each value of omega.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > memory_max:
         raise ValueError(f"n_max={n_max} exceeds the sieve memory budget {memory_max}")
-    counts = np.bincount(omega_values(n_max)[1:])
+    values = omega_values(n_max)[1:]
+    counts = np.array([np.count_nonzero(values == k) for k in range(int(values.max()) + 1)])
     return Pmf.from_masses(0, (counts / float(n_max)).tolist())
 
 

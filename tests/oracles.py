@@ -76,3 +76,104 @@ def moments_from_elementary(e_values):
         out.append(math.fsum(math.factorial(l) * stirling2(k, l) * e_values[l - 1]
                              for l in range(1, k + 1)))
     return out
+
+
+# --- reference kernels ---------------------------------------------------------
+# The pure-Python (Fraction, per-prime) kernels that models.py replaced with
+# integer and numpy ones; the replacements must reproduce them bit for bit.
+
+def reference_bernoulli_rational_pmf(weights):
+    """The Fraction fold: distribution of sum_i Be(p_i) from delta_0."""
+    from modpoisson.models import Pmf
+    masses = [Fraction(1)]
+    for p in weights:
+        p = Fraction(p)
+        if not 0 <= p <= 1:
+            raise ValueError(f"Bernoulli weight {p} outside [0, 1]")
+        stay = [m * (1 - p) for m in masses] + [Fraction(0)]
+        for j, m in enumerate(masses):
+            stay[j + 1] += m * p
+        masses = stay
+    return Pmf.from_masses(0, masses)
+
+
+def reference_homogeneous_polynomials(theta_seq, n):
+    """Float h_m(w Theta), m = 0..n, by the loop m h_m = sum_k (w theta_k) h_{m-k}."""
+    theta = [float(t) for t in theta_seq]
+    hs = [[1.0]]
+    for m in range(1, n + 1):
+        coeffs = [0.0] * (m + 1)
+        for k in range(1, m + 1):
+            tk = theta[k - 1]
+            lower = hs[m - k]
+            for j, c in enumerate(lower):
+                coeffs[j + 1] += tk * c
+        inv = 1.0 / m
+        hs.append([c * inv for c in coeffs])
+    return hs
+
+
+def reference_weighted_perm_cycle_pmf(theta_seq, n):
+    from modpoisson.models import Pmf
+    coeffs = reference_homogeneous_polynomials(theta_seq, n)[n]
+    norm = sum(coeffs[1:], coeffs[0])
+    return Pmf.from_masses(0, [c / norm for c in coeffs])
+
+
+def reference_weighted_perm_normalization(theta_seq, n):
+    hs = reference_homogeneous_polynomials(theta_seq, n)
+    return sum(hs[n][1:], hs[n][0])
+
+
+def reference_fq_factor_pmf(q, n, rational=False):
+    """The Fraction recursion m f_m = sum_k L_k f_{m-k} over F_q."""
+    from modpoisson._arith import irreducible_count
+    from modpoisson.models import Pmf
+    ls = [None]
+    for m in range(1, n + 1):
+        lm = [0] * (m + 1)
+        for k in range(1, m + 1):
+            if m % k == 0:
+                scale = (m // k) * irreducible_count(q, m // k)
+                one_minus_power = [0] + [(-1) ** (j + 1) * math.comb(k, j)
+                                         for j in range(1, k + 1)]
+                for j, c in enumerate(one_minus_power):
+                    lm[j] += scale * c
+        ls.append(lm)
+    fs = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        coeffs = [Fraction(0)] * (m + 1)
+        for k in range(1, m + 1):
+            lk, lower = ls[k], fs[m - k]
+            for i, a in enumerate(lk):
+                if a:
+                    for j, b in enumerate(lower):
+                        coeffs[i + j] += a * b
+        fs.append([c / m for c in coeffs])
+    total = sum(fs[n], Fraction(0))
+    if total != q ** n:
+        raise AssertionError(f"count identity f_n(1) = q^n failed: {total} != {q ** n}")
+    exact = Pmf.from_masses(0, [c / total for c in fs[n]])
+    return exact if rational else exact.to_float()
+
+
+def reference_omega_values(n_max):
+    """omega(k) for k = 0..n_max by one slice update per prime."""
+    import numpy as np
+    counts = np.zeros(n_max + 1, dtype=np.uint8)
+    if n_max >= 2:
+        is_prime = np.ones(n_max + 1, dtype=bool)
+        is_prime[:2] = False
+        for p in range(2, int(n_max ** 0.5) + 1):
+            if is_prime[p]:
+                is_prime[p * p:: p] = False
+        for p in np.nonzero(is_prime)[0]:
+            counts[p::p] += 1
+    return counts
+
+
+def reference_omega_pmf(n_max):
+    import numpy as np
+    from modpoisson.models import Pmf
+    counts = np.bincount(reference_omega_values(n_max)[1:])
+    return Pmf.from_masses(0, (counts / float(n_max)).tolist())

@@ -113,8 +113,13 @@ def test_scheme_warns_when_eta_is_large(capsys):
     (["--b", "nan", "--r", "1"], "not 1"),
     (["--b2", "inf"], "error: "),
     (["--alphabet", "ewens", "--theta", "1e-300", "--r", "1"], "error: "),
+    (["--weights", "1.5", "--r", "0"], "finite weights must lie in [0, 1]"),
+    (["--weights", "nan", "--r", "0"], "finite weights must lie in [0, 1]"),
+    (["--alphabet", "fq", "--q", "6", "--r", "0"], "prime power"),
+    (["--alphabet", "ewens", "--r", "0"], "ewens alphabet needs --theta"),
 ], ids=["alphabet_r", "weights_r", "empty_weights_r", "b2_r", "b_r", "weight_above_1",
-        "weight_nan", "b_nan", "b2_inf", "theta_underflow"])
+        "weight_nan", "b_nan", "b2_inf", "theta_underflow", "weight_above_1_r0",
+        "weight_nan_r0", "fq_not_prime_power_r0", "ewens_no_theta_r0"])
 def test_scheme_rejects_bad_order_weights_and_coefficients(args, message, capsys):
     code, out, err = run_cli(["scheme", "--lambda", "2"] + args, capsys)
     assert code == 1

@@ -61,6 +61,10 @@ CASES = {
         "--model", "weighted-perm", "--theta-seq", "1,1,1", "--n", "3", "--r", "1"],
 }
 
+# 60 fixed cycle weights in [0.5, 2] and 30 fixed non-dyadic Bernoulli weights
+THETA_SEQ_60 = ",".join(f"{0.5 + (7 * i) % 13 / 8:g}" for i in range(60))
+WEIGHTS_30 = ",".join(f"{0.003 * (1 + (5 * i) % 11):g}" for i in range(30))
+
 # full argv, subcommand first; lambda stays far below the 2.5e5 where the
 # Poisson normalization is known to break
 COMMANDS = {
@@ -78,6 +82,15 @@ COMMANDS = {
         "pmf", "--model", "weighted-perm", "--theta-seq", "1,0.5,2,1,3,0.25",
         "--n", "6", "--rational"],
     "pmf_omega_n1": ["pmf", "--model", "omega", "--N", "1"],
+    "pmf_fq_q2_n40": ["pmf", "--model", "fq", "--q", "2", "--n", "40"],
+    "pmf_omega_n100003": ["pmf", "--model", "omega", "--N", "100003"],
+    "pmf_weighted_perm_n60": [
+        "pmf", "--model", "weighted-perm", "--theta-seq", THETA_SEQ_60, "--n", "60"],
+    "pmf_ewens_rational_json_n200": [
+        "pmf", "--model", "ewens", "--theta", "0.71875", "--n", "200", "--rational",
+        "--format", "json"],
+    "pmf_bernoulli_float_weights_rational": [
+        "pmf", "--model", "bernoulli", "--weights", WEIGHTS_30, "--rational"],
     "pmf_omega_n1_rational": ["pmf", "--model", "omega", "--N", "1", "--rational"],
     "scheme_b2_negative_entries": [
         "scheme", "--lambda", "2", "--b2", "-0.125", "--r", "2"],
