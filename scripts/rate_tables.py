@@ -16,8 +16,8 @@ import math
 
 from modpoisson.metrics import total_variation
 from modpoisson.models import EULER_GAMMA, bernoulli_sum_pmf, empirical_residue, ewens_cycle_pmf
-from modpoisson.schemes import derived_scheme
-from modpoisson.symfunc import Alphabet, residue_product_eval
+from modpoisson.schemes import scheme_measures
+from modpoisson.symfunc import Alphabet, residue_coeffs, residue_product_eval
 
 
 def residue_table(sizes, grid_points):
@@ -43,10 +43,9 @@ def tv_decay_table(sizes, orders):
         weights = [1.0 / i for i in range(1, n + 1)]
         pmf = bernoulli_sum_pmf(weights)
         lam = math.fsum(weights)
-        cells = []
-        for r in orders:
-            tv = total_variation(pmf, derived_scheme(lam, alphabet, r))
-            cells.append(f"{tv * math.log(n) ** ((r + 1) / 2.0):20.5f}")
+        schemes = scheme_measures(residue_coeffs(alphabet, max(orders), lam), orders)
+        cells = [f"{total_variation(pmf, nu) * math.log(n) ** ((r + 1) / 2.0):20.5f}"
+                 for r, nu in zip(orders, schemes)]
         print(f"{n:>8}  " + "  ".join(cells))
 
 

@@ -26,7 +26,7 @@ from .models import (EULER_GAMMA, ModelSpec, Pmf, RationalPmf,
                      model_lambda, omega_pmf, r_q, weighted_perm_cycle_pmf)
 from .schemes import (SignedMeasure, charlier_delta, derived_scheme,
                       expect_via_scheme, poisson_pmf, rectify_positive,
-                      scheme_measure)
+                      scheme_measure, scheme_measures)
 from .specialfn import (complex_log_gamma, cramer_bound_margin,
                         gamma_ratio_margin, hermite, hermite_explicit,
                         hermite_multiplication)

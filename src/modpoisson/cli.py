@@ -210,19 +210,14 @@ def _cmd_compare(args) -> int:
     spec = _model_from_args(args)
     r_list = _parse_r_range(args.r)
     names = tuple(tok.strip() for tok in args.bound.split(",") if tok.strip())
-    unknown = [n for n in names if n not in metrics.KNOWN_BOUNDS]
-    if unknown:
-        raise ValueError(f"unknown bound names: {unknown}")
     # per-r rows print before the single rows, whatever the order of --bound
-    per_r = tuple(n for n in names if n not in ("chen-stein", "lecam"))
-    singles = tuple(n for n in names if n in ("chen-stein", "lecam"))
+    per_r = tuple(n for n in names if n not in metrics.ORDER_ZERO_BOUNDS)
+    singles = tuple(n for n in names if n in metrics.ORDER_ZERO_BOUNDS)
     if not per_r:
         r_list = []  # no row uses --r, so an invalid order is not an error
-    reports = []
-    if r_list or singles:  # an empty sweep computes no model
-        reports = metrics.verify_bounds(spec, r_list, which=per_r + singles,
-                                        tolerance=args.tolerance, eps_n=args.eps_n,
-                                        rho=args.rho, tail_rn=args.tail_rn)
+    reports = metrics.verify_bounds(spec, r_list, which=per_r + singles,
+                                    tolerance=args.tolerance, eps_n=args.eps_n,
+                                    rho=args.rho, tail_rn=args.tail_rn)
     if args.format == "csv":
         _emit("\n".join(io.report_csv_lines(reports)), args.output)
     else:

@@ -181,6 +181,8 @@ class BoundReport:
 
 KNOWN_BOUNDS = ("theorem-a", "theorem-b", "corollary", "theorem-c",
                 "chen-stein", "lecam")
+#: bounds on the order-0 scheme: one row each, whatever the orders
+ORDER_ZERO_BOUNDS = ("chen-stein", "lecam")
 
 
 def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
@@ -194,9 +196,10 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     each.  Rows with failing preconditions are emitted with holds = None
     instead of raising.
 
-    The model pmf, its rate and its alphabet are computed once per call and
-    each order's distance once for all names, so callers should pass every
-    bound and order they need in one call.
+    The model pmf, its rate, its alphabet, the residue coefficients and the
+    Poisson base are computed once per call and each order's distance once
+    for all names, so callers should pass every bound and order they need
+    in one call.  A request with no row computes nothing and returns [].
     """
     unknown = [name for name in which if name not in KNOWN_BOUNDS]
     if unknown:
@@ -204,6 +207,11 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     r_list = list(r_list)
     if any(r < 0 for r in r_list):
         raise ValueError("scheme orders must be >= 0")
+    orders = {0} if any(name in ORDER_ZERO_BOUNDS for name in which) else set()
+    if any(name not in ORDER_ZERO_BOUNDS for name in which):
+        orders.update(r_list)
+    if not orders:
+        return []
     if spec.family == "weighted_perm":
         raise ValueError("weighted_perm sweeps are not supported: no certified "
                          "limiting alphabet")
@@ -212,13 +220,10 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     lam = model_lambda(spec, tolerance)
     alphabet = spec.limiting_alphabet(tolerance)
     sigma2 = symfunc.power_sums(alphabet, 2).sigma2
-
-    tv_cache = {}
-
-    def tv_for(r):
-        if r not in tv_cache:
-            tv_cache[r] = total_variation(pmf, schemes.derived_scheme(lam, alphabet, r))
-        return tv_cache[r]
+    orders = sorted(orders)
+    rc = symfunc.residue_coeffs(alphabet, orders[-1], lam)
+    tvs = {r: total_variation(pmf, nu)
+           for r, nu in zip(orders, schemes.scheme_measures(rc, orders))}
 
     def guarded(fn, *args):
         try:
@@ -228,15 +233,12 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
 
     reports = []
     for name in which:
-        if name in ("chen-stein", "lecam"):
-            if spec.family != "bernoulli_sum":
-                reports.append(BoundReport.build(spec, 0, lam, sigma2, tv_for(0),
-                                                 None, name))
-                continue
-            bound = (chen_stein_bound(spec.weights) if name == "chen-stein"
-                     else lecam_bound(spec.weights))
-            reports.append(BoundReport.build(spec, 0, lam, sigma2, tv_for(0),
-                                             bound, name))
+        if name in ORDER_ZERO_BOUNDS:
+            bound = None
+            if spec.family == "bernoulli_sum":
+                bound = (chen_stein_bound(spec.weights) if name == "chen-stein"
+                         else lecam_bound(spec.weights))
+            reports.append(BoundReport.build(spec, 0, lam, sigma2, tvs[0], bound, name))
             continue
         for r in r_list:
             if r < 1:
@@ -251,8 +253,7 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
             else:  # theorem-c
                 bound = (None if eps_n is None
                          else guarded(theorem_c_bound, lam, sigma2, r, eps_n, rho))
-            reports.append(BoundReport.build(spec, r, lam, sigma2, tv_for(r),
-                                             bound, name))
+            reports.append(BoundReport.build(spec, r, lam, sigma2, tvs[r], bound, name))
     return reports
 
 

@@ -286,11 +286,8 @@ def ewens_cycle_pmf(theta, n: int, rational: bool = False):
 
 # --- polynomials over finite fields ------------------------------------------
 
-def gauss_irreducible_count(q: int, n: int) -> int:
-    """Exact count of monic irreducible degree-n polynomials over F_q."""
-    if q < 2 or n < 1:
-        raise ValueError("need q >= 2 and n >= 1")
-    return irreducible_count(q, n)
+#: exact count of monic irreducible degree-n polynomials over F_q
+gauss_irreducible_count = irreducible_count
 
 
 def _one_minus_power_poly(k):

@@ -18,6 +18,7 @@ after a forward-difference transform of the integrand.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "SignedMeasure",
     "poisson_pmf",
     "scheme_measure",
+    "scheme_measures",
     "charlier_delta",
     "derived_scheme",
     "rectify_positive",
@@ -66,15 +68,25 @@ def poisson_pmf(lam: float) -> Pmf:
     return Pmf(0, tuple(masses))
 
 
-def scheme_measure(rc: ResidueCoeffs) -> SignedMeasure:
-    """The order-r signed measure for rate rc.lam and coefficients rc.b.
+def scheme_measures(rc: ResidueCoeffs, orders) -> list:
+    """The order-r signed measures, r in `orders`, over one Poisson base.
 
-    The double sum is regrouped by the shift t:
+    Order r uses the first r coefficients rc.b[:r].  The double sum is
+    regrouped by the shift t:
     nu(k) = sum_t w_t Po(k - t) with w_t = sum_{s>=t} (-1)^(s-t) C(s,t) b_s.
     """
+    orders = list(orders)
+    bad = [r for r in orders if not 0 <= r <= rc.order]
+    if bad:
+        raise ValueError(f"scheme orders must lie in 0..{rc.order}, got {bad}")
     nu0 = np.asarray(poisson_pmf(rc.lam).masses)
-    r = rc.order
-    b = (1.0,) + tuple(rc.b)
+    measures = {r: _shifted_sum(nu0, (1.0,) + tuple(rc.b[:r]))
+                for r in dict.fromkeys(orders)}
+    return [measures[r] for r in orders]
+
+
+def _shifted_sum(nu0, b) -> SignedMeasure:
+    r = len(b) - 1
     shift_weights = [
         math.fsum((-1) ** (s - t) * math.comb(s, t) * b[s] for s in range(t, r + 1))
         for t in range(r + 1)
@@ -85,6 +97,11 @@ def scheme_measure(rc: ResidueCoeffs) -> SignedMeasure:
         for t, w in enumerate(shift_weights):
             out[t: t + len(nu0)] += w * nu0
     return SignedMeasure(0, tuple(out.tolist()))
+
+
+def scheme_measure(rc: ResidueCoeffs) -> SignedMeasure:
+    """The order-r signed measure for rate rc.lam and coefficients rc.b."""
+    return scheme_measures(rc, (rc.order,))[0]
 
 
 def charlier_delta(lam: float, s: int, b_next: float, k: int) -> float:
@@ -124,26 +141,18 @@ def rectify_positive(nu: SignedMeasure) -> Pmf:
     any probability measure never increases.
     """
     beta = -math.fsum(m for m in nu.masses if m < 0.0)
-    masses = list(nu.masses)
     if beta == 0.0:
-        return Pmf.from_masses(nu.offset, masses)
-    positives = []
-    alpha = None
-    big_n = None
-    for j, m in enumerate(masses):
-        if m > 0.0:
-            positives.append(m)
-            if math.fsum(positives) > beta:
-                big_n = j
-                alpha = math.fsum(positives)
-                break
-    if big_n is None:
+        return Pmf.from_masses(nu.offset, nu.masses)
+    clipped = [m if m > 0.0 else 0.0 for m in nu.masses]
+    # fsum of a prefix is its correctly rounded exact sum, so alpha_j is
+    # nondecreasing in j and the first j with alpha_j > beta is found by bisection
+    big_n = bisect.bisect_left(range(len(clipped)), True,
+                               key=lambda j: math.fsum(clipped[:j + 1]) > beta)
+    if big_n == len(clipped):
         raise AssertionError("no feasible sweep point; input total was not 1")
-    out = [0.0] * len(masses)
-    out[big_n] = alpha - beta
-    for j in range(big_n + 1, len(masses)):
-        out[j] = max(0.0, masses[j])
-    return Pmf.from_masses(nu.offset, out)
+    alpha = math.fsum(clipped[:big_n + 1])
+    return Pmf.from_masses(nu.offset,
+                           [0.0] * big_n + [alpha - beta] + clipped[big_n + 1:])
 
 
 def expect_via_scheme(f, rc: ResidueCoeffs) -> float:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, schemes, specialfn, symfunc
-from .models import (EULER_GAMMA, bernoulli_sum_pmf, empirical_residue,
-                     ewens_cycle_pmf, fq_factor_pmf)
+from .models import (EULER_GAMMA, ModelSpec, bernoulli_sum_pmf,
+                     empirical_residue, ewens_cycle_pmf, fq_factor_pmf)
 
 __all__ = ["SUITE_NAMES", "SuiteResult", "run_suite",
            "random_bernoulli_instances", "fq_factor_histogram_by_enumeration"]
@@ -73,17 +73,10 @@ def _suite_theorem_b(rec, seed, instances):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for wts in random_bernoulli_instances(rng, instances):
-        lam = math.fsum(wts.tolist())
-        s2 = math.fsum((wts * wts).tolist())
-        pmf = bernoulli_sum_pmf(wts.tolist())
-        ps = symfunc.power_sums_finite(wts.tolist(), 7)
-        for r in range(1, 7):
-            nu = schemes.scheme_measure(symfunc.virtual_residue_coeffs(ps, r, lam))
-            tv = metrics.total_variation(pmf, nu)
-            bound = metrics.theorem_b_bound(lam, s2, r)
-            worst = max(worst, tv / bound)
-            rec.expect(tv <= bound + metrics.HOLDS_SLACK,
-                       f"tv={tv:.3e} > bound={bound:.3e} (n={len(wts)}, r={r})")
+        for rep in metrics.verify_bounds(ModelSpec.bernoulli(wts), range(1, 7)):
+            worst = max(worst, rep.tv / rep.bound)
+            rec.expect(rep.holds, f"tv={rep.tv:.3e} > bound={rep.bound:.3e} "
+                                  f"(n={rep.n}, r={rep.r})")
     return {"worst_tv_over_bound": worst}
 
 
@@ -159,8 +152,7 @@ def _suite_charlier(rec, seed, instances):
     bs = [(-1) ** s * 0.8 * (math.e / s) ** (s / 2.0) for s in range(1, 10)]
     worst = 0.0
     for lam in (1.0, 5.0, 20.0, 50.0):
-        measures = [schemes.scheme_measure(symfunc.ResidueCoeffs(lam, tuple(bs[:r])))
-                    for r in range(10)]
+        measures = schemes.scheme_measures(symfunc.ResidueCoeffs(lam, tuple(bs)), range(10))
         for s in range(0, 9):
             cur, nxt = measures[s], measures[s + 1]
             for k in nxt.support():

@@ -177,3 +177,29 @@ def reference_omega_pmf(n_max):
     from modpoisson.models import Pmf
     counts = np.bincount(reference_omega_values(n_max)[1:])
     return Pmf.from_masses(0, (counts / float(n_max)).tolist())
+
+
+def reference_rectify_positive(nu):
+    """The sweep that re-summed the growing list of positives at every step."""
+    from modpoisson.models import Pmf
+    beta = -math.fsum(m for m in nu.masses if m < 0.0)
+    masses = list(nu.masses)
+    if beta == 0.0:
+        return Pmf.from_masses(nu.offset, masses)
+    positives = []
+    alpha = None
+    big_n = None
+    for j, m in enumerate(masses):
+        if m > 0.0:
+            positives.append(m)
+            if math.fsum(positives) > beta:
+                big_n = j
+                alpha = math.fsum(positives)
+                break
+    if big_n is None:
+        raise AssertionError("no feasible sweep point; input total was not 1")
+    out = [0.0] * len(masses)
+    out[big_n] = alpha - beta
+    for j in range(big_n + 1, len(masses)):
+        out[j] = max(0.0, masses[j])
+    return Pmf.from_masses(nu.offset, out)

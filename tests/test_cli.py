@@ -196,6 +196,18 @@ def test_compare_omega_n1_names_precondition(capsys):
     assert out.splitlines() == ["k,mass", "0,1"]
 
 
+@pytest.mark.parametrize("model", [
+    ["--model", "bernoulli", "--weights", "0,0"],
+    ["--model", "ewens", "--theta", "50", "--n", "1"],  # lam = gamma_50 < 0
+])
+def test_compare_nonpositive_rate_is_one_error_line(model, capsys):
+    code, out, err = run_cli(["compare"] + model + [
+        "--bound", "theorem-a,chen-stein", "--r", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: lam must be positive"]
+
+
 def test_compare_jsonl_matches_schema(capsys):
     import jsonschema
     from importlib import resources

@@ -3,7 +3,12 @@
 The goldens in golden/compare.json (the `compare` sweeps) and
 golden/commands.json (`pmf`, `scheme` and `verify`) hold the exit code,
 stdout and stderr of each invocation below.  Regenerate them only when an
-output change is intended:  PYTHONPATH=src python tests/test_cli_golden.py
+output change is intended:
+
+    PYTHONPATH=src python tests/test_cli_golden.py [CASE ...]
+
+Named cases are rewritten and every other entry is left byte-unchanged;
+with no names, every case of both files is rewritten.
 """
 
 import json
@@ -59,6 +64,8 @@ CASES = {
         "--model", "omega", "--N", "200", "--bound", "theorem-a", "--r", "1:3"],
     "weighted_perm_sweep_fails": [
         "--model", "weighted-perm", "--theta-seq", "1,1,1", "--n", "3", "--r", "1"],
+    # out of the bounds' regime (lam = 0.21), pinned as it stands
+    "omega_n2_out_of_regime": ["--model", "omega", "--N", "2", "--r", "0:2"],
 }
 
 # 60 fixed cycle weights in [0.5, 2] and 30 fixed non-dyadic Bernoulli weights
@@ -114,6 +121,11 @@ COMMANDS = {
     "verify_rates": ["verify", "--suite", "rates"],
     "verify_coefficients": [
         "verify", "--suite", "coefficients", "--seed", "1", "--instances", "5"],
+    "verify_theorem_b": [
+        "verify", "--suite", "theorem-b", "--seed", "7", "--instances", "20"],
+    "verify_charlier": ["verify", "--suite", "charlier"],
+    "verify_chen_stein": [
+        "verify", "--suite", "chen-stein", "--seed", "7", "--instances", "20"],
 }
 
 
@@ -137,15 +149,16 @@ def test_command_matches_golden(case, capsys):
     assert {"exit": code, "stdout": captured.out, "stderr": captured.err} == expected
 
 
-def _regenerate(path, cases, prefix):
+def _regenerate(path, cases, prefix, names=None):
+    """Rewrite the goldens of `names` (all of `cases` when None) in `path`."""
     import contextlib
     import io
 
-    goldens = {}
-    for case, args in sorted(cases.items()):
+    goldens = json.loads(path.read_text(encoding="utf-8")) if names else {}
+    for case in sorted(cases if names is None else set(names) & set(cases)):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(prefix + args)
+            code = main(prefix + cases[case])
         goldens[case] = {"exit": code, "stdout": out.getvalue(),
                          "stderr": err.getvalue()}
     path.parent.mkdir(exist_ok=True)
@@ -154,5 +167,11 @@ def _regenerate(path, cases, prefix):
 
 
 if __name__ == "__main__":
-    _regenerate(GOLDEN, CASES, ["compare"])
-    _regenerate(COMMANDS_GOLDEN, COMMANDS, [])
+    import sys
+
+    names = sys.argv[1:] or None
+    unknown = set(names or ()) - set(CASES) - set(COMMANDS)
+    if unknown:
+        sys.exit(f"unknown golden cases: {sorted(unknown)}")
+    _regenerate(GOLDEN, CASES, ["compare"], names)
+    _regenerate(COMMANDS_GOLDEN, COMMANDS, [], names)

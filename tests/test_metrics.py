@@ -275,6 +275,47 @@ def test_verify_bounds_rejects_unknown_name():
         verify_bounds(ModelSpec.bernoulli([0.1]), [1], which=("nonsense",))
 
 
+def counting(monkeypatch, owner, name):
+    """Record every call of owner.name (the arguments' first element)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("spec, r_list, which", [
+    (ModelSpec.bernoulli([0.02] * 50), range(0, 5),
+     ("theorem-a", "theorem-b", "chen-stein", "lecam")),
+    (ModelSpec.bernoulli([0.02] * 50), [3, 1], ("chen-stein", "theorem-b")),
+    (ModelSpec.ewens(1.5, 200), range(1, 5), ("theorem-b", "corollary")),
+])
+def test_verify_bounds_builds_one_poisson_base(monkeypatch, spec, r_list, which):
+    from modpoisson import schemes
+    bases = counting(monkeypatch, schemes, "poisson_pmf")
+    rows = verify_bounds(spec, r_list, which=which)
+    assert len(rows) > 1
+    assert len(bases) == 1
+
+
+@pytest.mark.parametrize("spec, r_list, which", [
+    (ModelSpec.bernoulli([0.1, 0.2]), [], ("theorem-b",)),
+    (ModelSpec.bernoulli([0.1, 0.2]), [1, 2], ()),
+    (ModelSpec.ewens(1.0, 50), range(4, 4), ("theorem-a", "corollary")),
+    (ModelSpec.weighted_perm([1.0, 1.0, 1.0], 3), [], ("theorem-b",)),
+])
+def test_verify_bounds_empty_request_computes_nothing(monkeypatch, spec, r_list, which):
+    from modpoisson import schemes
+    models = counting(monkeypatch, ModelSpec, "pmf")
+    bases = counting(monkeypatch, schemes, "poisson_pmf")
+    assert verify_bounds(spec, r_list, which=which) == []
+    assert models == [] and bases == []
+
+
 def test_report_serialization_round_trip():
     spec = ModelSpec.bernoulli([0.02] * 50)
     rows = verify_bounds(spec, [1, 2], which=("theorem-b", "chen-stein"))

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from modpoisson.metrics import total_variation
 from modpoisson.schemes import (SignedMeasure, charlier_delta, derived_scheme,
                                 expect_via_scheme, poisson_pmf,
-                                rectify_positive, scheme_measure)
-from modpoisson.symfunc import Alphabet, ResidueCoeffs, residue_series_eval
+                                rectify_positive, scheme_measure,
+                                scheme_measures)
+from modpoisson.symfunc import (Alphabet, ResidueCoeffs, residue_coeffs,
+                                residue_series_eval)
+from oracles import reference_rectify_positive
 
 
 def decaying_coeffs(r, sigma2=1.0, sign=-1.0, scale=0.8):
@@ -167,6 +170,28 @@ def test_derived_scheme_order_zero_is_poisson():
     assert nu.masses == poisson_pmf(3.0).masses
 
 
+# --- one Poisson base for every order ------------------------------------------------
+
+@pytest.mark.parametrize("alphabet, lam", [
+    (Alphabet.finite([0.1, 0.2, 0.05, 0.3]), 0.65),
+    (Alphabet.ewens_limit(1.3), 10.0),
+    (Alphabet.omega_limit(), 12.0),
+    (Alphabet.fq_limit(3), 9.0),
+])
+@pytest.mark.parametrize("orders", [range(7), (5, 0, 3), (2, 2, 6, 0, 2)])
+def test_scheme_measures_are_the_truncated_schemes(alphabet, lam, orders):
+    rc = residue_coeffs(alphabet, 6, lam)
+    got = scheme_measures(rc, orders)
+    want = [scheme_measure(ResidueCoeffs(lam, rc.b[:r])) for r in orders]
+    assert [(nu.offset, nu.masses) for nu in got] == [(nu.offset, nu.masses) for nu in want]
+
+
+@pytest.mark.parametrize("orders", [(-1,), (0, 5), (2, 5, 1)])
+def test_scheme_measures_reject_orders_outside_the_coefficients(orders):
+    with pytest.raises(ValueError, match="0..4"):
+        scheme_measures(ResidueCoeffs(3.0, decaying_coeffs(4)), orders)
+
+
 # --- positivization ----------------------------------------------------------------------
 
 def test_rectify_keeps_nonnegative_measures():
@@ -207,6 +232,45 @@ def test_rectify_on_arbitrary_signed_measures(seed):
     beta = -math.fsum(m for m in nu.masses if m < 0.0)
     if beta == 0.0:
         assert pmf.masses == nu.masses  # untouched when already nonnegative
+
+
+def assert_same_sweep(nu):
+    got, want = rectify_positive(nu), reference_rectify_positive(nu)
+    assert (got.offset, got.masses) == (want.offset, want.masses)
+
+
+# the omega coefficients at lam = 12 and r = 6 are the `scheme --alphabet omega
+# --positive` golden's input
+@pytest.mark.parametrize("lam, coeffs", [
+    (lam, coeffs) for lam in (1.0, 12.0, 1e3)
+    for coeffs in ("b2", "omega", "wide")] + [(1e4, "omega"), (1e4, "wide")])
+def test_rectify_matches_the_quadratic_sweep(lam, coeffs):
+    rc = {"b2": lambda: ResidueCoeffs(lam, (0.0, -0.125)),
+          "omega": lambda: residue_coeffs(Alphabet.omega_limit(), 6, lam),
+          "wide": lambda: ResidueCoeffs(lam, (0.0, -0.35 * math.sqrt(lam), 0.1))}[coeffs]()
+    nu = scheme_measure(rc)
+    assert min(nu.masses) < 0.0
+    assert_same_sweep(nu)
+
+
+@pytest.mark.parametrize("nu", [
+    scheme_measure(ResidueCoeffs(12.0)),
+    SignedMeasure(2, (0.0, 0.25, -0.0, 0.75)),
+    SignedMeasure(0, (-0.1, 0.6, 0.5)),
+    SignedMeasure(1, (0.3, -0.2, 0.0, 0.4, -0.1, 0.6)),
+    SignedMeasure(0, (-0.1, 0.1, 0.3, 0.7)),  # alpha_1 ties beta: not yet feasible
+])
+def test_rectify_matches_the_quadratic_sweep_on_small_measures(nu):
+    assert_same_sweep(nu)
+
+
+def test_rectify_is_fast_at_large_rate():
+    import time
+    nu = scheme_measure(ResidueCoeffs(3e4, (0.0, -0.125)))
+    start = time.perf_counter()
+    pmf = rectify_positive(nu)
+    assert time.perf_counter() - start < 1.0
+    assert abs(math.fsum(pmf.masses) - 1.0) < 1e-10
 
 
 # --- expectation functional ---------------------------------------------------------------
