@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import schemes, symfunc
 from .models import ModelSpec, model_lambda
 
@@ -47,14 +49,13 @@ def _check_normalized(m):
 
 
 def _aligned(a, b):
+    """Both measures' masses as float64 rows over the union of their windows
+    (Fraction masses are rounded to float first)."""
     lo = min(a.offset, b.offset)
-    hi = max(a.offset + len(a.masses), b.offset + len(b.masses))
-    size = hi - lo
-    xs = [0.0] * size
-    ys = [0.0] * size
-    xs[a.offset - lo: a.offset - lo + len(a.masses)] = list(a.masses)
-    ys[b.offset - lo: b.offset - lo + len(b.masses)] = list(b.masses)
-    return xs, ys
+    xy = np.zeros((2, max(a.offset + len(a.masses), b.offset + len(b.masses)) - lo))
+    for row, m in zip(xy, (a, b)):
+        row[m.offset - lo: m.offset - lo + len(m.masses)] = m.masses
+    return xy
 
 
 def total_variation(a, b) -> float:
@@ -66,22 +67,16 @@ def total_variation(a, b) -> float:
     _check_normalized(a)
     _check_normalized(b)
     xs, ys = _aligned(a, b)
-    core = 0.5 * math.fsum(abs(x - y) for x, y in zip(xs, ys))
+    core = 0.5 * math.fsum(np.abs(xs - ys).tolist())
     return core + 0.5 * (abs(1.0 - a.total) + abs(1.0 - b.total))
 
 
 def kolmogorov(a, b) -> float:
-    """max_k |CDF_a(k) - CDF_b(k)|."""
+    """max_k |CDF_a(k) - CDF_b(k)|, the CDFs summed in order."""
     _check_normalized(a)
     _check_normalized(b)
     xs, ys = _aligned(a, b)
-    worst = 0.0
-    ca = cb = 0.0
-    for x, y in zip(xs, ys):
-        ca += x
-        cb += y
-        worst = max(worst, abs(ca - cb))
-    return worst
+    return float(np.max(np.abs(np.cumsum(xs) - np.cumsum(ys))))
 
 
 # --- closed-form bounds -------------------------------------------------------
@@ -161,7 +156,6 @@ class BoundReport:
     r: int
     lam: float
     sigma2: float
-    tau: float
     tv: float
     bound: float
     name: str
@@ -175,8 +169,8 @@ class BoundReport:
             holds = tv <= bound + HOLDS_SLACK
             slack = bound / tv if tv > 0.0 else math.inf
         return cls(model=spec.describe(), family=spec.family, n=spec.size(), r=r,
-                   lam=lam, sigma2=sigma2, tau=math.sqrt(math.e * sigma2),
-                   tv=tv, bound=bound, name=name, holds=holds, slack=slack)
+                   lam=lam, sigma2=sigma2, tv=tv, bound=bound, name=name,
+                   holds=holds, slack=slack)
 
 
 KNOWN_BOUNDS = ("theorem-a", "theorem-b", "corollary", "theorem-c",
@@ -196,10 +190,11 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     each.  Rows with failing preconditions are emitted with holds = None
     instead of raising.
 
-    The model pmf, its rate, its alphabet, the residue coefficients and the
-    Poisson base are computed once per call and each order's distance once
-    for all names, so callers should pass every bound and order they need
-    in one call.  A request with no row computes nothing and returns [].
+    The model pmf, its rate, its alphabet, its power sums, the residue
+    coefficients and the Poisson base are computed once per call and each
+    order's distance once for all names, so callers should pass every bound
+    and order they need in one call.  A request with no row computes
+    nothing and returns [].
     """
     unknown = [name for name in which if name not in KNOWN_BOUNDS]
     if unknown:
@@ -219,9 +214,10 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     pmf = spec.pmf()
     lam = model_lambda(spec, tolerance)
     alphabet = spec.limiting_alphabet(tolerance)
-    sigma2 = symfunc.power_sums(alphabet, 2).sigma2
     orders = sorted(orders)
-    rc = symfunc.residue_coeffs(alphabet, orders[-1], lam)
+    ps = symfunc.power_sums(alphabet, max(2, orders[-1]))
+    sigma2 = ps.sigma2
+    rc = symfunc.virtual_residue_coeffs(ps, orders[-1], lam)
     tvs = {r: total_variation(pmf, nu)
            for r, nu in zip(orders, schemes.scheme_measures(rc, orders))}
 

@@ -152,7 +152,7 @@ RationalPmf = Pmf
 
 # --- Bernoulli convolutions -------------------------------------------------
 
-def _bernoulli_fold_float(weights, shift=0):
+def _bernoulli_fold_float(weights):
     """Windowed exact float convolution of independent Bernoulli factors.
 
     The active window keeps every mass above the subnormal floor; edge
@@ -161,7 +161,7 @@ def _bernoulli_fold_float(weights, shift=0):
     """
     buf = np.zeros(512)
     buf[0] = 1.0
-    offset, hi = shift, 1
+    offset, hi = 0, 1
     for i, p in enumerate(weights):
         p = float(p)
         if not 0.0 <= p <= 1.0:
@@ -278,10 +278,8 @@ def ewens_cycle_pmf(theta, n: int, rational: bool = False):
     th = Fraction(theta) if rational else float(theta)
     if th <= 0:
         raise ValueError("theta must be positive")
-    if rational:
-        inner = bernoulli_sum_pmf([th / (th + i) for i in range(1, n)], rational=True)
-        return Pmf(inner.offset + 1, inner.masses)
-    return _bernoulli_fold_float((th / (th + i) for i in range(1, n)), shift=1)
+    inner = bernoulli_sum_pmf([th / (th + i) for i in range(1, n)], rational)
+    return Pmf(inner.offset + 1, inner.masses)
 
 
 # --- polynomials over finite fields ------------------------------------------

@@ -4,17 +4,15 @@ Everything here is a standalone checkable special-function fact used by
 the scheme analysis: probabilists' Hermite polynomials through the
 three-term recurrence (H_{m+1} = x H_m - m H_{m-1}) and their explicit
 expansion, the multiplication theorem H_m(ax) as a Hermite combination,
-real and complex Cramer inequalities as nonnegative margins, and an
-accurate log Gamma(z+1) for Re(z) > 0 from which the n^{theta w - 1}
-ratio estimate is checked.
+real and complex Cramer inequalities as nonnegative margins, and
+log Gamma(z+1) for Re(z) > 0 by the shifted Stirling series, from which
+the n^{theta w - 1} ratio estimate is checked.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
 
 __all__ = [
     "hermite",
@@ -96,44 +94,38 @@ def cramer_bound_margin(m: int, z) -> float:
 
 # --- complex log gamma --------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_QUAD_T = 0.25 * (_GL_NODES + 1.0)   # nodes on [0, 1/2]
-_QUAD_W = 0.25 * _GL_WEIGHTS
-_EXPLICIT_TERMS = 120
-#: int_0^(1/2) log(1 - t^2/w^2) dt = -sum_j w^(-2j) / (j (2j+1) 2^(2j+1))
-_TAIL_COEFF = [1.0 / (j * (2 * j + 1) * 2 ** (2 * j + 1)) for j in range(1, 9)]
-
-
-def _zeta_like_tail(z: complex, start: int, s: int) -> complex:
-    """sum_{k>start} (z+k)^-s by the integral plus Euler-Maclaurin corrections."""
-    t = z + start
-    return (t ** (1 - s) / (s - 1) - 0.5 * t ** (-s) + s / 12.0 * t ** (-s - 1)
-            - s * (s + 1) * (s + 2) / 720.0 * t ** (-s - 3))
+#: B_2k / (2k (2k-1)), k = 1..8: the Stirling series coefficients (DLMF 5.11.1)
+_STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+                    1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0)
+#: the series is summed at |w| >= 7, where its 9th term is below 1e-15
+_STIRLING_MIN_MODULUS = 7.0
 
 
 def complex_log_gamma(z) -> complex:
-    """log Gamma(z+1) for Re(z) > 0 through the integral form of the
-    Stirling estimate:
+    """log Gamma(z+1) for Re(z) > 0 (principal branch) by the shifted
+    Stirling series, DLMF 5.11.1.
 
-        (z+1/2) log(z+1/2) - (z+1/2) + log(2 pi)/2
-          + sum_{k>=1} int_0^{1/2} log(1 - t^2/(z+k)^2) dt.
-
-    The first 120 correction terms are integrated by 16-point
-    Gauss-Legendre quadrature; the rest of the series is summed through
-    its expansion in (z+k)^-2j, whose k-sums telescope analytically.
-    Accurate to ~1e-13 on the tested domains.
+    With w = z + 1, log Gamma(w) = log Gamma(w+1) - log w moves w right
+    until |w| >= 7, where the series
+    (w - 1/2) log w - w + log(2 pi)/2 + sum_{k=1}^8 B_2k / (2k (2k-1) w^(2k-1))
+    is summed; the logs of the skipped arguments, all in the right
+    half-plane, are subtracted.  Absolute error is a few 1e-15 for |z| <= 10
+    and a few ulps of the result beyond.
     """
     z = complex(z)
     if z.real <= 0.0:
         raise ValueError("complex_log_gamma needs Re(z) > 0")
-    zh = z + 0.5
-    result = zh * cmath.log(zh) - zh + 0.5 * math.log(2.0 * math.pi)
-    ks = np.arange(1, _EXPLICIT_TERMS + 1)
-    ratio = _QUAD_T[None, :] / (z + ks)[:, None]
-    result += complex(np.sum(_QUAD_W[None, :] * np.log1p(-ratio * ratio)))
-    for j, c in enumerate(_TAIL_COEFF, start=1):
-        result -= c * _zeta_like_tail(z, _EXPLICIT_TERMS, 2 * j)
-    return result
+    w = z + 1.0
+    skipped = 0.0
+    while abs(w) < _STIRLING_MIN_MODULUS:
+        skipped += cmath.log(w)
+        w += 1.0
+    inv2 = 1.0 / (w * w)
+    series = 0.0
+    for c in reversed(_STIRLING_COEFFS):
+        series = series * inv2 + c
+    return ((w - 0.5) * cmath.log(w) - w + 0.5 * math.log(2.0 * math.pi)
+            + series / w - skipped)
 
 
 def gamma_ratio_margin(n: int, theta: float, rho: float, w) -> float:

@@ -203,3 +203,35 @@ def reference_rectify_positive(nu):
     for j in range(big_n + 1, len(masses)):
         out[j] = max(0.0, masses[j])
     return Pmf.from_masses(nu.offset, out)
+
+
+# --- reference distances ----------------------------------------------------------
+# The list-based TV and Kolmogorov distances that metrics.py replaced with
+# numpy ones; the replacements must reproduce them bit for bit.
+
+def _reference_aligned(a, b):
+    lo = min(a.offset, b.offset)
+    hi = max(a.offset + len(a.masses), b.offset + len(b.masses))
+    size = hi - lo
+    xs = [0.0] * size
+    ys = [0.0] * size
+    xs[a.offset - lo: a.offset - lo + len(a.masses)] = list(a.masses)
+    ys[b.offset - lo: b.offset - lo + len(b.masses)] = list(b.masses)
+    return xs, ys
+
+
+def reference_total_variation(a, b):
+    xs, ys = _reference_aligned(a, b)
+    core = 0.5 * math.fsum(abs(x - y) for x, y in zip(xs, ys))
+    return core + 0.5 * (abs(1.0 - a.total) + abs(1.0 - b.total))
+
+
+def reference_kolmogorov(a, b):
+    xs, ys = _reference_aligned(a, b)
+    worst = 0.0
+    ca = cb = 0.0
+    for x, y in zip(xs, ys):
+        ca += x
+        cb += y
+        worst = max(worst, abs(ca - cb))
+    return worst

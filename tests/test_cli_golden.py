@@ -126,6 +126,8 @@ COMMANDS = {
     "verify_charlier": ["verify", "--suite", "charlier"],
     "verify_chen_stein": [
         "verify", "--suite", "chen-stein", "--seed", "7", "--instances", "20"],
+    "verify_hermite": ["verify", "--suite", "hermite"],
+    "verify_gamma_ratio": ["verify", "--suite", "gamma-ratio"],
 }
 
 

@@ -1,21 +1,28 @@
 """Bit identity of the exact model kernels with the reference kernels.
 
 The integer F_q recursion, the integer-numerator rational fold, the numpy
-h_n recursion and the grouped omega sieve must give exactly (==, not
-approx) what the pure-Python kernels in oracles.py give.
+h_n recursion, the grouped omega sieve and the numpy TV and Kolmogorov
+distances must give exactly (==, not approx) what the pure-Python kernels
+in oracles.py give.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from modpoisson.models import (bernoulli_sum_pmf, ewens_cycle_pmf, fq_factor_pmf,
+from modpoisson.metrics import kolmogorov, total_variation
+from modpoisson.models import (Pmf, bernoulli_sum_pmf, ewens_cycle_pmf, fq_factor_pmf,
                                omega_pmf, omega_values, weighted_perm_cycle_pmf,
                                weighted_perm_normalization)
+from modpoisson.schemes import poisson_pmf, scheme_measures
+from modpoisson.suites import random_bernoulli_instances
+from modpoisson.symfunc import Alphabet, residue_coeffs
 from oracles import (reference_bernoulli_rational_pmf, reference_fq_factor_pmf,
-                     reference_omega_pmf, reference_omega_values,
+                     reference_kolmogorov, reference_omega_pmf,
+                     reference_omega_values, reference_total_variation,
                      reference_weighted_perm_cycle_pmf,
                      reference_weighted_perm_normalization)
 
@@ -94,3 +101,28 @@ def test_omega_pmf_peak_memory_is_about_two_bytes_per_integer():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def _distance_pairs():
+    """theorem-b instances against their order-0..6 schemes, a rational pmf
+    against a float one, and random pmfs on shifted windows."""
+    rng = np.random.default_rng(7)
+    pairs = []
+    for wts in random_bernoulli_instances(rng, 8):
+        wts = wts.tolist()
+        rc = residue_coeffs(Alphabet.finite(wts), 6, math.fsum(wts))
+        pmf = bernoulli_sum_pmf(wts)
+        pairs += [(pmf, nu) for nu in scheme_measures(rc, range(7))]
+    pairs.append((ewens_cycle_pmf(Fraction(3, 2), 40, rational=True), poisson_pmf(5.0)))
+    for _ in range(20):
+        raw = [rng.uniform(0.0, 1.0, size=int(rng.integers(1, 30))) for _ in range(2)]
+        pairs.append(tuple(Pmf(int(rng.integers(0, 5)), tuple((r / r.sum()).tolist()))
+                           for r in raw))
+    return pairs
+
+
+def test_distances_match_the_list_versions():
+    for a, b in _distance_pairs():
+        for x, y in ((a, b), (b, a)):
+            assert total_variation(x, y) == reference_total_variation(x, y)
+            assert kolmogorov(x, y) == reference_kolmogorov(x, y)

@@ -303,6 +303,20 @@ def test_verify_bounds_builds_one_poisson_base(monkeypatch, spec, r_list, which)
 
 
 @pytest.mark.parametrize("spec, r_list, which", [
+    (ModelSpec.bernoulli([0.02] * 50), range(0, 5), ("theorem-b", "chen-stein")),
+    (ModelSpec.bernoulli([0.02] * 50), [0], ("lecam",)),
+    (ModelSpec.ewens(1.5, 200), range(1, 7), ("theorem-b", "corollary")),
+    (ModelSpec.fq_poly(3, 10), [2, 4], ("theorem-a",)),
+    (ModelSpec.omega(500), [1], ("theorem-b",)),
+])
+def test_verify_bounds_computes_the_power_sums_once(monkeypatch, spec, r_list, which):
+    from modpoisson import symfunc
+    sums = counting(monkeypatch, symfunc, "power_sums")
+    assert verify_bounds(spec, r_list, which=which)
+    assert len(sums) == 1
+
+
+@pytest.mark.parametrize("spec, r_list, which", [
     (ModelSpec.bernoulli([0.1, 0.2]), [], ("theorem-b",)),
     (ModelSpec.bernoulli([0.1, 0.2]), [1, 2], ()),
     (ModelSpec.ewens(1.0, 50), range(4, 4), ("theorem-a", "corollary")),

@@ -1,0 +1,132 @@
+"""The special functions against mpmath at 40 digits.
+
+mpmath's zeta, primezeta, digamma and loggamma share no code with the
+partial sums, Euler-Maclaurin tails and Stirling series they check here.
+The integer sequences the oracles need (Moebius values, counts of monic
+irreducible polynomials) are recomputed in this module from their
+definitions, not taken from the library.
+"""
+
+import cmath
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from modpoisson.models import gamma_theta, r_q
+from modpoisson.specialfn import complex_log_gamma
+from modpoisson.symfunc import Alphabet, power_sums_infinite, prime_zeta, zeta
+
+mpmath.mp.dps = 40
+
+
+def _mobius(n):
+    """mu(n) by trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _irreducible_counts(q, m_max):
+    """I_q(1..m_max) from sum_{d | m} d I_q(d) = q^m."""
+    counts = [0] * (m_max + 1)
+    for m in range(1, m_max + 1):
+        counts[m] = (q ** m - sum(d * counts[d] for d in range(1, m) if m % d == 0)) // m
+    return counts
+
+
+def _rel(value, ref):
+    return float(abs((value - ref) / ref))
+
+
+# --- zeta and prime zeta -----------------------------------------------------------
+
+def test_hurwitz_zeta_against_mpmath():
+    worst = max(_rel(zeta(s, float(a)), mpmath.zeta(s, float(a)))
+                for s in range(2, 61) for a in np.linspace(0.05, 20.0, 25))
+    assert worst <= 1e-14
+
+
+def test_prime_zeta_against_mpmath():
+    worst = max(_rel(prime_zeta(s), mpmath.primezeta(s)) for s in range(2, 13))
+    assert worst <= 1e-13
+
+
+# --- power sums of the infinite alphabets -------------------------------------------
+
+def _fq_side_sum(q, k):
+    """sum_m I_q(m) q^(-k m), summed until the terms fall below 1e-45."""
+    m_max = math.ceil(45 / ((k - 1) * math.log10(q))) + 1
+    counts = _irreducible_counts(q, m_max)
+    return mpmath.fsum(counts[m] * mpmath.mpf(q) ** (-k * m) for m in range(1, m_max + 1))
+
+
+@pytest.mark.parametrize("alphabet, oracle", [
+    *[(Alphabet.ewens_limit(theta), lambda k, th=theta: mpmath.mpf(th) ** k
+       * mpmath.zeta(k, th)) for theta in (0.37, 1.0, 2.5, 40.0)],
+    (Alphabet.omega_limit(), lambda k: mpmath.zeta(k) + mpmath.primezeta(k)),
+    *[(Alphabet.fq_limit(q), lambda k, q=q: mpmath.zeta(k) + _fq_side_sum(q, k))
+      for q in (2, 3, 4, 9)],
+])
+def test_infinite_power_sums_against_mpmath(alphabet, oracle):
+    values = power_sums_infinite(alphabet, 40).values
+    worst = max(_rel(values[k - 1], oracle(k)) for k in range(2, 41))
+    assert worst <= alphabet.tolerance
+
+
+# --- mod-Poisson constants ---------------------------------------------------------
+
+def test_gamma_theta_against_digamma():
+    # gamma_theta = -theta psi(theta); 1e-14 absolute, and relative for
+    # |gamma_theta| > 1, where an ulp of the value reaches 1e-14
+    for theta in np.geomspace(0.05, 50.0, 25):
+        ref = -theta * mpmath.digamma(float(theta))
+        assert float(abs(gamma_theta(float(theta)) - ref)) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_r_q_against_its_series():
+    def series(q):
+        total, k = mpmath.mpf(0), 2
+        while mpmath.mpf(q) ** (1 - k) > mpmath.mpf(10) ** -45:
+            total -= _mobius(k) * mpmath.log1p(-mpmath.mpf(q) ** (1 - k)) / k
+            k += 1
+        return total
+
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27):
+        assert _rel(r_q(q), series(q)) <= 1e-12
+
+
+# --- complex log gamma -------------------------------------------------------------
+
+def _worst_log_gamma_error(zs):
+    return max(float(abs(complex_log_gamma(z) - mpmath.loggamma(mpmath.mpc(z) + 1)))
+               for z in zs)
+
+
+def test_log_gamma_on_the_gamma_ratio_suite_arguments():
+    # the arguments n + theta w - 1 of `verify --suite gamma-ratio`
+    theta, rho = 1.0, 1.25
+    grid = [rho * (i + 1) / 8.0 * cmath.exp(2j * math.pi * j / 8)
+            for i in range(8) for j in range(8)]
+    zs = [n + theta * w - 1.0 for n in range(5, 101) for w in grid]
+    assert len(zs) == 6144
+    assert _worst_log_gamma_error(zs) <= 1.6e-13
+
+
+def test_log_gamma_on_the_recurrence_grid():
+    zs = [complex(re, im) for re in np.linspace(1.25, 10.0, 8)
+          for im in np.linspace(-5.0, 5.0, 7)]
+    assert _worst_log_gamma_error(zs + [z - 1.0 for z in zs]) <= 1e-14
+
+
+def test_log_gamma_for_small_arguments():
+    zs = [complex(re, im) for re in np.linspace(0.01, 2.0, 25)
+          for im in np.linspace(-2.0, 2.0, 9)]
+    assert _worst_log_gamma_error(zs) <= 1e-14

@@ -49,16 +49,16 @@ def test_harmonic_power_sums_match_independent_zeta():
     ps = power_sums_infinite(Alphabet.harmonic(), 4)
     # independent partial-sum + integral-tail evaluation of zeta(2)
     oracle = zeta_partial_with_tail(2, 100000)
-    assert abs(ps.p(2) - oracle) < 1e-12
-    assert abs(ps.p(2) - math.pi ** 2 / 6.0) < 1e-12
-    assert abs(ps.p(3) - zeta_partial_with_tail(3, 100000)) < 1e-12
+    assert abs(ps.sigma2 - oracle) < 1e-12
+    assert abs(ps.sigma2 - math.pi ** 2 / 6.0) < 1e-12
+    assert abs(ps.values[2] - zeta_partial_with_tail(3, 100000)) < 1e-12
 
 
 def test_ewens_limit_one_is_harmonic():
     pa = power_sums_infinite(Alphabet.ewens_limit(1.0), 12)
     pb = power_sums_infinite(Alphabet.harmonic(), 12)
     for k in range(2, 13):
-        assert abs(pa.p(k) - pb.p(k)) < 1e-13
+        assert abs(pa.values[k - 1] - pb.values[k - 1]) < 1e-13
 
 
 def test_omega_limit_adds_prime_zeta():
@@ -71,7 +71,7 @@ def test_omega_limit_adds_prime_zeta():
             sieve[p * p:: p] = False
     primes = np.nonzero(sieve)[0].astype(float)
     brute = float(np.sum(primes ** -2.0))
-    excess = ps.p(2) - zeta_partial_with_tail(2, 100000)
+    excess = ps.sigma2 - zeta_partial_with_tail(2, 100000)
     assert brute <= excess <= brute + 1.1e-6
     assert abs(excess - 0.4522474200410655) < 1e-9
 
@@ -80,11 +80,11 @@ def test_fq_limit_power_sums():
     ps = power_sums_infinite(Alphabet.fq_limit(2), 3)
     # the degree side dominates: I_2(1)=2 linear + I_2(2)=1 quadratic + ...
     head = 2 * 0.25 + 1 * 0.0625 + 2 * 4.0 ** -3 + 3 * 4.0 ** -4
-    excess = ps.p(2) - zeta(2)
+    excess = ps.sigma2 - zeta(2)
     assert excess > head
     # tail past degree 4 is below sum_{m>=5} 2^-m / m <= 2^-4 / 5
     assert excess < head + 2.0 ** -4 / 5.0
-    assert ps.p(3) > zeta(3)
+    assert ps.values[2] > zeta(3)
 
 
 def test_infinite_power_sums_reject_unreachable_tolerance():
