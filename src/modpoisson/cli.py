@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import io, metrics, schemes, suites, symfunc
@@ -187,13 +186,11 @@ def _scheme_coeffs(args) -> ResidueCoeffs:
 
 def _cmd_scheme(args) -> int:
     rc = _scheme_coeffs(args)
-    sigma2 = -2.0 * rc.b[1] if rc.order >= 2 else None  # b_2 = -p_2/2
-    if sigma2 is not None and sigma2 > 0.0:
-        eta = 4.0 * math.sqrt(math.e * sigma2 / rc.lam)
-        if eta >= 1.0:
-            print(f"warning: eta = {eta:.4g} >= 1, the order-r bounds are "
-                  "inapplicable here; the measure itself is still exact",
-                  file=sys.stderr)
+    sigma2 = -2.0 * rc.b[1] if rc.order >= 2 else 0.0  # b_2 = -p_2/2
+    if sigma2 > 0.0 and (eta := metrics.eta(rc.lam, sigma2)) >= 1.0:
+        print(f"warning: eta = {eta:.4g} >= 1, the order-r bounds are "
+              "inapplicable here; the measure itself is still exact",
+              file=sys.stderr)
     measure = schemes.scheme_measure(rc)
     if args.positive:
         measure = schemes.rectify_positive(measure)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 CSV_MASS_HEADER = "k,mass"
 
@@ -15,8 +16,6 @@ def fmt17(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
         return format(x, ".17g")
     return str(x)
 
@@ -49,24 +48,18 @@ def mass_json_obj(measure) -> dict:
 
 def report_csv_lines(reports) -> list:
     from .metrics import CSV_HEADER
-    lines = [CSV_HEADER]
-    for rep in reports:
-        lines.append(",".join([
-            rep.model, rep.family, str(rep.n), str(rep.r),
-            fmt17(rep.lam), fmt17(rep.sigma2), fmt17(rep.tv), fmt17(rep.bound),
-            rep.name, fmt17(rep.holds), fmt17(rep.slack),
-        ]))
-    return lines
+    return [CSV_HEADER] + [",".join(fmt17(getattr(rep, f.name)) for f in fields(rep))
+                           for rep in reports]
 
 
 def report_json_obj(rep) -> dict:
-    return {
-        "model": rep.model, "family": rep.family, "n": rep.n, "r": rep.r,
-        "lambda": rep.lam, "sigma2": rep.sigma2, "tv": rep.tv,
-        "bound": rep.bound, "name": rep.name, "holds": rep.holds,
-        "slack": (None if rep.slack is None
-                  else (rep.slack if math.isfinite(rep.slack) else "inf")),
-    }
+    """The row keyed by the CSV header's columns; an infinite slack is "inf"."""
+    from .metrics import CSV_HEADER
+    obj = {col: getattr(rep, f.name)
+           for col, f in zip(CSV_HEADER.split(","), fields(rep))}
+    if obj["slack"] is not None and not math.isfinite(obj["slack"]):
+        obj["slack"] = "inf"
+    return obj
 
 
 def report_jsonl_lines(reports) -> list:

@@ -10,7 +10,7 @@ abort.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "InapplicableBoundError",
     "BoundReport",
     "CSV_HEADER",
+    "eta",
     "total_variation",
     "kolmogorov",
     "lecam_bound",
@@ -35,8 +36,6 @@ __all__ = [
 
 #: absolute slack granted when deciding `holds` (float-level, not statistical)
 HOLDS_SLACK = 1e-12
-
-CSV_HEADER = "model,family,n,r,lambda,sigma2,tv,bound,name,holds,slack"
 
 
 class InapplicableBoundError(ValueError):
@@ -105,13 +104,17 @@ def theorem_a_bound(lam: float, tau: float, r: int) -> float:
     return 570.0 * eps ** (r + 1)
 
 
+def eta(lam: float, sigma2: float) -> float:
+    """eta = 4 sqrt(e sigma^2 / lam), the rate of every order-r bound."""
+    return 4.0 * math.sqrt(math.e * sigma2 / lam)
+
+
 def theorem_b_bound(lam: float, sigma2: float, r: int) -> float:
-    """570 * eta^(r+1) with eta = 4 sqrt(e) sigma / sqrt(lam); needs lam > 16 e sigma^2."""
+    """570 * eta^(r+1); needs lam > 16 e sigma^2, i.e. eta < 1."""
     if lam <= 16.0 * math.e * sigma2:
         raise InapplicableBoundError(
             f"lam = {lam:g} <= 16 e sigma^2 = {16.0 * math.e * sigma2:g}")
-    eta = 4.0 * math.sqrt(math.e * sigma2 / lam)
-    return 570.0 * eta ** (r + 1)
+    return 570.0 * eta(lam, sigma2) ** (r + 1)
 
 
 def corollary_bound(lam: float, sigma2: float, r: int, tail_rn: float) -> float:
@@ -128,10 +131,7 @@ def theorem_c_bound(lam: float, sigma2: float, r: int, eps_n: float, rho: float)
     a disc of radius rho > 1: theorem-B term + eps_n (rho/(rho-1) + lam)."""
     if rho <= 1.0:
         raise InapplicableBoundError("rho must exceed 1")
-    if math.sqrt(lam) <= 4.0 * math.sqrt(math.e * sigma2):
-        raise InapplicableBoundError("needs sqrt(lam) > 4 sqrt(e) sigma")
-    eta = 4.0 * math.sqrt(math.e * sigma2 / lam)
-    return 570.0 * eta ** (r + 1) + eps_n * (rho / (rho - 1.0) + lam)
+    return theorem_b_bound(lam, sigma2, r) + eps_n * (rho / (rho - 1.0) + lam)
 
 
 def two_step_bound(psi_diff_sup: float, psi_prime_diff_sup: float, lam: float) -> float:
@@ -172,6 +172,10 @@ class BoundReport:
                    lam=lam, sigma2=sigma2, tv=tv, bound=bound, name=name,
                    holds=holds, slack=slack)
 
+
+#: the report columns, in BoundReport's field order
+CSV_HEADER = ",".join("lambda" if f.name == "lam" else f.name
+                      for f in fields(BoundReport))
 
 KNOWN_BOUNDS = ("theorem-a", "theorem-b", "corollary", "theorem-c",
                 "chen-stein", "lecam")
@@ -221,41 +225,36 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     tvs = {r: total_variation(pmf, nu)
            for r, nu in zip(orders, schemes.scheme_measures(rc, orders))}
 
-    def guarded(fn, *args):
-        try:
-            return fn(*args)
-        except InapplicableBoundError:
-            return None
-
+    # name -> its bound at order r; a missing or None entry has no bound here
+    bounds = {
+        "theorem-a": lambda r: theorem_a_bound(lam, math.sqrt(math.e * sigma2), r),
+        "theorem-b": lambda r: theorem_b_bound(lam, sigma2, r),
+        "corollary": lambda r: corollary_bound(
+            lam, sigma2, r, _default_tail(spec) if tail_rn is None else tail_rn),
+        "theorem-c": (None if eps_n is None
+                      else lambda r: theorem_c_bound(lam, sigma2, r, eps_n, rho)),
+    }
+    if spec.family == "bernoulli_sum":
+        bounds["chen-stein"] = lambda r: chen_stein_bound(spec.weights)
+        bounds["lecam"] = lambda r: lecam_bound(spec.weights)
     reports = []
     for name in which:
-        if name in ORDER_ZERO_BOUNDS:
+        single = name in ORDER_ZERO_BOUNDS
+        for r in (0,) if single else r_list:
             bound = None
-            if spec.family == "bernoulli_sum":
-                bound = (chen_stein_bound(spec.weights) if name == "chen-stein"
-                         else lecam_bound(spec.weights))
-            reports.append(BoundReport.build(spec, 0, lam, sigma2, tvs[0], bound, name))
-            continue
-        for r in r_list:
-            if r < 1:
-                bound = None  # order-0 scheme: the theorems need r >= 1
-            elif name == "theorem-a":
-                bound = guarded(theorem_a_bound, lam, math.sqrt(math.e * sigma2), r)
-            elif name == "theorem-b":
-                bound = guarded(theorem_b_bound, lam, sigma2, r)
-            elif name == "corollary":
-                rn = _default_tail(spec) if tail_rn is None else tail_rn
-                bound = None if rn is None else guarded(corollary_bound, lam, sigma2, r, rn)
-            else:  # theorem-c
-                bound = (None if eps_n is None
-                         else guarded(theorem_c_bound, lam, sigma2, r, eps_n, rho))
+            # the order-r theorems need r >= 1
+            if bounds.get(name) and (single or r >= 1):
+                try:
+                    bound = bounds[name](r)
+                except InapplicableBoundError:
+                    pass
             reports.append(BoundReport.build(spec, r, lam, sigma2, tvs[r], bound, name))
     return reports
 
 
 def _default_tail(spec):
     """Tail r_n = sum_{i>n} a_i^2 of the limiting alphabet, when it applies."""
-    if spec.family == "ewens":
-        th = spec.theta
-        return th * th * symfunc.zeta(2, th + spec.n)
-    return None
+    if spec.family != "ewens":
+        raise InapplicableBoundError("no default tail r_n for this family")
+    th = spec.theta
+    return th * th * symfunc.zeta(2, th + spec.n)

@@ -49,10 +49,15 @@ def poisson_pmf(lam: float) -> Pmf:
 
     Past k > lam the masses decay geometrically with ratio lam/(k+1), so
     sum_{j>k} m_j <= m_k * ratio / (1 - ratio) bounds the missing tail.
+    The walk visits every k from 0, so lam = inf or lam >= 1e6 fails at once.
     """
     lam = float(lam)
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("lam must be positive")
+    runaway = ValueError(f"lam = {lam:g}: the Poisson support exceeds "
+                         "the 1e6-point limit")
+    if not lam < 1e6:
+        raise runaway
     log_lam = math.log(lam)
     masses = []
     k = 0
@@ -64,7 +69,7 @@ def poisson_pmf(lam: float) -> Pmf:
                 break
         k += 1
         if k > 10 ** 6:
-            raise RuntimeError("Poisson support ran away")
+            raise runaway
     return Pmf(0, tuple(masses))
 
 
@@ -79,13 +84,14 @@ def scheme_measures(rc: ResidueCoeffs, orders) -> list:
     bad = [r for r in orders if not 0 <= r <= rc.order]
     if bad:
         raise ValueError(f"scheme orders must lie in 0..{rc.order}, got {bad}")
-    nu0 = np.asarray(poisson_pmf(rc.lam).masses)
-    measures = {r: _shifted_sum(nu0, (1.0,) + tuple(rc.b[:r]))
+    base = poisson_pmf(rc.lam)
+    nu0 = np.asarray(base.masses)
+    measures = {r: _shifted_sum(base.offset, nu0, (1.0,) + tuple(rc.b[:r]))
                 for r in dict.fromkeys(orders)}
     return [measures[r] for r in orders]
 
 
-def _shifted_sum(nu0, b) -> SignedMeasure:
+def _shifted_sum(offset, nu0, b) -> SignedMeasure:
     r = len(b) - 1
     shift_weights = [
         math.fsum((-1) ** (s - t) * math.comb(s, t) * b[s] for s in range(t, r + 1))
@@ -96,7 +102,7 @@ def _shifted_sum(nu0, b) -> SignedMeasure:
     with np.errstate(over="ignore", invalid="ignore"):
         for t, w in enumerate(shift_weights):
             out[t: t + len(nu0)] += w * nu0
-    return SignedMeasure(0, tuple(out.tolist()))
+    return SignedMeasure(offset, tuple(out.tolist()))
 
 
 def scheme_measure(rc: ResidueCoeffs) -> SignedMeasure:
@@ -164,7 +170,8 @@ def expect_via_scheme(f, rc: ResidueCoeffs) -> float:
     nu0 = poisson_pmf(rc.lam)
     size = len(nu0.masses)
     r = rc.order
-    values = np.array([float(f(k)) for k in range(size + r)])
+    values = np.array([float(f(k))
+                       for k in range(nu0.offset, nu0.offset + size + r)])
     g = values[:size].copy()
     diff = values
     for s in range(1, r + 1):

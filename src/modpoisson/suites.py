@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,9 +38,7 @@ class SuiteResult:
     details: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        return {"suite": self.suite, "passed": self.passed, "checks": self.checks,
-                "failures": self.failures, "seed": self.seed,
-                "instances": self.instances, "details": self.details}
+        return asdict(self)
 
 
 class _Recorder:

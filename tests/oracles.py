@@ -235,3 +235,20 @@ def reference_kolmogorov(a, b):
         cb += y
         worst = max(worst, abs(ca - cb))
     return worst
+
+
+# --- reference zeta ---------------------------------------------------------------
+# symfunc.zeta before its cutoff grew with a; for a <= 5, and for s = 2 up to
+# a = 2e4, the current one must reproduce it bit for bit.
+
+def reference_zeta(s, a=1.0):
+    if s >= 10:
+        n_terms = 100
+    elif s >= 6:
+        n_terms = 1000
+    else:
+        n_terms = 10000
+    partial = math.fsum((a + j) ** (-s) for j in range(n_terms))
+    t = a + n_terms
+    tail = t ** (1 - s) / (s - 1) + 0.5 * t ** (-s) + s / 12.0 * t ** (-s - 1)
+    return partial + tail

@@ -128,6 +128,21 @@ def test_scheme_rejects_bad_order_weights_and_coefficients(args, message, capsys
     assert message in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--lambda", "inf", "--r", "0"],
+     "error: lam = inf: the Poisson support exceeds the 1e6-point limit"),
+    (["--lambda", "1e300", "--r", "1", "--b", "0"],
+     "error: lam = 1e+300: the Poisson support exceeds the 1e6-point limit"),
+    (["--lambda", "2e6", "--r", "0"],
+     "error: lam = 2e+06: the Poisson support exceeds the 1e6-point limit"),
+], ids=["inf", "1e300", "2e6"])
+def test_scheme_rejects_infinite_or_huge_lambda_at_once(args, message, capsys):
+    code, out, err = run_cli(["scheme"] + args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [message]
+
+
 # --- compare ---------------------------------------------------------------------
 
 def test_compare_ewens_tv_improves(capsys):

@@ -66,6 +66,21 @@ CASES = {
         "--model", "weighted-perm", "--theta-seq", "1,1,1", "--n", "3", "--r", "1"],
     # out of the bounds' regime (lam = 0.21), pinned as it stands
     "omega_n2_out_of_regime": ["--model", "omega", "--N", "2", "--r", "0:2"],
+    # theorem-c without --eps-n: an empty bound column
+    "theorem_c_no_eps_n": [
+        "--model", "bernoulli", "--weights", WEIGHTS,
+        "--bound", "theorem-c", "--r", "1:2"],
+    "theorem_c_rho_1": [
+        "--model", "bernoulli", "--weights", WEIGHTS,
+        "--bound", "theorem-c", "--eps-n", "1e-6", "--rho", "1", "--r", "1:2"],
+    # lam = 5.9 <= 16 e sigma^2 = 71.5: theorem C's own precondition fails
+    "ewens_theorem_c_out_of_regime": [
+        "--model", "ewens", "--theta", "1", "--n", "200",
+        "--bound", "theorem-c", "--eps-n", "1e-6", "--r", "1:2"],
+    "json_order_zero_and_corollary": [
+        "--model", "bernoulli", "--weights", WEIGHTS,
+        "--bound", "chen-stein,lecam,corollary", "--tail-rn", "1e-8",
+        "--r", "0:2", "--format", "json"],
 }
 
 # 60 fixed cycle weights in [0.5, 2] and 30 fixed non-dyadic Bernoulli weights
@@ -106,6 +121,9 @@ COMMANDS = {
     "scheme_ewens_json": [
         "scheme", "--alphabet", "ewens", "--theta", "1.3", "--lambda", "10",
         "--r", "5", "--format", "json"],
+    # eta = 0.60 < 1: no eta warning
+    "scheme_b2_eta_below_one": [
+        "scheme", "--lambda", "12", "--b2", "-0.05", "--r", "2"],
     "scheme_weights": [
         "scheme", "--weights", "0.1,0.2,0.05", "--lambda", "2", "--r", "3"],
     "scheme_weights_empty": [

@@ -5,10 +5,10 @@ with a last stderr line `error: ...`; any other stderr line is a
 `warning: ...`, and no Python warning escapes.  Flags are passed as
 `--flag=value`, so negative values survive argparse.
 
-lambda stays in [0.5, 50] because this test covers the coefficient flags
-(`--b`, `--b2`, `--weights`, `--alphabet`, `--r`).  The Poisson base loses
-its normalization from lambda ~ 2.5e5 on, a known defect kept visible by
-the benchmark's `exact` probe rather than pinned here.
+lambda stays in [0.5, 50], or is inf, because this test covers the
+coefficient flags (`--b`, `--b2`, `--weights`, `--alphabet`, `--r`).  The
+Poisson base loses its normalization from lambda ~ 2.5e5 on, a known defect
+kept visible by the benchmark's `exact` probe rather than pinned here.
 """
 
 import contextlib
@@ -37,7 +37,7 @@ coefficient_flags = st.one_of(
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(lam=st.floats(0.5, 50.0),
+@given(lam=st.floats(0.5, 50.0) | st.just(math.inf),
        r=st.none() | st.integers(-3, 8),
        flags=coefficient_flags,
        positive=st.booleans())

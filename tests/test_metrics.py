@@ -344,3 +344,18 @@ def test_report_serialization_round_trip():
     assert parsed[0]["family"] == "bernoulli_sum"
     assert {"model", "family", "n", "r", "lambda", "sigma2", "tv", "bound",
             "name", "holds", "slack"} == set(parsed[0])
+
+
+def test_report_rows_with_no_bound_and_infinite_slack():
+    # unreachable from the CLI, where tv > 0: written by hand
+    from modpoisson.metrics import BoundReport
+    rep = BoundReport(model="m(n=3)", family="f", n=3, r=1, lam=2.0, sigma2=0.5,
+                      tv=0.0, bound=None, name="theorem-b", holds=None,
+                      slack=math.inf)
+    assert io.report_csv_lines([rep]) == [
+        "model,family,n,r,lambda,sigma2,tv,bound,name,holds,slack",
+        "m(n=3),f,3,1,2,0.5,0,,theorem-b,,inf"]
+    assert io.report_jsonl_lines([rep]) == [
+        '{"bound": null, "family": "f", "holds": null, "lambda": 2.0, '
+        '"model": "m(n=3)", "n": 3, "name": "theorem-b", "r": 1, '
+        '"sigma2": 0.5, "slack": "inf", "tv": 0.0}']

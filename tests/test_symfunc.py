@@ -15,7 +15,8 @@ from modpoisson.symfunc import (Alphabet, PowerSums, ResidueCoeffs,
                                 stirling2, stirling2_elementary_bridge,
                                 virtual_residue_coeffs, zeta)
 
-from oracles import single_weight_residue_coeff, zeta_partial_with_tail
+from oracles import (reference_zeta, single_weight_residue_coeff,
+                     zeta_partial_with_tail)
 
 weight_lists = st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1,
                         max_size=20)
@@ -90,6 +91,15 @@ def test_fq_limit_power_sums():
 def test_infinite_power_sums_reject_unreachable_tolerance():
     with pytest.raises(ToleranceError):
         power_sums_infinite(Alphabet.harmonic(tolerance=1e-20), 4)
+
+
+def test_zeta_keeps_its_bits_where_the_cutoff_did_not_grow():
+    # every golden reaches zeta only at a <= 5, or at s = 2
+    for a in (0.05, 0.37, 1.0, 1.5, 2.5, 5.0):
+        for s in range(2, 61):
+            assert zeta(s, a) == reference_zeta(s, a)
+    for a in (20.0, 50.0, 201.0, 1000.0, 20001.5):
+        assert zeta(2, a) == reference_zeta(2, a)
 
 
 def test_prime_zeta_values():
