@@ -35,7 +35,6 @@ def _parse_r_range(text):
 def _add_output_flags(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
-    p.add_argument("--tolerance", type=float, default=1e-12)
 
 
 def _add_model_flags(p):
@@ -48,7 +47,6 @@ def _add_model_flags(p):
     p.add_argument("--n", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--N", dest="big_n", type=int)
-    p.add_argument("--rational", action="store_true")
 
 
 def _build_parser():
@@ -60,6 +58,7 @@ def _build_parser():
 
     p_pmf = sub.add_parser("pmf", help="write the exact pmf of a model")
     _add_model_flags(p_pmf)
+    p_pmf.add_argument("--rational", action="store_true")
     _add_output_flags(p_pmf)
 
     p_scheme = sub.add_parser("scheme", help="write an order-r scheme measure")
@@ -74,6 +73,7 @@ def _build_parser():
     p_scheme.add_argument("--q", type=int)
     p_scheme.add_argument("--positive", action="store_true",
                           help="sweep negative mass into a true pmf")
+    p_scheme.add_argument("--tolerance", type=float, default=1e-12)
     _add_output_flags(p_scheme)
 
     p_cmp = sub.add_parser("compare", help="tv-versus-bound sweep over orders r")
@@ -87,6 +87,7 @@ def _build_parser():
     p_cmp.add_argument("--tail-rn", type=float)
     p_cmp.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility; ignored")
+    p_cmp.add_argument("--tolerance", type=float, default=1e-12)
     _add_output_flags(p_cmp)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")

@@ -120,6 +120,8 @@ def theorem_b_bound(lam: float, sigma2: float, r: int) -> float:
 def corollary_bound(lam: float, sigma2: float, r: int, tail_rn: float) -> float:
     """Derived-scheme bound: theorem-B term plus the truncation penalty
     (r^2 + (2 lam + 1) r) * (sum_{s=2}^r (2 sigma)^(s-2)) * tail_rn."""
+    if not 0.0 <= tail_rn < math.inf:
+        raise ValueError(f"corollary needs a finite tail_rn >= 0, got {tail_rn:g}")
     base = theorem_b_bound(lam, sigma2, r)
     sigma = math.sqrt(sigma2)
     geo = math.fsum((2.0 * sigma) ** (s - 2) for s in range(2, r + 1))
@@ -129,6 +131,9 @@ def corollary_bound(lam: float, sigma2: float, r: int, tail_rn: float) -> float:
 def theorem_c_bound(lam: float, sigma2: float, r: int, eps_n: float, rho: float) -> float:
     """Derived-scheme bound under an eps_n-uniform residue approximation on
     a disc of radius rho > 1: theorem-B term + eps_n (rho/(rho-1) + lam)."""
+    if not (0.0 <= eps_n < math.inf and math.isfinite(rho)):
+        raise ValueError("theorem-c needs a finite eps_n >= 0 and a finite rho, "
+                         f"got eps_n = {eps_n:g}, rho = {rho:g}")
     if rho <= 1.0:
         raise InapplicableBoundError("rho must exceed 1")
     return theorem_b_bound(lam, sigma2, r) + eps_n * (rho / (rho - 1.0) + lam)

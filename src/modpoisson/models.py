@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -60,6 +61,10 @@ EULER_GAMMA = 0.5772156649015329
 
 #: masses this small are pure float underflow noise and may be trimmed
 _UNDERFLOW = 1e-320
+
+#: largest (len + 1) x total denominator bits the rational Bernoulli fold
+#: accepts: about 1 s on a 2-CPU x86-64 VM, reached by 400 float weights
+RATIONAL_FOLD_BUDGET = 10 ** 7
 
 
 def _all_fractions(masses) -> bool:
@@ -192,15 +197,19 @@ def bernoulli_sum_pmf(weights, rational: bool = False):
     p = 0 a no-op.  rational=True runs the same fold exactly, on integer
     numerators over one common denominator: each weight p = a/d maps the
     numerators c to c_j (d - a) + c_{j-1} a and multiplies the denominator
-    by d.  Its cost still grows steeply with the denominators: a float
-    weight carries up to 53 bits, so 400 float weights take about 1.4 s
-    and 3000 do not finish in 5 minutes.
+    by d.  Its cost grows like (len + 1) x the total denominator bits, and
+    inputs above RATIONAL_FOLD_BUDGET of it are refused.
     """
     weights = list(weights)
     if rational:
+        weights = [Fraction(p) for p in weights]
+        cost = (len(weights) + 1) * sum(p.denominator.bit_length() for p in weights)
+        if cost > RATIONAL_FOLD_BUDGET:
+            raise ValueError(f"rational fold of {len(weights)} weights: (n + 1) x "
+                             f"denominator bits = {cost} exceeds the budget "
+                             f"{RATIONAL_FOLD_BUDGET}")
         nums, den = [1], 1
         for p in weights:
-            p = Fraction(p)
             if not 0 <= p <= 1:
                 raise ValueError(f"Bernoulli weight {p} outside [0, 1]")
             a, d = p.numerator, p.denominator
@@ -221,18 +230,19 @@ def _homogeneous_polynomials(theta_seq, n, rational):
     order k = 1..m (a sequential cumsum, not a pairwise sum), so it gives
     the same bits as adding the terms one at a time.
     """
+    if not all(0 < t < math.inf for t in theta_seq):
+        raise ValueError("cycle weights theta_k must be finite and positive")
     theta = [Fraction(t) if rational else float(t) for t in theta_seq]
-    if any(t <= 0 for t in theta):
-        raise ValueError("cycle weights theta_k must be positive")
     if len(theta) < n:
         raise ValueError(f"need theta_1..theta_{n}")
     if not rational:
         hs = np.zeros((n + 1, n + 1))
         hs[0, 0] = 1.0
         th = np.array(theta[:n]).reshape(-1, 1)
-        for m in range(1, n + 1):
-            terms = th[:m] * hs[m - 1::-1, :m]  # row k-1 is theta_k h_{m-k}
-            hs[m, 1:m + 1] = np.cumsum(terms, axis=0)[-1] * (1.0 / m)
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses inf and nan
+            for m in range(1, n + 1):
+                terms = th[:m] * hs[m - 1::-1, :m]  # row k-1 is theta_k h_{m-k}
+                hs[m, 1:m + 1] = np.cumsum(terms, axis=0)[-1] * (1.0 / m)
         return hs[n].tolist()
     hs = [[Fraction(1)]]
     for m in range(1, n + 1):
@@ -256,6 +266,9 @@ def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
         raise ValueError("n must be >= 1")
     coeffs = _homogeneous_polynomials(theta_seq, n, rational)
     norm = sum(coeffs[1:], coeffs[0])
+    if not 0 < norm < math.inf:
+        raise ValueError(f"h_n(Theta) = {norm} is outside the float range; "
+                         "use the rational mode")
     return Pmf.from_masses(0, [c / norm for c in coeffs])
 
 
@@ -438,108 +451,117 @@ def empirical_residue(pmf, lam: float, w) -> complex:
     return acc * cmath.exp(-lam * (w - 1.0))
 
 
-# --- declarative model specs ---------------------------------------------------
+# --- model specs -------------------------------------------------------------
 
-_FAMILIES = ("bernoulli_sum", "ewens", "weighted_perm", "fq_poly", "omega")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """One model family plus its size parameter, CLI- and report-friendly."""
+    """One model family plus its size parameter, CLI- and report-friendly.
+
+    Each constructor below is the one definition of its family: it checks
+    the parameters and binds the exact law (rational -> measure), the
+    mod-Poisson rate (tolerance -> lam) and the limiting alphabet
+    (tolerance -> Alphabet).  The label is comma-free, so it stays a single
+    CSV field.  Specs compare by identity: the bound law carries parameters,
+    such as the cycle weights, that no field holds.
+    """
 
     family: str
+    label: str
+    n: int
+    law: Callable = field(repr=False)
+    rate: Callable = field(repr=False)
+    alphabet: Callable = field(repr=False)
     weights: tuple = ()
     theta: float = 0.0
-    theta_seq: tuple = ()
-    n: int = 0
-    q: int = 0
-    big_n: int = 0
-    log_singularity: tuple = ()  # (theta, K) supplied for weighted_perm rates
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}")
-        if self.family == "bernoulli_sum":
-            if not all(0.0 <= w <= 1.0 for w in self.weights):
-                raise ValueError("weights must lie in [0, 1]")
-        elif self.family == "ewens":
-            if self.theta <= 0 or self.n < 1:
-                raise ValueError("ewens needs theta > 0 and n >= 1")
-        elif self.family == "weighted_perm":
-            if self.n < 1 or len(self.theta_seq) < self.n:
-                raise ValueError("weighted_perm needs theta_1..theta_n")
-        elif self.family == "fq_poly":
-            if prime_power_base(self.q) is None or self.n < 1:
-                raise ValueError("fq_poly needs a prime power q >= 2 and n >= 1")
-        elif self.family == "omega":
-            if self.big_n < 1:
-                raise ValueError("omega needs N >= 1")
 
     @classmethod
     def bernoulli(cls, weights):
-        return cls("bernoulli_sum", weights=tuple(float(w) for w in weights))
+        weights = tuple(float(w) for w in weights)
+        if not all(0.0 <= w <= 1.0 for w in weights):
+            raise ValueError("weights must lie in [0, 1]")
+
+        def rate(tolerance):
+            if not weights:
+                raise ValueError("bernoulli_sum rate needs at least one weight")
+            return math.fsum(weights)
+        return cls("bernoulli_sum", f"bernoulli_sum(n={len(weights)})", len(weights),
+                   lambda rational: bernoulli_sum_pmf(weights, rational=rational),
+                   rate, lambda tolerance: Alphabet.finite(weights, tolerance),
+                   weights=weights)
 
     @classmethod
     def ewens(cls, theta, n):
-        return cls("ewens", theta=float(theta), n=int(n))
+        theta, n = float(theta), int(n)
+        if not (0.0 < theta < math.inf and n >= 1):
+            raise ValueError("ewens needs a finite theta > 0 and n >= 1, "
+                             f"got theta = {theta:g}, n = {n}")
+        return cls("ewens", f"ewens(theta={theta:g};n={n})", n,
+                   lambda rational: ewens_cycle_pmf(theta, n, rational=rational),
+                   lambda tolerance: theta * math.log(n) + gamma_theta(theta, tolerance),
+                   lambda tolerance: Alphabet.ewens_limit(theta, tolerance),
+                   theta=theta)
 
     @classmethod
     def weighted_perm(cls, theta_seq, n, log_singularity=()):
-        return cls("weighted_perm", theta_seq=tuple(float(t) for t in theta_seq),
-                   n=int(n), log_singularity=tuple(log_singularity))
+        """log_singularity is the (theta, K) of the rate theta log n + K + gamma_theta."""
+        theta_seq, n, pair = tuple(float(t) for t in theta_seq), int(n), tuple(log_singularity)
+        if n < 1 or len(theta_seq) < n:
+            raise ValueError("weighted_perm needs theta_1..theta_n")
+
+        def rate(tolerance):
+            if len(pair) != 2:
+                raise ValueError("weighted_perm needs a user-supplied (theta, K) pair: "
+                                 "the library does not locate the singularity of "
+                                 "the weight generating series")
+            th, big_k = pair
+            return th * math.log(n) + big_k + gamma_theta(th, tolerance)
+
+        def alphabet(tolerance):
+            raise ValueError("weighted_perm has no certified limiting alphabet; "
+                             "supply one explicitly")
+        return cls("weighted_perm", f"weighted_perm(n={n})", n,
+                   lambda rational: weighted_perm_cycle_pmf(theta_seq, n, rational=rational),
+                   rate, alphabet)
 
     @classmethod
     def fq_poly(cls, q, n):
-        return cls("fq_poly", q=int(q), n=int(n))
+        q, n = int(q), int(n)
+        if prime_power_base(q) is None or n < 1:
+            raise ValueError("fq_poly needs a prime power q >= 2 and n >= 1")
+        return cls("fq_poly", f"fq_poly(q={q};n={n})", n,
+                   lambda rational: fq_factor_pmf(q, n, rational=rational),
+                   lambda tolerance: math.log(n) + r_q(q, tolerance) + EULER_GAMMA,
+                   lambda tolerance: Alphabet.fq_limit(q, tolerance))
 
     @classmethod
     def omega(cls, big_n):
-        return cls("omega", big_n=int(big_n))
+        big_n = int(big_n)
+        if big_n < 1:
+            raise ValueError("omega needs N >= 1")
+
+        def law(rational):
+            if rational:
+                raise ValueError("omega model has no rational mode")
+            return omega_pmf(big_n)
+
+        def rate(tolerance):
+            if big_n < 2:
+                raise ValueError("omega rate log log N + gamma needs N >= 2")
+            return math.log(math.log(big_n)) + EULER_GAMMA
+        return cls("omega", f"omega(N={big_n})", big_n, law, rate, Alphabet.omega_limit)
 
     def size(self) -> int:
-        if self.family == "bernoulli_sum":
-            return len(self.weights)
-        if self.family == "omega":
-            return self.big_n
         return self.n
 
     def describe(self) -> str:
-        # comma-free so the description stays a single CSV field
-        if self.family == "bernoulli_sum":
-            return f"bernoulli_sum(n={len(self.weights)})"
-        if self.family == "ewens":
-            return f"ewens(theta={self.theta:g};n={self.n})"
-        if self.family == "weighted_perm":
-            return f"weighted_perm(n={self.n})"
-        if self.family == "fq_poly":
-            return f"fq_poly(q={self.q};n={self.n})"
-        return f"omega(N={self.big_n})"
+        return self.label
 
     def pmf(self, rational: bool = False):
-        if self.family == "bernoulli_sum":
-            return bernoulli_sum_pmf(self.weights, rational=rational)
-        if self.family == "ewens":
-            return ewens_cycle_pmf(self.theta, self.n, rational=rational)
-        if self.family == "weighted_perm":
-            return weighted_perm_cycle_pmf(self.theta_seq, self.n, rational=rational)
-        if self.family == "fq_poly":
-            return fq_factor_pmf(self.q, self.n, rational=rational)
-        if rational:
-            raise ValueError("omega model has no rational mode")
-        return omega_pmf(self.big_n)
+        return self.law(rational)
 
     def limiting_alphabet(self, tolerance: float = 1e-12):
         """The limiting weight alphabet of the family, when one is certified."""
-        if self.family == "bernoulli_sum":
-            return Alphabet.finite(self.weights, tolerance)
-        if self.family == "ewens":
-            return Alphabet.ewens_limit(self.theta, tolerance)
-        if self.family == "fq_poly":
-            return Alphabet.fq_limit(self.q, tolerance)
-        if self.family == "omega":
-            return Alphabet.omega_limit(tolerance)
-        raise ValueError("weighted_perm has no certified limiting alphabet; "
-                         "supply one explicitly")
+        return self.alphabet(tolerance)
 
 
 def model_lambda(spec: ModelSpec, tolerance: float = 1e-12) -> float:
@@ -550,21 +572,4 @@ def model_lambda(spec: ModelSpec, tolerance: float = 1e-12) -> float:
     (theta, K).                       fq_poly: log n + R_q + gamma.
     omega: log log N + gamma.
     """
-    if spec.family == "bernoulli_sum":
-        if not spec.weights:
-            raise ValueError("bernoulli_sum rate needs at least one weight")
-        return math.fsum(spec.weights)
-    if spec.family == "ewens":
-        return spec.theta * math.log(spec.n) + gamma_theta(spec.theta, tolerance)
-    if spec.family == "weighted_perm":
-        if len(spec.log_singularity) != 2:
-            raise ValueError("weighted_perm needs a user-supplied (theta, K) pair: "
-                             "the library does not locate the singularity of "
-                             "the weight generating series")
-        th, big_k = spec.log_singularity
-        return th * math.log(spec.n) + big_k + gamma_theta(th, tolerance)
-    if spec.family == "fq_poly":
-        return math.log(spec.n) + r_q(spec.q, tolerance) + EULER_GAMMA
-    if spec.big_n < 2:
-        raise ValueError("omega rate log log N + gamma needs N >= 2")
-    return math.log(math.log(spec.big_n)) + EULER_GAMMA
+    return spec.rate(tolerance)

@@ -83,8 +83,8 @@ class Alphabet:
                 if not (0.0 <= w <= 1.0):
                     raise ValueError(f"finite weights must lie in [0, 1], got {w}")
         elif self.kind == "ewens_limit":
-            if not self.theta > 0.0:
-                raise ValueError("ewens_limit needs theta > 0")
+            if not 0.0 < self.theta < math.inf:
+                raise ValueError(f"ewens_limit needs a finite theta > 0, got {self.theta:g}")
         elif self.kind == "fq_limit":
             if prime_power_base(self.q) is None:
                 raise ValueError("fq_limit needs a prime power q >= 2")
@@ -175,14 +175,10 @@ def power_sums(alphabet: Alphabet, kmax: int) -> PowerSums:
 
 
 def power_sums_infinite(alphabet: Alphabet, kmax: int) -> PowerSums:
-    """Tail-corrected power sums of one of the infinite alphabet families.
-
-    ewens_limit:  p_k = theta^k * hurwitz_zeta(k, theta), which is zeta(k)
-                  for the harmonic alphabet (theta = 1)
-    omega_limit:  p_k = zeta(k) + prime_zeta(k)
-    fq_limit:     p_k = zeta(k) + sum_m I_q(m) q^(-k m)
-
-    p_1 is divergent for all of these and reported as +inf.
+    """Tail-corrected power sums of one of the infinite alphabet families:
+    the tail of `_split` with an empty head (for theta = 1, the harmonic
+    alphabet, p_k = zeta(k)).  p_1 is divergent for all of them and is
+    reported as +inf.
     """
     if alphabet.kind == "finite":
         raise ValueError("power_sums_infinite needs an infinite alphabet kind")
@@ -193,22 +189,8 @@ def power_sums_infinite(alphabet: Alphabet, kmax: int) -> PowerSums:
             f"tolerance {alphabet.tolerance:g} is below the double-precision "
             f"floor {_MIN_TOLERANCE:g} of the tail-corrected series"
         )
-    vals = [math.inf]
-    for k in range(2, kmax + 1):
-        vals.append(_infinite_power_sum(alphabet, k))
-    return PowerSums(tuple(vals))
-
-
-def _infinite_power_sum(alphabet: Alphabet, k: int) -> float:
-    tol = alphabet.tolerance
-    if alphabet.kind == "ewens_limit":
-        th = alphabet.theta
-        return th ** k * zeta(k, th)
-    if alphabet.kind == "omega_limit":
-        return zeta(k) + prime_zeta(k, tol)
-    if alphabet.kind == "fq_limit":
-        return zeta(k) + _fq_degree_series(alphabet.q, k, tol)
-    raise AssertionError(alphabet.kind)
+    tail_power = _split(alphabet, 0, 0)[1]
+    return PowerSums((math.inf,) + tuple(tail_power(k) for k in range(2, kmax + 1)))
 
 
 @lru_cache(maxsize=8192)
@@ -257,7 +239,8 @@ def prime_zeta(s: float, tol: float = 1e-13) -> float:
         sm = s * m
         if sm > 1070:  # 2^-sm underflows; remaining terms are below 1e-300
             return total
-        log_z = math.log(zeta(sm)) if sm < 55 else 2.0 ** (-sm) * (1.0 + 2.0 ** (-sm))
+        # zeta(sm, 1.0) shares its cache entry with the tail sums of `_split`
+        log_z = math.log(zeta(sm, 1.0)) if sm < 55 else 2.0 ** (-sm) * (1.0 + 2.0 ** (-sm))
         mu = mobius(m)
         if mu:
             total += mu / m * log_z
@@ -362,56 +345,59 @@ def residue_product_eval(alphabet: Alphabet, z) -> complex:
     of the remaining tail, whose power sums are the tail-corrected full
     sums minus the head contributions.
     """
-    tol = alphabet.tolerance
     z = complex(z)
-    if alphabet.kind == "finite":
-        prod = 1.0 + 0.0j
-        for a in alphabet.weights:
-            prod *= (1.0 + a * z) * cmath.exp(-a * z)
-        return prod
     if z == 0:
         return 1.0 + 0.0j
-
     az = abs(z)
-    head, tail_power = _split_head(alphabet, az)
+    n0 = m0 = 0
+    if alphabet.kind != "finite":
+        th = alphabet.theta if alphabet.kind == "ewens_limit" else 1.0
+        n0 = max(2 if alphabet.kind == "omega_limit" else 1, math.ceil(2.0 * th * az))
+        while alphabet.kind == "fq_limit" and float(alphabet.q) ** (m0 + 1) < 2.0 * az:
+            m0 += 1
+        if n0 > 10 ** 6 or m0 > 60:
+            raise ToleranceError(f"divergent tail request: |z| = {az:g} is too large")
+    head, tail_power = _split(alphabet, n0, m0)
     prod = 1.0 + 0.0j
     for a, count in head:
         factor = (1.0 + a * z) * cmath.exp(-a * z)
         prod *= factor ** count if count > 1 else factor
+    if tail_power is None:
+        return prod
 
     # log-series of the tail; terms decay at least like 2^-k
     series = 0.0 + 0.0j
     p2_tail = tail_power(2)
     for k in range(2, 600):
-        pk_tail = tail_power(k)
-        term = (-1) ** (k - 1) * pk_tail * z ** k / k
-        series += term
+        series += (-1) ** (k - 1) * tail_power(k) * z ** k / k
         # remaining terms are below p2_tail * (|z|/2)^... geometric with ratio <= 1/2
         bound = p2_tail * az * az * 0.5 ** (k - 1) / (k + 1) * 2.0
-        if bound < tol / 10.0 and k >= 4:
+        if bound < alphabet.tolerance / 10.0 and k >= 4:
             break
     else:
         raise ToleranceError("residue product log-series did not converge")
     return prod * cmath.exp(series)
 
 
-def _split_head(alphabet: Alphabet, az: float):
-    """Head weights (with multiplicities) and a tail power-sum evaluator.
+def _split(alphabet: Alphabet, n0: int, m0: int):
+    """Head atoms (weight, multiplicity) and the tail power-sum function.
 
-    The head is chosen so every remaining weight a satisfies a * az <= 1/2,
-    which makes the tail log-series geometrically convergent.  Every
-    infinite kind holds the Ewens alphabet {theta/(theta+n-1)} (theta = 1,
-    the harmonic alphabet, for omega and fq); omega and fq add their side
-    atoms {1/p} and {q^-m}.
+    This is the one place that knows what each alphabet kind holds.  A
+    finite alphabet is all head, with no tail (None).  Every infinite kind
+    holds the Ewens alphabet {theta/(theta+n-1), n >= 1} (theta = 1, the
+    harmonic alphabet, for omega and fq), whose first n0 atoms go to the
+    head; omega adds {1/p, p prime}, the primes p <= n0 in the head, and fq
+    adds q^-m with multiplicity I_q(m), the degrees m <= m0 in the head.
+    The tail power sums are the tail-corrected full sums minus the head:
+
+      ewens_limit:  theta^k hurwitz_zeta(k, theta + n0)
+      omega_limit:  zeta(k, 1 + n0) + prime_zeta(k) - sum_{p <= n0} p^-k
+      fq_limit:     zeta(k, 1 + n0) + sum_{m > m0} I_q(m) q^(-k m)
     """
+    if alphabet.kind == "finite":
+        return [(a, 1) for a in alphabet.weights], None
     tol = alphabet.tolerance
     th = alphabet.theta if alphabet.kind == "ewens_limit" else 1.0
-    n0 = max(2 if alphabet.kind == "omega_limit" else 1, math.ceil(2.0 * th * az))
-    m0 = 0
-    while alphabet.kind == "fq_limit" and float(alphabet.q) ** (m0 + 1) < 2.0 * az:
-        m0 += 1
-    if n0 > 10 ** 6 or m0 > 60:
-        raise ToleranceError(f"divergent tail request: |z| = {az:g} is too large")
     head = [(th / (th + n - 1.0), 1) for n in range(1, n0 + 1)]
     ewens_tail = lambda k: th ** k * zeta(k, th + n0)
     if alphabet.kind == "ewens_limit":

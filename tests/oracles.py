@@ -6,6 +6,7 @@ come from partial sums with elementary tail estimates, and residue
 coefficients come from numerically differentiating the literal product.
 """
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -252,3 +253,77 @@ def reference_zeta(s, a=1.0):
     t = a + n_terms
     tail = t ** (1 - s) / (s - 1) + 0.5 * t ** (-s) + s / 12.0 * t ** (-s - 1)
     return partial + tail
+
+
+# --- reference alphabet kernels ---------------------------------------------------
+# symfunc's per-kind power sums and head/tail split before one split function
+# served both; the current power_sums_infinite and residue_product_eval must
+# reproduce them bit for bit.
+
+def reference_power_sums_infinite(alphabet, kmax):
+    """p_1..p_kmax of an infinite alphabet, one closed form per kind."""
+    from modpoisson.symfunc import _fq_degree_series, prime_zeta, zeta
+    tol = alphabet.tolerance
+    vals = [math.inf]
+    for k in range(2, kmax + 1):
+        if alphabet.kind == "ewens_limit":
+            vals.append(alphabet.theta ** k * zeta(k, alphabet.theta))
+        elif alphabet.kind == "omega_limit":
+            vals.append(zeta(k) + prime_zeta(k, tol))
+        else:
+            vals.append(zeta(k) + _fq_degree_series(alphabet.q, k, tol))
+    return tuple(vals)
+
+
+def _reference_split_head(alphabet, az):
+    from modpoisson._arith import irreducible_count, primes_up_to
+    from modpoisson.symfunc import _fq_degree_series, prime_zeta, zeta
+    tol = alphabet.tolerance
+    th = alphabet.theta if alphabet.kind == "ewens_limit" else 1.0
+    n0 = max(2 if alphabet.kind == "omega_limit" else 1, math.ceil(2.0 * th * az))
+    m0 = 0
+    while alphabet.kind == "fq_limit" and float(alphabet.q) ** (m0 + 1) < 2.0 * az:
+        m0 += 1
+    head = [(th / (th + n - 1.0), 1) for n in range(1, n0 + 1)]
+    ewens_tail = lambda k: th ** k * zeta(k, th + n0)
+    if alphabet.kind == "ewens_limit":
+        return head, ewens_tail
+    if alphabet.kind == "omega_limit":
+        head_primes = primes_up_to(n0)
+        head += [(1.0 / p, 1) for p in head_primes]
+        side = lambda k: prime_zeta(k, tol)
+        side_head = lambda k: math.fsum(p ** float(-k) for p in head_primes)
+    else:
+        q = alphabet.q
+        head += [(float(q) ** (-m), irreducible_count(q, m)) for m in range(1, m0 + 1)]
+        side = lambda k: _fq_degree_series(q, k, tol)
+        side_head = lambda k: math.fsum(irreducible_count(q, m) * float(q) ** (-k * m)
+                                        for m in range(1, m0 + 1))
+    return head, lambda k: ewens_tail(k) + side(k) - side_head(k)
+
+
+def reference_residue_product_eval(alphabet, z):
+    """prod_i (1 + a_i z) exp(-a_i z): the literal product for a finite
+    alphabet, a head product times the exponentiated tail log-series else."""
+    z = complex(z)
+    if alphabet.kind == "finite":
+        prod = 1.0 + 0.0j
+        for a in alphabet.weights:
+            prod *= (1.0 + a * z) * cmath.exp(-a * z)
+        return prod
+    if z == 0:
+        return 1.0 + 0.0j
+    az = abs(z)
+    head, tail_power = _reference_split_head(alphabet, az)
+    prod = 1.0 + 0.0j
+    for a, count in head:
+        factor = (1.0 + a * z) * cmath.exp(-a * z)
+        prod *= factor ** count if count > 1 else factor
+    series = 0.0 + 0.0j
+    p2_tail = tail_power(2)
+    for k in range(2, 600):
+        series += (-1) ** (k - 1) * tail_power(k) * z ** k / k
+        bound = p2_tail * az * az * 0.5 ** (k - 1) / (k + 1) * 2.0
+        if bound < alphabet.tolerance / 10.0 and k >= 4:
+            break
+    return prod * cmath.exp(series)

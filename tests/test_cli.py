@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -113,12 +114,13 @@ def test_scheme_warns_when_eta_is_large(capsys):
     (["--b", "nan", "--r", "1"], "not 1"),
     (["--b2", "inf"], "error: "),
     (["--alphabet", "ewens", "--theta", "1e-300", "--r", "1"], "error: "),
+    (["--alphabet", "ewens", "--theta", "inf", "--r", "2"], "finite theta"),
     (["--weights", "1.5", "--r", "0"], "finite weights must lie in [0, 1]"),
     (["--weights", "nan", "--r", "0"], "finite weights must lie in [0, 1]"),
     (["--alphabet", "fq", "--q", "6", "--r", "0"], "prime power"),
     (["--alphabet", "ewens", "--r", "0"], "ewens alphabet needs --theta"),
 ], ids=["alphabet_r", "weights_r", "empty_weights_r", "b2_r", "b_r", "weight_above_1",
-        "weight_nan", "b_nan", "b2_inf", "theta_underflow", "weight_above_1_r0",
+        "weight_nan", "b_nan", "b2_inf", "theta_underflow", "theta_inf", "weight_above_1_r0",
         "weight_nan_r0", "fq_not_prime_power_r0", "ewens_no_theta_r0"])
 def test_scheme_rejects_bad_order_weights_and_coefficients(args, message, capsys):
     code, out, err = run_cli(["scheme", "--lambda", "2"] + args, capsys)
@@ -234,6 +236,58 @@ def test_compare_jsonl_matches_schema(capsys):
     validator = {"$ref": "#/$defs/boundReportRow", "$defs": schema["$defs"]}
     for line in out.splitlines():
         jsonschema.validate(json.loads(line), validator)
+
+
+# 60 in-regime weights (lam = 0.6 > 16 e sigma^2 = 0.26), so every bound applies
+IN_REGIME = ",".join(["0.01"] * 60)
+# 500 float weights: the rational fold's (n + 1) x denominator bits ~ 1.5e7
+FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["pmf", "--model", "ewens", "--theta", "nan", "--n", "5"], "finite theta"),
+    (["pmf", "--model", "ewens", "--theta", "inf", "--n", "5"], "finite theta"),
+    (["pmf", "--model", "weighted-perm", "--theta-seq", "inf,1,1", "--n", "3"], "theta_k"),
+    (["pmf", "--model", "weighted-perm", "--theta-seq", "1,nan,1", "--n", "3", "--rational"],
+     "theta_k"),
+    (["pmf", "--model", "weighted-perm", "--theta-seq", "1e300,1e300", "--n", "2"],
+     "rational mode"),
+    (["pmf", "--model", "bernoulli", "--weights", FLOAT_WEIGHTS_500, "--rational"],
+     "budget 10000000"),
+    (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
+      "--bound", "theorem-c", "--eps-n", "nan"], "eps_n"),
+    (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
+      "--bound", "theorem-c", "--eps-n=-1e-6"], "eps_n"),
+    (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
+      "--bound", "theorem-c", "--eps-n", "1e-6", "--rho", "nan"], "rho"),
+    (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
+      "--bound", "theorem-c", "--eps-n", "1e-6", "--rho", "inf"], "rho"),
+    (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
+      "--bound", "corollary", "--tail-rn", "nan"], "tail_rn"),
+    (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
+      "--bound", "corollary", "--tail-rn=-1e-8"], "tail_rn"),
+], ids=["ewens_theta_nan", "ewens_theta_inf", "theta_seq_inf", "theta_seq_nan_rational",
+        "h_n_overflow", "rational_fold_over_budget", "eps_n_nan", "eps_n_negative",
+        "rho_nan", "rho_inf", "tail_rn_nan", "tail_rn_negative"])
+def test_out_of_domain_parameters_are_one_error_line(args, message, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(args, capsys)
+    assert [str(w.message) for w in caught] == []
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "--rational", "--model", "fq", "--q", "2", "--n", "5", "--r", "1"],
+    ["pmf", "--tolerance", "5", "--model", "fq", "--q", "2", "--n", "5"],
+], ids=["compare_rational", "pmf_tolerance"])
+def test_flags_a_subcommand_does_not_read_are_rejected(args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
 
 
 # --- verify ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Bit identity of the exact model kernels with the reference kernels.
 
 The integer F_q recursion, the integer-numerator rational fold, the numpy
-h_n recursion, the grouped omega sieve and the numpy TV and Kolmogorov
-distances must give exactly (==, not approx) what the pure-Python kernels
-in oracles.py give.
+h_n recursion, the grouped omega sieve, the numpy TV and Kolmogorov
+distances and the one head/tail split of the alphabets must give exactly
+(==, not approx) what the reference kernels in oracles.py give.
 """
 
+import cmath
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,15 +15,17 @@ import numpy as np
 import pytest
 
 from modpoisson.metrics import kolmogorov, total_variation
-from modpoisson.models import (Pmf, bernoulli_sum_pmf, ewens_cycle_pmf, fq_factor_pmf,
-                               omega_pmf, omega_values, weighted_perm_cycle_pmf,
-                               weighted_perm_normalization)
+from modpoisson.models import (RATIONAL_FOLD_BUDGET, Pmf, bernoulli_sum_pmf,
+                               ewens_cycle_pmf, fq_factor_pmf, omega_pmf, omega_values,
+                               weighted_perm_cycle_pmf, weighted_perm_normalization)
 from modpoisson.schemes import poisson_pmf, scheme_measures
 from modpoisson.suites import random_bernoulli_instances
-from modpoisson.symfunc import Alphabet, residue_coeffs
+from modpoisson.symfunc import (Alphabet, power_sums_infinite, residue_coeffs,
+                                residue_product_eval)
 from oracles import (reference_bernoulli_rational_pmf, reference_fq_factor_pmf,
                      reference_kolmogorov, reference_omega_pmf,
-                     reference_omega_values, reference_total_variation,
+                     reference_omega_values, reference_power_sums_infinite,
+                     reference_residue_product_eval, reference_total_variation,
                      reference_weighted_perm_cycle_pmf,
                      reference_weighted_perm_normalization)
 
@@ -83,6 +86,14 @@ def test_rational_fold_rejects_weight_outside_unit_interval():
         bernoulli_sum_pmf([0.5, 1.5], rational=True)
 
 
+def test_rational_fold_refuses_inputs_over_its_bit_budget():
+    weights = [Fraction(1, 2 ** 60)] * 499  # 500 x 499 x 61 bits
+    assert RATIONAL_FOLD_BUDGET < 500 * 499 * 61
+    with pytest.raises(ValueError, match=f"budget {RATIONAL_FOLD_BUDGET}"):
+        bernoulli_sum_pmf(weights, rational=True)
+    assert bernoulli_sum_pmf(weights[:100], rational=True).total == 1
+
+
 @pytest.mark.parametrize("theta", [1, Fraction(37, 32), 1.2345])
 def test_rational_ewens_matches_fraction_fold(theta):
     th = Fraction(theta)
@@ -126,3 +137,39 @@ def test_distances_match_the_list_versions():
         for x, y in ((a, b), (b, a)):
             assert total_variation(x, y) == reference_total_variation(x, y)
             assert kolmogorov(x, y) == reference_kolmogorov(x, y)
+
+
+INFINITE_ALPHABETS = {
+    **{f"ewens_{th}": Alphabet.ewens_limit(th) for th in (0.37, 1.0, 2.5)},
+    "omega": Alphabet.omega_limit(),
+    **{f"fq_{q}": Alphabet.fq_limit(q) for q in (2, 3, 4)},
+}
+FINITE_ALPHABETS = {
+    "degenerate": Alphabet.finite([0.5, 0.25, 1, 0]),
+    "empty": Alphabet.finite([]),
+    "floats_40": Alphabet.finite(_float_weights(40)),
+}
+# |z| <= 20 on six rays, z = 0 included
+Z_GRID = [radius * cmath.exp(1j * angle) for radius in (0.0, 0.3, 1.0, 2.5, 7.0, 20.0)
+          for angle in (0.0, 0.9, 1.7, 2.6, math.pi, 4.4)]
+
+
+@pytest.mark.parametrize("alphabet", INFINITE_ALPHABETS.values(), ids=INFINITE_ALPHABETS)
+def test_infinite_power_sums_match_per_kind_formulas(alphabet):
+    got = power_sums_infinite(alphabet, 40).values
+    assert got == reference_power_sums_infinite(alphabet, 40)
+
+
+@pytest.mark.parametrize("alphabet", [*INFINITE_ALPHABETS.values(), *FINITE_ALPHABETS.values()],
+                         ids=[*INFINITE_ALPHABETS, *FINITE_ALPHABETS])
+def test_residue_product_matches_per_kind_split(alphabet):
+    def outcome(evaluate, z):
+        # fq at |z| >= 7 overflows in both: the tail's full-minus-head power
+        # sums cancel to ~1e-18 noise, which the z^k terms of the series blow up
+        try:
+            return evaluate(alphabet, z)
+        except OverflowError as exc:
+            return repr(exc)
+
+    for z in Z_GRID:
+        assert outcome(residue_product_eval, z) == outcome(reference_residue_product_eval, z)

@@ -360,6 +360,9 @@ def test_fq_residue_error_halves_with_n():
 def test_modelspec_validation():
     with pytest.raises(ValueError):
         ModelSpec.ewens(0.0, 5)
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite theta"):
+            ModelSpec.ewens(theta, 5)
     with pytest.raises(ValueError):
         ModelSpec.fq_poly(6, 2)
     with pytest.raises(ValueError):

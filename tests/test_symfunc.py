@@ -219,6 +219,12 @@ def test_harmonic_is_the_ewens_alphabet_at_theta_one():
         Alphabet("harmonic")
 
 
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])
+def test_ewens_alphabet_needs_finite_positive_theta(theta):
+    with pytest.raises(ValueError, match="finite theta > 0"):
+        Alphabet.ewens_limit(theta)
+
+
 # --- residue evaluation ---------------------------------------------------------
 
 def test_series_eval_constant_term():
