@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import io, metrics, schemes, suites, symfunc
@@ -206,14 +207,8 @@ def _cmd_scheme(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec = _model_from_args(args)
-    r_list = _parse_r_range(args.r)
     names = tuple(tok.strip() for tok in args.bound.split(",") if tok.strip())
-    # per-r rows print before the single rows, whatever the order of --bound
-    per_r = tuple(n for n in names if n not in metrics.ORDER_ZERO_BOUNDS)
-    singles = tuple(n for n in names if n in metrics.ORDER_ZERO_BOUNDS)
-    if not per_r:
-        r_list = []  # no row uses --r, so an invalid order is not an error
-    reports = metrics.verify_bounds(spec, r_list, which=per_r + singles,
+    reports = metrics.verify_bounds(spec, _parse_r_range(args.r), which=names,
                                     tolerance=args.tolerance, eps_n=args.eps_n,
                                     rho=args.rho, tail_rn=args.tail_rn)
     if args.format == "csv":
@@ -234,8 +229,26 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
+#: a flag value argparse would take for an option: -inf, -nan, -1e-6, -0.1,0.2
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_negative_values(argv):
+    """`--flag -value` as `--flag=-value`: argparse reads a token starting
+    with '-' as an option unless it is a plain number such as -1 or -.5."""
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_VALUE.match(tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_negative_values(argv))
     handlers = {"pmf": _cmd_pmf, "scheme": _cmd_scheme,
                 "compare": _cmd_compare, "verify": _cmd_verify}
     try:

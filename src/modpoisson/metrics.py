@@ -173,7 +173,7 @@ class BoundReport:
         if bound is not None:
             holds = tv <= bound + HOLDS_SLACK
             slack = bound / tv if tv > 0.0 else math.inf
-        return cls(model=spec.describe(), family=spec.family, n=spec.size(), r=r,
+        return cls(model=spec.label, family=spec.family, n=spec.n, r=r,
                    lam=lam, sigma2=sigma2, tv=tv, bound=bound, name=name,
                    holds=holds, slack=slack)
 
@@ -195,9 +195,12 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
 
     Every family uses the derived scheme of its limiting alphabet, which
     for Bernoulli sums is the finite alphabet of their weights.  chen-stein
-    and lecam always refer to the order-0 scheme and emit a single row
-    each.  Rows with failing preconditions are emitted with holds = None
-    instead of raising.
+    and lecam always refer to the order-0 scheme, emit a single row each
+    and apply only to a spec with Bernoulli weights; the corollary takes
+    tail_rn, else the spec's default tail, else has no bound.  Rows with
+    failing preconditions are emitted with holds = None instead of raising.
+    The per-r rows come first, then the order-0 ones, each group in the
+    order of `which`; r_list is read only when some per-r name is asked for.
 
     The model pmf, its rate, its alphabet, its power sums, the residue
     coefficients and the Poisson base are computed once per call and each
@@ -208,21 +211,21 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     unknown = [name for name in which if name not in KNOWN_BOUNDS]
     if unknown:
         raise ValueError(f"unknown bound names: {unknown}")
-    r_list = list(r_list)
+    which = sorted(which, key=lambda name: name in ORDER_ZERO_BOUNDS)
+    singles = [name in ORDER_ZERO_BOUNDS for name in which]
+    r_list = [] if all(singles) else list(r_list)
     if any(r < 0 for r in r_list):
         raise ValueError("scheme orders must be >= 0")
-    orders = {0} if any(name in ORDER_ZERO_BOUNDS for name in which) else set()
-    if any(name not in ORDER_ZERO_BOUNDS for name in which):
-        orders.update(r_list)
+    orders = set(r_list) | ({0} if any(singles) else set())
     if not orders:
         return []
-    if spec.family == "weighted_perm":
-        raise ValueError("weighted_perm sweeps are not supported: no certified "
+    if spec.alphabet is None:
+        raise ValueError(f"{spec.family} sweeps are not supported: no certified "
                          "limiting alphabet")
 
     pmf = spec.pmf()
     lam = model_lambda(spec, tolerance)
-    alphabet = spec.limiting_alphabet(tolerance)
+    alphabet = spec.alphabet(tolerance)
     orders = sorted(orders)
     ps = symfunc.power_sums(alphabet, max(2, orders[-1]))
     sigma2 = ps.sigma2
@@ -230,21 +233,21 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     tvs = {r: total_variation(pmf, nu)
            for r, nu in zip(orders, schemes.scheme_measures(rc, orders))}
 
+    tail = spec.tail if tail_rn is None else lambda: tail_rn
     # name -> its bound at order r; a missing or None entry has no bound here
     bounds = {
         "theorem-a": lambda r: theorem_a_bound(lam, math.sqrt(math.e * sigma2), r),
         "theorem-b": lambda r: theorem_b_bound(lam, sigma2, r),
-        "corollary": lambda r: corollary_bound(
-            lam, sigma2, r, _default_tail(spec) if tail_rn is None else tail_rn),
+        "corollary": (None if tail is None
+                      else lambda r: corollary_bound(lam, sigma2, r, tail())),
         "theorem-c": (None if eps_n is None
                       else lambda r: theorem_c_bound(lam, sigma2, r, eps_n, rho)),
     }
-    if spec.family == "bernoulli_sum":
+    if spec.weights:
         bounds["chen-stein"] = lambda r: chen_stein_bound(spec.weights)
         bounds["lecam"] = lambda r: lecam_bound(spec.weights)
     reports = []
-    for name in which:
-        single = name in ORDER_ZERO_BOUNDS
+    for name, single in zip(which, singles):
         for r in (0,) if single else r_list:
             bound = None
             # the order-r theorems need r >= 1
@@ -255,11 +258,3 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
                     pass
             reports.append(BoundReport.build(spec, r, lam, sigma2, tvs[r], bound, name))
     return reports
-
-
-def _default_tail(spec):
-    """Tail r_n = sum_{i>n} a_i^2 of the limiting alphabet, when it applies."""
-    if spec.family != "ewens":
-        raise InapplicableBoundError("no default tail r_n for this family")
-    th = spec.theta
-    return th * th * symfunc.zeta(2, th + spec.n)

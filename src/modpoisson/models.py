@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._arith import irreducible_count, mobius, prime_power_base
-from .symfunc import Alphabet, ToleranceError
+from .symfunc import Alphabet, ToleranceError, zeta
 
 __all__ = [
     "EULER_GAMMA",
@@ -460,9 +460,12 @@ class ModelSpec:
     Each constructor below is the one definition of its family: it checks
     the parameters and binds the exact law (rational -> measure), the
     mod-Poisson rate (tolerance -> lam) and the limiting alphabet
-    (tolerance -> Alphabet).  The label is comma-free, so it stays a single
-    CSV field.  Specs compare by identity: the bound law carries parameters,
-    such as the cycle weights, that no field holds.
+    (tolerance -> Alphabet, or None where no alphabet is certified).  A
+    Bernoulli sum also carries its float weights, for the classical bounds,
+    and Ewens the corollary's default tail r_n (no argument -> float).  The
+    label is comma-free, so it stays a single CSV field.  Specs compare by
+    identity: the bound law carries parameters, such as the cycle weights,
+    that no field holds.
     """
 
     family: str
@@ -470,13 +473,13 @@ class ModelSpec:
     n: int
     law: Callable = field(repr=False)
     rate: Callable = field(repr=False)
-    alphabet: Callable = field(repr=False)
+    alphabet: Callable | None = field(repr=False)
     weights: tuple = ()
-    theta: float = 0.0
+    tail: Callable | None = field(default=None, repr=False)
 
     @classmethod
     def bernoulli(cls, weights):
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(map(float, weights))
         if not all(0.0 <= w <= 1.0 for w in weights):
             raise ValueError("weights must lie in [0, 1]")
 
@@ -486,7 +489,7 @@ class ModelSpec:
             return math.fsum(weights)
         return cls("bernoulli_sum", f"bernoulli_sum(n={len(weights)})", len(weights),
                    lambda rational: bernoulli_sum_pmf(weights, rational=rational),
-                   rate, lambda tolerance: Alphabet.finite(weights, tolerance),
+                   rate, lambda tolerance: Alphabet("finite", weights, tolerance=tolerance),
                    weights=weights)
 
     @classmethod
@@ -499,7 +502,7 @@ class ModelSpec:
                    lambda rational: ewens_cycle_pmf(theta, n, rational=rational),
                    lambda tolerance: theta * math.log(n) + gamma_theta(theta, tolerance),
                    lambda tolerance: Alphabet.ewens_limit(theta, tolerance),
-                   theta=theta)
+                   tail=lambda: theta * theta * zeta(2, theta + n))
 
     @classmethod
     def weighted_perm(cls, theta_seq, n, log_singularity=()):
@@ -515,13 +518,9 @@ class ModelSpec:
                                  "the weight generating series")
             th, big_k = pair
             return th * math.log(n) + big_k + gamma_theta(th, tolerance)
-
-        def alphabet(tolerance):
-            raise ValueError("weighted_perm has no certified limiting alphabet; "
-                             "supply one explicitly")
         return cls("weighted_perm", f"weighted_perm(n={n})", n,
                    lambda rational: weighted_perm_cycle_pmf(theta_seq, n, rational=rational),
-                   rate, alphabet)
+                   rate, None)
 
     @classmethod
     def fq_poly(cls, q, n):
@@ -550,18 +549,8 @@ class ModelSpec:
             return math.log(math.log(big_n)) + EULER_GAMMA
         return cls("omega", f"omega(N={big_n})", big_n, law, rate, Alphabet.omega_limit)
 
-    def size(self) -> int:
-        return self.n
-
-    def describe(self) -> str:
-        return self.label
-
     def pmf(self, rational: bool = False):
         return self.law(rational)
-
-    def limiting_alphabet(self, tolerance: float = 1e-12):
-        """The limiting weight alphabet of the family, when one is certified."""
-        return self.alphabet(tolerance)
 
 
 def model_lambda(spec: ModelSpec, tolerance: float = 1e-12) -> float:

@@ -81,17 +81,12 @@ def _suite_theorem_b(rec, seed, instances):
 def _suite_chen_stein(rec, seed, instances):
     rng = np.random.default_rng(seed)
     for wts in random_bernoulli_instances(rng, instances):
-        lam = math.fsum(wts.tolist())
-        pmf = bernoulli_sum_pmf(wts.tolist())
-        tv0 = metrics.total_variation(pmf, schemes.poisson_pmf(lam))
-        chen = metrics.chen_stein_bound(wts.tolist())
-        lecam = metrics.lecam_bound(wts.tolist())
-        rec.expect(tv0 <= chen + metrics.HOLDS_SLACK,
-                   f"chen-stein violated: tv={tv0:.3e} > {chen:.3e}")
-        rec.expect(tv0 <= lecam + metrics.HOLDS_SLACK,
-                   f"lecam violated: tv={tv0:.3e} > {lecam:.3e}")
-        rec.expect(chen <= lecam + metrics.HOLDS_SLACK,
-                   f"chen-stein {chen:.3e} above lecam {lecam:.3e}")
+        chen, lecam = metrics.verify_bounds(ModelSpec.bernoulli(wts), [],
+                                            which=("chen-stein", "lecam"))
+        for rep in (chen, lecam):
+            rec.expect(rep.holds, f"{rep.name} violated: tv={rep.tv:.3e} > {rep.bound:.3e}")
+        rec.expect(chen.bound <= lecam.bound + metrics.HOLDS_SLACK,
+                   f"chen-stein {chen.bound:.3e} above lecam {lecam.bound:.3e}")
     return {}
 
 

@@ -91,7 +91,7 @@ class Alphabet:
 
     @classmethod
     def finite(cls, weights, tolerance=1e-12):
-        return cls("finite", weights=tuple(float(w) for w in weights), tolerance=tolerance)
+        return cls("finite", weights=tuple(map(float, weights)), tolerance=tolerance)
 
     @classmethod
     def ewens_limit(cls, theta, tolerance=1e-12):
@@ -158,7 +158,7 @@ class ResidueCoeffs:
 
 def power_sums_finite(weights, kmax: int) -> PowerSums:
     """p_k = sum_i weights_i^k for k = 1..kmax, compensated summation."""
-    weights = tuple(float(w) for w in weights)
+    weights = tuple(map(float, weights))
     if not weights:
         raise ValueError("empty weight list")
     if kmax < 2:

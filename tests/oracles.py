@@ -238,6 +238,24 @@ def reference_kolmogorov(a, b):
     return worst
 
 
+# --- reference chen-stein suite ----------------------------------------------------
+# The chen-stein suite's own TV-versus-bound path, before it went through
+# metrics.verify_bounds; the rows of verify_bounds must reproduce it bit for bit.
+
+def reference_chen_stein(wts):
+    """(tv, chen-stein bound, lecam bound) of one weight vector, and whether
+    each bound holds within HOLDS_SLACK."""
+    from modpoisson import metrics, schemes
+    from modpoisson.models import bernoulli_sum_pmf
+    lam = math.fsum(wts.tolist())
+    pmf = bernoulli_sum_pmf(wts.tolist())
+    tv0 = metrics.total_variation(pmf, schemes.poisson_pmf(lam))
+    chen = metrics.chen_stein_bound(wts.tolist())
+    lecam = metrics.lecam_bound(wts.tolist())
+    return (tv0, chen, lecam, tv0 <= chen + metrics.HOLDS_SLACK,
+            tv0 <= lecam + metrics.HOLDS_SLACK)
+
+
 # --- reference zeta ---------------------------------------------------------------
 # symfunc.zeta before its cutoff grew with a; for a <= 5, and for s = 2 up to
 # a = 2e4, the current one must reproduce it bit for bit.

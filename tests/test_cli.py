@@ -259,6 +259,9 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
     (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
       "--bound", "theorem-c", "--eps-n=-1e-6"], "eps_n"),
     (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
+      "--bound", "theorem-c", "--eps-n", "-1e-6"], "eps_n"),
+    (["pmf", "--model", "ewens", "--theta", "-inf", "--n", "3"], "theta"),
+    (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
       "--bound", "theorem-c", "--eps-n", "1e-6", "--rho", "nan"], "rho"),
     (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
       "--bound", "theorem-c", "--eps-n", "1e-6", "--rho", "inf"], "rho"),
@@ -268,7 +271,8 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
       "--bound", "corollary", "--tail-rn=-1e-8"], "tail_rn"),
 ], ids=["ewens_theta_nan", "ewens_theta_inf", "theta_seq_inf", "theta_seq_nan_rational",
         "h_n_overflow", "rational_fold_over_budget", "eps_n_nan", "eps_n_negative",
-        "rho_nan", "rho_inf", "tail_rn_nan", "tail_rn_negative"])
+        "eps_n_negative_separate", "theta_minus_inf_separate", "rho_nan", "rho_inf",
+        "tail_rn_nan", "tail_rn_negative"])
 def test_out_of_domain_parameters_are_one_error_line(args, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -278,6 +282,18 @@ def test_out_of_domain_parameters_are_one_error_line(args, message, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("separate, joined", [
+    (["--b", "-0.1,0.2"], ["--b=-0.1,0.2"]),
+    (["--b2", "-1e-3"], ["--b2=-1e-3"]),
+    (["--b2", "-.125", "--output", "-"], ["--b2=-.125", "--output=-"]),
+], ids=["b_list", "b2_exponent", "b2_leading_dot_stdout"])
+def test_negative_values_parse_with_or_without_equals(separate, joined, capsys):
+    outputs = [run_cli(["scheme", "--lambda", "2"] + args, capsys)
+               for args in (separate, joined)]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].startswith("k,mass\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -81,6 +81,17 @@ CASES = {
         "--model", "bernoulli", "--weights", WEIGHTS,
         "--bound", "chen-stein,lecam,corollary", "--tail-rn", "1e-8",
         "--r", "0:2", "--format", "json"],
+    # only an order-0 bound is asked for, and the sweep is still refused
+    "weighted_perm_order_zero_only": [
+        "--model", "weighted-perm", "--theta-seq", "1,1,1", "--n", "3",
+        "--bound", "lecam", "--r", "1"],
+    # no default tail r_n and no Bernoulli weights: empty bound columns
+    "omega_corollary_lecam_no_bounds": [
+        "--model", "omega", "--N", "500", "--bound", "corollary,lecam", "--r", "1:2"],
+    # an order-0 name first; the corollary uses the Ewens default tail
+    "ewens_order_zero_first_default_tail": [
+        "--model", "ewens", "--theta", "2", "--n", "300",
+        "--bound", "lecam,corollary,theorem-b", "--r", "0:3"],
 }
 
 # 60 fixed cycle weights in [0.5, 2] and 30 fixed non-dyadic Bernoulli weights

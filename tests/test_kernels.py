@@ -14,16 +14,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modpoisson.metrics import kolmogorov, total_variation
-from modpoisson.models import (RATIONAL_FOLD_BUDGET, Pmf, bernoulli_sum_pmf,
-                               ewens_cycle_pmf, fq_factor_pmf, omega_pmf, omega_values,
-                               weighted_perm_cycle_pmf, weighted_perm_normalization)
+from modpoisson.metrics import kolmogorov, total_variation, verify_bounds
+from modpoisson.models import (RATIONAL_FOLD_BUDGET, ModelSpec, Pmf, bernoulli_sum_pmf,
+                               ewens_cycle_pmf, fq_factor_pmf, omega_pmf,
+                               omega_values, weighted_perm_cycle_pmf,
+                               weighted_perm_normalization)
 from modpoisson.schemes import poisson_pmf, scheme_measures
 from modpoisson.suites import random_bernoulli_instances
 from modpoisson.symfunc import (Alphabet, power_sums_infinite, residue_coeffs,
                                 residue_product_eval)
-from oracles import (reference_bernoulli_rational_pmf, reference_fq_factor_pmf,
-                     reference_kolmogorov, reference_omega_pmf,
+from oracles import (reference_bernoulli_rational_pmf, reference_chen_stein,
+                     reference_fq_factor_pmf, reference_kolmogorov, reference_omega_pmf,
                      reference_omega_values, reference_power_sums_infinite,
                      reference_residue_product_eval, reference_total_variation,
                      reference_weighted_perm_cycle_pmf,
@@ -137,6 +138,16 @@ def test_distances_match_the_list_versions():
         for x, y in ((a, b), (b, a)):
             assert total_variation(x, y) == reference_total_variation(x, y)
             assert kolmogorov(x, y) == reference_kolmogorov(x, y)
+
+
+def test_chen_stein_rows_match_the_suites_own_path():
+    rng = np.random.default_rng(2024)
+    for wts in random_bernoulli_instances(rng, 50):
+        chen, lecam = verify_bounds(ModelSpec.bernoulli(wts), [],
+                                    which=("chen-stein", "lecam"))
+        assert chen.tv == lecam.tv
+        assert (chen.tv, chen.bound, lecam.bound, chen.holds, lecam.holds) == \
+            reference_chen_stein(wts)
 
 
 INFINITE_ALPHABETS = {

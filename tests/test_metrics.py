@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -268,6 +269,22 @@ def test_verify_bounds_rejects_negative_order():
 def test_verify_bounds_weighted_perm_is_rejected():
     with pytest.raises(ValueError):
         verify_bounds(ModelSpec.weighted_perm([1.0, 1.0], 2), [1])
+
+
+def test_verify_bounds_puts_per_r_rows_first():
+    spec = ModelSpec.bernoulli([0.02] * 50)
+    for which in itertools.permutations(("lecam", "theorem-b", "chen-stein", "corollary")):
+        rows = verify_bounds(spec, [1, 2], which=which, tail_rn=1e-9)
+        per_r = [name for name in which if name in ("theorem-b", "corollary")]
+        singles = [name for name in which if name in ("chen-stein", "lecam")]
+        assert [(row.name, row.r) for row in rows] == (
+            [(name, r) for name in per_r for r in (1, 2)]
+            + [(name, 0) for name in singles])
+
+
+def test_verify_bounds_reads_no_order_for_order_zero_names():
+    rows = verify_bounds(ModelSpec.bernoulli([0.1, 0.2, 0.05]), [-1], which=("lecam",))
+    assert [(row.name, row.r) for row in rows] == [("lecam", 0)]
 
 
 def test_verify_bounds_rejects_unknown_name():

@@ -18,6 +18,7 @@ from modpoisson.models import (EULER_GAMMA, ModelSpec, Pmf, RationalPmf,
                                weighted_perm_normalization)
 from modpoisson.schemes import SignedMeasure, poisson_pmf
 from modpoisson.suites import fq_factor_histogram_by_enumeration
+from modpoisson.symfunc import zeta
 
 from oracles import permutation_cycle_counts, weighted_cycle_histogram
 
@@ -369,6 +370,16 @@ def test_modelspec_validation():
         ModelSpec.omega(0)
     with pytest.raises(ValueError):
         ModelSpec.bernoulli([1.5])
+
+
+def test_modelspec_binds_what_each_family_offers():
+    for theta, n in ((2.0, 300), (0.37, 41), (1.5, 200)):
+        assert ModelSpec.ewens(theta, n).tail() == theta * theta * zeta(2, theta + n)
+    assert ModelSpec.weighted_perm([1.0, 1.0, 1.0], 3).alphabet is None
+    assert ModelSpec.bernoulli([0.25, 0.5]).weights == (0.25, 0.5)
+    for spec in (ModelSpec.ewens(1.0, 5), ModelSpec.fq_poly(2, 4), ModelSpec.omega(10)):
+        assert spec.weights == () and spec.alphabet is not None
+    assert ModelSpec.fq_poly(2, 4).tail is None
 
 
 # --- the measure contract --------------------------------------------------------
