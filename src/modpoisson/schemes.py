@@ -49,7 +49,8 @@ def poisson_pmf(lam: float) -> Pmf:
 
     Past k > lam the masses decay geometrically with ratio lam/(k+1), so
     sum_{j>k} m_j <= m_k * ratio / (1 - ratio) bounds the missing tail.
-    The walk visits every k from 0, so lam = inf or lam >= 1e6 fails at once.
+    The walk visits every k from 0, so lam = inf or lam >= 1e6 fails at once;
+    the leading masses that underflow (at or below 1e-320) are trimmed.
     """
     lam = float(lam)
     if not lam > 0.0:
@@ -70,7 +71,7 @@ def poisson_pmf(lam: float) -> Pmf:
         k += 1
         if k > 10 ** 6:
             raise runaway
-    return Pmf(0, tuple(masses))
+    return Pmf.from_masses(0, masses)
 
 
 def scheme_measures(rc: ResidueCoeffs, orders) -> list:

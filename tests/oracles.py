@@ -98,6 +98,72 @@ def reference_bernoulli_rational_pmf(weights):
     return Pmf.from_masses(0, masses)
 
 
+# --- reference float kernels --------------------------------------------------
+# The sequential float Bernoulli fold and the Poisson walk from k = 0, kept
+# verbatim as the references for the product tree and the trimmed base.
+
+def reference_bernoulli_fold_float(weights):
+    """Windowed exact float convolution of independent Bernoulli factors.
+
+    The active window keeps every mass above the subnormal floor; edge
+    entries below 1e-320 are pure underflow and are trimmed as the window
+    slides, which is what makes 10^6-fold convolutions linear-time.
+    """
+    import numpy as np
+    from modpoisson.models import _UNDERFLOW, Pmf
+    buf = np.zeros(512)
+    buf[0] = 1.0
+    offset, hi = 0, 1
+    for i, p in enumerate(weights):
+        p = float(p)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"Bernoulli weight {p} outside [0, 1]")
+        if hi + 1 > len(buf):
+            buf = np.concatenate([buf, np.zeros(len(buf))])
+        carried = p * buf[:hi]
+        buf[:hi] *= 1.0 - p
+        buf[1:hi + 1] += carried
+        hi += 1
+        if (i & 255) == 255:
+            window = np.nonzero(buf[:hi] > _UNDERFLOW)[0]
+            lo, h = int(window[0]), int(window[-1]) + 1
+            if lo > 0:
+                buf[: h - lo] = buf[lo:h]
+                buf[h - lo: hi] = 0.0
+                offset += lo
+                hi = h - lo
+            else:
+                hi = h
+    return Pmf.from_masses(offset, buf[:hi].tolist())
+
+
+def reference_poisson_pmf(lam):
+    """Po(lam) on a support wide enough that the discarded tail is < 1e-15,
+    every leading underflow zero kept."""
+    from modpoisson.models import Pmf
+    from modpoisson.schemes import _POINTWISE_CUTOFF, _TAIL_CUTOFF
+    lam = float(lam)
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
+    runaway = ValueError(f"lam = {lam:g}: the Poisson support exceeds "
+                         "the 1e6-point limit")
+    if not lam < 1e6:
+        raise runaway
+    log_lam = math.log(lam)
+    masses = []
+    k = 0
+    while True:
+        masses.append(math.exp(k * log_lam - lam - math.lgamma(k + 1)))
+        if k > lam and masses[-1] < _POINTWISE_CUTOFF:
+            ratio = lam / (k + 1.0)
+            if masses[-1] * ratio / (1.0 - ratio) < _TAIL_CUTOFF:
+                break
+        k += 1
+        if k > 10 ** 6:
+            raise runaway
+    return Pmf(0, tuple(masses))
+
+
 def reference_homogeneous_polynomials(theta_seq, n):
     """Float h_m(w Theta), m = 0..n, by the loop m h_m = sum_k (w theta_k) h_{m-k}."""
     theta = [float(t) for t in theta_seq]

@@ -213,16 +213,24 @@ def test_compare_omega_n1_names_precondition(capsys):
     assert out.splitlines() == ["k,mass", "0,1"]
 
 
-@pytest.mark.parametrize("model", [
-    ["--model", "bernoulli", "--weights", "0,0"],
-    ["--model", "ewens", "--theta", "50", "--n", "1"],  # lam = gamma_50 < 0
-])
-def test_compare_nonpositive_rate_is_one_error_line(model, capsys):
-    code, out, err = run_cli(["compare"] + model + [
-        "--bound", "theorem-a,chen-stein", "--r", "2"], capsys)
+def test_compare_nonpositive_rate_is_one_error_line(capsys):
+    code, out, err = run_cli(["compare", "--model", "bernoulli", "--weights", "0,0",
+                              "--bound", "theorem-a,chen-stein", "--r", "2"], capsys)
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: lam must be positive"]
+
+
+@pytest.mark.parametrize("theta, n, lam", [("5", "4", "-0.599117"),
+                                           ("50", "1", "-195.099")],  # lam = gamma_50
+                         ids=["theta5_n4", "theta50_n1"])
+def test_compare_nonpositive_ewens_rate_names_it(theta, n, lam, capsys):
+    code, out, err = run_cli(["compare", "--model", "ewens", "--theta", theta, "--n", n,
+                              "--bound", "theorem-a,chen-stein", "--r", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: ewens rate theta log n + gamma_theta = {lam} "
+                                f"is not positive at theta = {theta}, n = {n}"]
 
 
 def test_compare_jsonl_matches_schema(capsys):

@@ -8,7 +8,9 @@ output change is intended:
     PYTHONPATH=src python tests/test_cli_golden.py [CASE ...]
 
 Named cases are rewritten and every other entry is left byte-unchanged;
-with no names, every case of both files is rewritten.
+with no names, every case of both files is rewritten.  Every field that
+changes (a CSV cell or a JSON value) is printed to stderr with its old and
+new value.
 """
 
 import json
@@ -180,18 +182,66 @@ def test_command_matches_golden(case, capsys):
     assert {"exit": code, "stdout": captured.out, "stderr": captured.err} == expected
 
 
+def _flatten(obj, prefix=""):
+    """A JSON object as {dotted key: leaf value}."""
+    flat = {}
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def _fields(line, header):
+    """One output line as {field name: value}: a JSON object by its dotted
+    keys, otherwise CSV cells named by the header's columns."""
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        obj = None
+    if isinstance(obj, dict):
+        return _flatten(obj)
+    cells = line.split(",")
+    return dict(zip(header if len(header) == len(cells) else range(len(cells)), cells))
+
+
+def _print_changes(case, old, new):
+    """Print to stderr every field of a golden that changed, old -> new."""
+    import sys
+
+    for stream, value in new.items():
+        before, after = str(old.get(stream)).splitlines(), str(value).splitlines()
+        header = before[0].split(",") if before else []
+        if len(before) != len(after):
+            print(f"{case} {stream}: {before} -> {after}", file=sys.stderr)
+            continue
+        for number, (a, b) in enumerate(zip(before, after), 1):
+            fa, fb = _fields(a, header), _fields(b, header)
+            if fa.keys() != fb.keys():
+                print(f"{case} {stream} line {number}: {a} -> {b}", file=sys.stderr)
+                continue
+            for name in fa:
+                if fa[name] != fb[name]:
+                    print(f"{case} {stream} line {number} {name}: {fa[name]} -> "
+                          f"{fb[name]}", file=sys.stderr)
+
+
 def _regenerate(path, cases, prefix, names=None):
-    """Rewrite the goldens of `names` (all of `cases` when None) in `path`."""
+    """Rewrite the goldens of `names` (all of `cases` when None) in `path`,
+    printing each changed field's old and new value to stderr."""
     import contextlib
     import io
 
-    goldens = json.loads(path.read_text(encoding="utf-8")) if names else {}
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    goldens = dict(old) if names else {}
     for case in sorted(cases if names is None else set(names) & set(cases)):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(prefix + cases[case])
         goldens[case] = {"exit": code, "stdout": out.getvalue(),
                          "stderr": err.getvalue()}
+        _print_changes(case, old.get(case, {}), goldens[case])
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")

@@ -3,16 +3,22 @@
 The integer F_q recursion, the integer-numerator rational fold, the numpy
 h_n recursion, the grouped omega sieve, the numpy TV and Kolmogorov
 distances and the one head/tail split of the alphabets must give exactly
-(==, not approx) what the reference kernels in oracles.py give.
+(==, not approx) what the reference kernels in oracles.py give.  The float
+Bernoulli product tree sums in another order than the sequential fold it
+replaced, so it is held to exact laws instead: it must be at least as
+accurate as that fold, and within 3e-15 relative per mass.
 """
 
 import cmath
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modpoisson.metrics import kolmogorov, total_variation, verify_bounds
 from modpoisson.models import (RATIONAL_FOLD_BUDGET, ModelSpec, Pmf, bernoulli_sum_pmf,
@@ -23,12 +29,14 @@ from modpoisson.schemes import poisson_pmf, scheme_measures
 from modpoisson.suites import random_bernoulli_instances
 from modpoisson.symfunc import (Alphabet, power_sums_infinite, residue_coeffs,
                                 residue_product_eval)
-from oracles import (reference_bernoulli_rational_pmf, reference_chen_stein,
-                     reference_fq_factor_pmf, reference_kolmogorov, reference_omega_pmf,
-                     reference_omega_values, reference_power_sums_infinite,
-                     reference_residue_product_eval, reference_total_variation,
+from oracles import (reference_bernoulli_fold_float, reference_bernoulli_rational_pmf,
+                     reference_chen_stein, reference_fq_factor_pmf, reference_kolmogorov,
+                     reference_omega_pmf, reference_omega_values,
+                     reference_power_sums_infinite, reference_residue_product_eval,
+                     reference_total_variation,
                      reference_weighted_perm_cycle_pmf,
                      reference_weighted_perm_normalization)
+from test_cli_golden import WEIGHTS
 
 
 def assert_same(got, want):
@@ -102,6 +110,107 @@ def test_rational_ewens_matches_fraction_fold(theta):
     got = ewens_cycle_pmf(theta, 60, rational=True)
     assert got.offset == inner.offset + 1
     assert got.masses == inner.masses
+
+
+# --- float Bernoulli fold against exact laws ------------------------------------
+
+#: fixed-point scale of the dyadic integer fold: each step floors, so every
+#: mass is off by at most n 2^-1100, far below 1e-280 x 1e-17
+_FIXED_BITS = 1100
+
+
+def _dyadic(n):
+    """n seeded weights k/1024 <= 0.05, folded on integers over 2^_FIXED_BITS."""
+    numerators = np.random.default_rng(n).integers(1, 52, size=n).tolist()
+    masses = [1 << _FIXED_BITS]
+    for a in numerators:
+        masses = [(c * (1024 - a) + b * a) >> 10
+                  for c, b in zip(masses + [0], [0] + masses)]
+        while not masses[-1]:
+            masses.pop()
+    return [a / 1024 for a in numerators], Fraction(1, 1 << _FIXED_BITS), 0, masses
+
+
+def _golden_weights():
+    weights = [float(w) for w in WEIGHTS.split(",")]
+    exact = bernoulli_sum_pmf(weights, rational=True)
+    return weights, 1, exact.offset, exact.masses
+
+
+def _ewens(theta, n):
+    exact = ewens_cycle_pmf(theta, n, rational=True)  # 1 + the fold of theta/(theta + i)
+    return [theta / (theta + i) for i in range(1, n)], 1, exact.offset - 1, exact.masses
+
+
+def _stirling(n):
+    """The Ewens theta = 1 law |s(n, k)| / n!, from the rising factorial
+    x (x + 1) ... (x + n - 1); the fold's mass at k is that law's at k + 1."""
+    counts = [1]
+    for i in range(n):
+        counts = [c * i + b for c, b in zip(counts + [0], [0] + counts)]
+    return ([1.0 / (1.0 + i) for i in range(1, n)], Fraction(1, math.factorial(n)), 0,
+            counts[1:])
+
+
+def _worst_relative_error(pmf, unit, offset, exact):
+    """Worst |pmf(k) - exact(k)| / exact(k) over exact masses above 1e-280,
+    exact(offset + j) being unit * exact[j], in integer arithmetic."""
+    worst = 0.0
+    for k, c in enumerate(exact, offset):
+        num, den = c.numerator * unit.numerator, c.denominator * unit.denominator
+        if num * 10 ** 280 > den:
+            got_num, got_den = float(pmf.mass(k)).as_integer_ratio()
+            worst = max(worst, abs(got_num * den - num * got_den) / (num * got_den))
+    return worst
+
+
+@pytest.mark.parametrize("make, args", [
+    *[pytest.param(_dyadic, (n,), id=f"dyadic_{n}") for n in (300, 1000, 3000)],
+    pytest.param(_golden_weights, (), id="golden_weights"),
+    *[pytest.param(_ewens, (theta, n), id=f"ewens_{theta}_{n}")
+      for theta, n in [(1.5, 200), (1, 120), (0.5, 100), (1, 200), (2, 300)]],
+    *[pytest.param(_stirling, (n,), id=f"stirling_{n}") for n in (200, 800, 1600)],
+])
+def test_float_fold_is_at_least_as_accurate_as_the_sequential_fold(make, args):
+    weights, *law = make(*args)
+    tree = _worst_relative_error(bernoulli_sum_pmf(weights), *law)
+    sequential = _worst_relative_error(reference_bernoulli_fold_float(weights), *law)
+    assert tree <= sequential
+    assert tree <= 3e-15
+
+
+_WEIGHT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_WEIGHT, max_size=300))
+@example([])
+@example([0.3])
+def test_float_fold_matches_the_sequential_fold(weights):
+    tree, sequential = bernoulli_sum_pmf(weights), reference_bernoulli_fold_float(weights)
+    for k in range(min(tree.offset, sequential.offset),
+                   max(tree.support().stop, sequential.support().stop)):
+        a, b = tree.mass(k), sequential.mass(k)
+        if max(a, b) > 1e-280:
+            assert abs(a - b) <= 1e-13 * max(a, b), (k, a, b)
+
+
+@pytest.mark.parametrize("weights", [[math.nan], [0.2, 1.5, math.nan], [0.1, -1e-300],
+                                     [0.5, math.inf]])
+def test_float_fold_names_the_first_bad_weight(weights):
+    with pytest.raises(ValueError) as want:
+        reference_bernoulli_fold_float(weights)
+    with pytest.raises(ValueError) as got:
+        bernoulli_sum_pmf(weights)
+    assert str(got.value) == str(want.value)
+
+
+def test_float_fold_of_1e5_weights_takes_under_0_4_s():
+    weights = np.random.default_rng(11).uniform(0.0, 0.05, size=10 ** 5).tolist()
+    start = time.perf_counter()
+    bernoulli_sum_pmf(weights)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.4, f"took {elapsed:.2f}s"
 
 
 def test_omega_pmf_peak_memory_is_about_two_bytes_per_integer():

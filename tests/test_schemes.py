@@ -13,7 +13,7 @@ from modpoisson.schemes import (SignedMeasure, charlier_delta, derived_scheme,
                                 scheme_measures)
 from modpoisson.symfunc import (Alphabet, ResidueCoeffs, residue_coeffs,
                                 residue_series_eval)
-from oracles import reference_rectify_positive
+from oracles import reference_poisson_pmf, reference_rectify_positive
 
 
 def decaying_coeffs(r, sigma2=1.0, sign=-1.0, scale=0.8):
@@ -48,6 +48,15 @@ def test_poisson_truncation_contract():
         assert pmf.masses[-1] < 1e-18
         assert pmf.masses[-1] * ratio / (1.0 - ratio) < 1e-15  # analytic tail
         assert abs(pmf.total - 1.0) < 1e-13  # float-level residual only
+
+
+@pytest.mark.parametrize("lam", [0.5, 50.0, 1e3, 1e4, 1e5])
+def test_poisson_trims_leading_underflow_and_keeps_every_mass(lam):
+    pmf, walk = poisson_pmf(lam), reference_poisson_pmf(lam)
+    assert pmf.masses == walk.masses[pmf.offset:]
+    assert max(walk.masses[:pmf.offset], default=0.0) <= 1e-320
+    assert pmf.masses[0] > 1e-320
+    assert (pmf.offset > 0) == (lam >= 1e3)
 
 
 def test_poisson_rejects_nonpositive_rate():
