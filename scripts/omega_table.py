@@ -12,21 +12,19 @@ import argparse
 import math
 
 from modpoisson.metrics import total_variation
-from modpoisson.models import EULER_GAMMA, omega_pmf
+from modpoisson.models import ModelSpec, model_lambda
 from modpoisson.schemes import derived_scheme, poisson_pmf
-from modpoisson.symfunc import Alphabet
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", default="10000,100000,1000000,10000000")
     args = ap.parse_args()
-    alphabet = Alphabet.omega_limit()
     print(f"{'N':>10}  {'lam':>7}  {'tv Po(ll N+g)':>14}  {'tv Po(ll N)':>12}  "
           f"{'tv order-2':>11}")
     for n in (int(t) for t in args.sizes.split(",")):
-        pmf = omega_pmf(n)
-        lam = math.log(math.log(n)) + EULER_GAMMA
+        spec = ModelSpec.omega(n)
+        pmf, lam, alphabet = spec.pmf(), model_lambda(spec), spec.alphabet(1e-12)
         tv_shift = total_variation(pmf, poisson_pmf(lam))
         tv_plain = total_variation(pmf, poisson_pmf(math.log(math.log(n))))
         tv_scheme = total_variation(pmf, derived_scheme(lam, alphabet, 2))

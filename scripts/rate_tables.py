@@ -11,24 +11,17 @@ evidence the (log n)^{-(r+1)/2} decay.
 """
 
 import argparse
-import cmath
 import math
 
 from modpoisson.metrics import total_variation
-from modpoisson.models import EULER_GAMMA, bernoulli_sum_pmf, empirical_residue, ewens_cycle_pmf
+from modpoisson.models import bernoulli_sum_pmf
 from modpoisson.schemes import scheme_measures
-from modpoisson.symfunc import Alphabet, residue_coeffs, residue_product_eval
+from modpoisson.suites import harmonic_residue_error
+from modpoisson.symfunc import Alphabet, residue_coeffs
 
 
 def residue_table(sizes, grid_points):
-    alphabet = Alphabet.harmonic()
-    grid = [cmath.exp(2j * math.pi * j / grid_points) for j in range(grid_points)]
-    eps = {}
-    for n in sizes:
-        pmf = ewens_cycle_pmf(1.0, n)
-        lam = math.log(n) + EULER_GAMMA
-        eps[n] = max(abs(empirical_residue(pmf, lam, w)
-                         - residue_product_eval(alphabet, w - 1.0)) for w in grid)
+    eps = {n: harmonic_residue_error(n, grid_points) for n in sizes}
     print(f"{'n':>8}  {'eps_n':>12}  {'eps_n * n':>10}  {'eps_2n/eps_n':>12}")
     for n in sizes:
         ratio = f"{eps[2 * n] / eps[n]:12.4f}" if 2 * n in eps else " " * 12

@@ -122,7 +122,17 @@ def _model_from_args(args) -> ModelSpec:
     return ModelSpec.omega(args.big_n)
 
 
+#: the flags that each give a whole Bernoulli law or scheme: at most one per call
+_SOURCES = (("alphabet", "--alphabet"), ("weights", "--weights"),
+            ("weights_file", "--weights-file"), ("b", "--b"), ("b2", "--b2"))
+
+
 def _collect_weights(args):
+    """The weights of --weights or --weights-file, or None; two sources of a
+    law or of scheme coefficients are refused, never silently dropped."""
+    given = [flag for dest, flag in _SOURCES if getattr(args, dest, None) is not None]
+    if len(given) > 1:
+        raise ValueError(f"pass one of {given[0]} and {given[1]}, not both")
     if args.weights:
         return _parse_float_list(args.weights)
     if args.weights_file:
@@ -167,7 +177,7 @@ def _named_alphabet(args) -> Alphabet:
 
 
 def _scheme_coeffs(args) -> ResidueCoeffs:
-    weights = None if args.alphabet else _collect_weights(args)
+    weights = _collect_weights(args)
     if args.alphabet or weights is not None:
         if args.r is None:
             flag = "--alphabet" if args.alphabet else "--weights"

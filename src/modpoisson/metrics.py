@@ -219,9 +219,6 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     orders = set(r_list) | ({0} if any(singles) else set())
     if not orders:
         return []
-    if spec.alphabet is None:
-        raise ValueError(f"{spec.family} sweeps are not supported: no certified "
-                         "limiting alphabet")
 
     pmf = spec.pmf()
     lam = model_lambda(spec, tolerance)

@@ -65,6 +65,8 @@ _UNDERFLOW = 1e-320
 #: largest (len + 1) x total denominator bits the rational Bernoulli fold
 #: accepts: about 1 s on a 2-CPU x86-64 VM, reached by 400 float weights
 RATIONAL_FOLD_BUDGET = 10 ** 7
+#: largest N the omega sieve accepts, at about 2 bytes per integer
+OMEGA_SIEVE_BUDGET = 10 ** 8
 
 
 def _all_fractions(masses) -> bool:
@@ -377,7 +379,7 @@ def omega_values(n_max: int) -> np.ndarray:
     return counts
 
 
-def omega_pmf(n_max: int, memory_max: int = 10 ** 8) -> Pmf:
+def omega_pmf(n_max: int) -> Pmf:
     """Distribution of the number of distinct prime divisors of a uniform
     integer in {1..n_max}, by sieve.
 
@@ -386,8 +388,8 @@ def omega_pmf(n_max: int, memory_max: int = 10 ** 8) -> Pmf:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > memory_max:
-        raise ValueError(f"n_max={n_max} exceeds the sieve memory budget {memory_max}")
+    if n_max > OMEGA_SIEVE_BUDGET:
+        raise ValueError(f"n_max={n_max} exceeds the sieve memory budget {OMEGA_SIEVE_BUDGET}")
     values = omega_values(n_max)[1:]
     counts = np.array([np.count_nonzero(values == k) for k in range(int(values.max()) + 1)])
     return Pmf.from_masses(0, (counts / float(n_max)).tolist())
@@ -396,17 +398,15 @@ def omega_pmf(n_max: int, memory_max: int = 10 ** 8) -> Pmf:
 # --- mod-Poisson parameters ---------------------------------------------------
 
 @lru_cache(maxsize=1024)
-def gamma_theta(theta: float, tolerance: float = 1e-12) -> float:
+def gamma_theta(theta: float) -> float:
     """gamma_theta = sum_{n>=1} theta/(n+theta-1) - theta log(1+1/n).
 
-    Partial sum with the analytic integral tail and two Euler-Maclaurin
-    corrections; gamma_1 is the Euler-Mascheroni constant.
+    Partial sum of 100000 terms with the analytic integral tail and two
+    Euler-Maclaurin corrections; gamma_1 is the Euler-Mascheroni constant.
     """
     theta = float(theta)
     if theta <= 0.0:
         raise ValueError("theta must be positive")
-    if tolerance < 1e-13:
-        raise ToleranceError("gamma_theta floor is 1e-13 in double precision")
     n_terms = 100000
 
     def term(x):
@@ -454,6 +454,19 @@ def empirical_residue(pmf, lam: float, w) -> complex:
 
 # --- model specs -------------------------------------------------------------
 
+def _cycle_rate(family, theta, n, big_k=0.0):
+    """theta log n + K + gamma_theta: the rate of a cycle count whose weights
+    are theta past a prefix, with K = sum_k (theta_k - theta)/k (Ewens: 0)."""
+    def rate(tolerance):
+        lam = theta * math.log(n) + big_k + gamma_theta(theta)
+        if not lam > 0.0:
+            k_term, k_at = (" + K", f", K = {big_k:g}") if big_k else ("", "")
+            raise ValueError(f"{family} rate theta log n{k_term} + gamma_theta = {lam:g} "
+                             f"is not positive at theta = {theta:g}{k_at}, n = {n}")
+        return lam
+    return rate
+
+
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """One model family plus its size parameter, CLI- and report-friendly.
@@ -461,12 +474,11 @@ class ModelSpec:
     Each constructor below is the one definition of its family: it checks
     the parameters and binds the exact law (rational -> measure), the
     mod-Poisson rate (tolerance -> lam) and the limiting alphabet
-    (tolerance -> Alphabet, or None where no alphabet is certified).  A
-    Bernoulli sum also carries its float weights, for the classical bounds,
-    and Ewens the corollary's default tail r_n (no argument -> float).  The
-    label is comma-free, so it stays a single CSV field.  Specs compare by
-    identity: the bound law carries parameters, such as the cycle weights,
-    that no field holds.
+    (tolerance -> Alphabet).  A Bernoulli sum also carries its float
+    weights, for the classical bounds, and Ewens the corollary's default
+    tail r_n (no argument -> float).  The label is comma-free, so it stays a
+    single CSV field.  Specs compare by identity: the bound law carries
+    parameters, such as the cycle weights, that no field holds.
     """
 
     family: str
@@ -474,7 +486,7 @@ class ModelSpec:
     n: int
     law: Callable = field(repr=False)
     rate: Callable = field(repr=False)
-    alphabet: Callable | None = field(repr=False)
+    alphabet: Callable = field(repr=False)
     weights: tuple = ()
     tail: Callable | None = field(default=None, repr=False)
 
@@ -499,35 +511,29 @@ class ModelSpec:
         if not (0.0 < theta < math.inf and n >= 1):
             raise ValueError("ewens needs a finite theta > 0 and n >= 1, "
                              f"got theta = {theta:g}, n = {n}")
-
-        def rate(tolerance):
-            lam = theta * math.log(n) + gamma_theta(theta, tolerance)
-            if not lam > 0.0:
-                raise ValueError(f"ewens rate theta log n + gamma_theta = {lam:g} is not "
-                                 f"positive at theta = {theta:g}, n = {n}")
-            return lam
         return cls("ewens", f"ewens(theta={theta:g};n={n})", n,
                    lambda rational: ewens_cycle_pmf(theta, n, rational=rational),
-                   rate, lambda tolerance: Alphabet.ewens_limit(theta, tolerance),
+                   _cycle_rate("ewens", theta, n),
+                   lambda tolerance: Alphabet.ewens_limit(theta, tolerance),
                    tail=lambda: theta * theta * zeta(2, theta + n))
 
     @classmethod
-    def weighted_perm(cls, theta_seq, n, log_singularity=()):
-        """log_singularity is the (theta, K) of the rate theta log n + K + gamma_theta."""
-        theta_seq, n, pair = tuple(float(t) for t in theta_seq), int(n), tuple(log_singularity)
-        if n < 1 or len(theta_seq) < n:
-            raise ValueError("weighted_perm needs theta_1..theta_n")
-
-        def rate(tolerance):
-            if len(pair) != 2:
-                raise ValueError("weighted_perm needs a user-supplied (theta, K) pair: "
-                                 "the library does not locate the singularity of "
-                                 "the weight generating series")
-            th, big_k = pair
-            return th * math.log(n) + big_k + gamma_theta(th, tolerance)
+    def weighted_perm(cls, theta_seq, n):
+        """Weights past theta_seq repeat its last one, theta: singularity analysis
+        (Flajolet and Odlyzko 1990; Nikeghbali and Zeindler 2013) gives the
+        Ewens(theta) alphabet and the rate of `_cycle_rate`."""
+        theta_seq, n = tuple(float(t) for t in theta_seq), int(n)
+        if n < 1 or not theta_seq:
+            raise ValueError("weighted_perm needs n >= 1 and at least theta_1")
+        if not all(0.0 < t < math.inf for t in theta_seq):
+            raise ValueError("cycle weights theta_k must be finite and positive")
+        theta = theta_seq[-1]
+        big_k = math.fsum((t - theta) / k for k, t in enumerate(theta_seq, 1))
+        weights = theta_seq + (theta,) * (n - len(theta_seq))
         return cls("weighted_perm", f"weighted_perm(n={n})", n,
-                   lambda rational: weighted_perm_cycle_pmf(theta_seq, n, rational=rational),
-                   rate, None)
+                   lambda rational: weighted_perm_cycle_pmf(weights, n, rational=rational),
+                   _cycle_rate("weighted_perm", theta, n, big_k),
+                   lambda tolerance: Alphabet.ewens_limit(theta, tolerance))
 
     @classmethod
     def fq_poly(cls, q, n):
@@ -561,11 +567,7 @@ class ModelSpec:
 
 
 def model_lambda(spec: ModelSpec, tolerance: float = 1e-12) -> float:
-    """The mod-Poisson rate lam_n of the family.
-
-    bernoulli_sum: sum p_i.           ewens: theta log n + gamma_theta.
-    weighted_perm: theta log n + K + gamma_theta with user-supplied
-    (theta, K).                       fq_poly: log n + R_q + gamma.
-    omega: log log N + gamma.
-    """
+    """The mod-Poisson rate lam_n of the family: sum p_i (bernoulli_sum),
+    theta log n + K + gamma_theta (ewens, where K = 0, and weighted_perm),
+    log n + R_q + gamma (fq_poly) or log log N + gamma (omega)."""
     return spec.rate(tolerance)

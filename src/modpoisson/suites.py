@@ -19,8 +19,9 @@ from . import metrics, schemes, specialfn, symfunc
 from .models import (EULER_GAMMA, ModelSpec, bernoulli_sum_pmf,
                      empirical_residue, ewens_cycle_pmf, fq_factor_pmf)
 
-__all__ = ["SUITE_NAMES", "SuiteResult", "run_suite",
-           "random_bernoulli_instances", "fq_factor_histogram_by_enumeration"]
+__all__ = ["SUITE_NAMES", "SuiteResult", "run_suite", "residue_error",
+           "harmonic_residue_error", "random_bernoulli_instances",
+           "fq_factor_histogram_by_enumeration"]
 
 SUITE_NAMES = ("theorem-b", "chen-stein", "coefficients", "hermite",
                "charlier", "gamma-ratio", "rates", "oracles")
@@ -177,16 +178,23 @@ def _suite_gamma_ratio(rec, seed, instances):
     return {"min_margin": min_margin}
 
 
+def residue_error(pmf, lam, alphabet, points=16):
+    """max |empirical residue - limiting product E(A', w - 1)| over the
+    `points` roots of unity w."""
+    grid = [cmath.exp(2j * math.pi * j / points) for j in range(points)]
+    return max(abs(empirical_residue(pmf, lam, w)
+                   - symfunc.residue_product_eval(alphabet, w - 1.0)) for w in grid)
+
+
+def harmonic_residue_error(n, points=16):
+    """eps_n of the uniform-permutation cycle count: its residue at the rate
+    log n + gamma against the harmonic product form."""
+    return residue_error(ewens_cycle_pmf(1.0, n), math.log(n) + EULER_GAMMA,
+                         symfunc.Alphabet.harmonic(), points)
+
+
 def _suite_rates(rec, seed, instances):
-    grid = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
-    alphabet = symfunc.Alphabet.harmonic(1e-12)
-    eps = {}
-    for n in (200, 400, 800, 1600):
-        pmf = ewens_cycle_pmf(1.0, n)
-        lam = math.log(n) + EULER_GAMMA
-        eps[n] = max(abs(empirical_residue(pmf, lam, w)
-                         - symfunc.residue_product_eval(alphabet, w - 1.0))
-                     for w in grid)
+    eps = {n: harmonic_residue_error(n) for n in (200, 400, 800, 1600)}
     ratios = {n: eps[2 * n] / eps[n] for n in (200, 400, 800)}
     for n, ratio in ratios.items():
         rec.expect(0.3 <= ratio <= 0.7,

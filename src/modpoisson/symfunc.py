@@ -50,6 +50,11 @@ ALPHABET_KINDS = ("finite", "ewens_limit", "omega_limit", "fq_limit")
 #: double-precision floor for the tail-corrected series below
 _MIN_TOLERANCE = 1e-13
 
+#: radius of the omega residue product: against a 40-digit product its
+#: relative error is 1.4e-14 at |z| = 1.25 and 3.7e-12, past the default
+#: tolerance, at |z| = 1.5
+OMEGA_RESIDUE_RADIUS = 1.25
+
 
 class ToleranceError(ValueError):
     """A requested tail tolerance cannot be met with the configured cutoffs."""
@@ -189,7 +194,7 @@ def power_sums_infinite(alphabet: Alphabet, kmax: int) -> PowerSums:
             f"tolerance {alphabet.tolerance:g} is below the double-precision "
             f"floor {_MIN_TOLERANCE:g} of the tail-corrected series"
         )
-    tail_power = _split(alphabet, 0, 0)[1]
+    tail_power = _split(alphabet)[1]
     return PowerSums((math.inf,) + tuple(tail_power(k) for k in range(2, kmax + 1)))
 
 
@@ -249,15 +254,18 @@ def prime_zeta(s: float, tol: float = 1e-13) -> float:
     raise ToleranceError(f"prime zeta({s}) did not reach tolerance {tol:g}")
 
 
-def _fq_degree_series(q: int, k: int, tol: float) -> float:
-    """sum_{m>=1} I_q(m) q^(-k m), truncated on a geometric tail bound."""
+def _fq_degree_series(q: int, k: int, tol: float, first: int = 1) -> float:
+    """sum_{m>=first} I_q(m) q^(-k m), truncated on a geometric tail bound:
+    an absolute one for the whole series (first = 1), else one relative to
+    its leading term."""
     ratio = float(q) ** (1 - k)
+    lead = 1.0 if first == 1 else irreducible_count(q, first) * float(q) ** (-k * first)
     total = 0.0
-    for m in range(1, 2000):
+    for m in range(first, first + 1999):
         total += irreducible_count(q, m) * float(q) ** (-k * m)
         # I_q(j) <= q^j / j, so the tail past m is below the geometric bound
         tail_bound = ratio ** (m + 1) / ((m + 1) * (1.0 - ratio))
-        if tail_bound < tol / 10.0:
+        if tail_bound < tol / 10.0 * lead:
             return total
     raise ToleranceError(f"fq power-sum series (q={q}, k={k}) did not reach {tol:g}")
 
@@ -336,28 +344,18 @@ def residue_series_eval(rc: ResidueCoeffs, z) -> complex:
 def residue_product_eval(alphabet: Alphabet, z) -> complex:
     """E(A', z) = prod_i (1 + a_i z) exp(-a_i z) over the whole alphabet.
 
-    Finite alphabets use the literal product.  Infinite ones split off a
-    head of large weights (so that |z| * max tail weight <= 1/2), take the
-    literal product over the head, and exponentiate the log-series
+    The literal product over the head that `_split` sizes for |z| (a finite
+    alphabet is all head), times the exponentiated log-series
 
         sum_{k>=2} (-1)^(k-1) p_k(tail) z^k / k
 
-    of the remaining tail, whose power sums are the tail-corrected full
-    sums minus the head contributions.
+    of the tail, whose weights are all at most 1/(2 |z|).
     """
     z = complex(z)
     if z == 0:
         return 1.0 + 0.0j
     az = abs(z)
-    n0 = m0 = 0
-    if alphabet.kind != "finite":
-        th = alphabet.theta if alphabet.kind == "ewens_limit" else 1.0
-        n0 = max(2 if alphabet.kind == "omega_limit" else 1, math.ceil(2.0 * th * az))
-        while alphabet.kind == "fq_limit" and float(alphabet.q) ** (m0 + 1) < 2.0 * az:
-            m0 += 1
-        if n0 > 10 ** 6 or m0 > 60:
-            raise ToleranceError(f"divergent tail request: |z| = {az:g} is too large")
-    head, tail_power = _split(alphabet, n0, m0)
+    head, tail_power = _split(alphabet, az)
     prod = 1.0 + 0.0j
     for a, count in head:
         factor = (1.0 + a * z) * cmath.exp(-a * z)
@@ -379,8 +377,9 @@ def residue_product_eval(alphabet: Alphabet, z) -> complex:
     return prod * cmath.exp(series)
 
 
-def _split(alphabet: Alphabet, n0: int, m0: int):
-    """Head atoms (weight, multiplicity) and the tail power-sum function.
+def _split(alphabet: Alphabet, az: float = 0.0):
+    """Head atoms (weight, multiplicity) and the tail power-sum function of a
+    product evaluated at |z| = az; az = 0 asks for an empty head.
 
     This is the one place that knows what each alphabet kind holds.  A
     finite alphabet is all head, with no tail (None).  Every infinite kind
@@ -388,16 +387,31 @@ def _split(alphabet: Alphabet, n0: int, m0: int):
     harmonic alphabet, for omega and fq), whose first n0 atoms go to the
     head; omega adds {1/p, p prime}, the primes p <= n0 in the head, and fq
     adds q^-m with multiplicity I_q(m), the degrees m <= m0 in the head.
-    The tail power sums are the tail-corrected full sums minus the head:
+    For az > 0, n0 and m0 are the least (n0 >= 2 for omega) that leave every
+    tail weight at most 1/(2 az).  The tail power sums are
 
       ewens_limit:  theta^k hurwitz_zeta(k, theta + n0)
       omega_limit:  zeta(k, 1 + n0) + prime_zeta(k) - sum_{p <= n0} p^-k
       fq_limit:     zeta(k, 1 + n0) + sum_{m > m0} I_q(m) q^(-k m)
+
+    The omega subtraction amplifies the absolute error of prime_zeta by
+    az^k / k in the residue series, so omega refuses az past
+    OMEGA_RESIDUE_RADIUS; the fq series is summed from degree m0 + 1 on.
     """
     if alphabet.kind == "finite":
         return [(a, 1) for a in alphabet.weights], None
     tol = alphabet.tolerance
     th = alphabet.theta if alphabet.kind == "ewens_limit" else 1.0
+    n0 = m0 = 0
+    if az:
+        if alphabet.kind == "omega_limit" and az > OMEGA_RESIDUE_RADIUS:
+            raise ToleranceError(f"omega residue product is within tolerance for |z| <= "
+                                 f"{OMEGA_RESIDUE_RADIUS:g} only, got |z| = {az:g}")
+        n0 = max(2 if alphabet.kind == "omega_limit" else 1, math.ceil(2.0 * th * az))
+        while alphabet.kind == "fq_limit" and float(alphabet.q) ** (m0 + 1) < 2.0 * az:
+            m0 += 1
+        if n0 > 10 ** 6 or m0 > 60:
+            raise ToleranceError(f"divergent tail request: |z| = {az:g} is too large")
     head = [(th / (th + n - 1.0), 1) for n in range(1, n0 + 1)]
     ewens_tail = lambda k: th ** k * zeta(k, th + n0)
     if alphabet.kind == "ewens_limit":
@@ -405,15 +419,11 @@ def _split(alphabet: Alphabet, n0: int, m0: int):
     if alphabet.kind == "omega_limit":
         head_primes = primes_up_to(n0)
         head += [(1.0 / p, 1) for p in head_primes]
-        side = lambda k: prime_zeta(k, tol)
-        side_head = lambda k: math.fsum(p ** float(-k) for p in head_primes)
-    else:
-        q = alphabet.q
-        head += [(float(q) ** (-m), irreducible_count(q, m)) for m in range(1, m0 + 1)]
-        side = lambda k: _fq_degree_series(q, k, tol)
-        side_head = lambda k: math.fsum(irreducible_count(q, m) * float(q) ** (-k * m)
-                                        for m in range(1, m0 + 1))
-    return head, lambda k: ewens_tail(k) + side(k) - side_head(k)
+        return head, lambda k: (ewens_tail(k) + prime_zeta(k, tol)
+                                - math.fsum(p ** float(-k) for p in head_primes))
+    q = alphabet.q
+    head += [(float(q) ** (-m), irreducible_count(q, m)) for m in range(1, m0 + 1)]
+    return head, lambda k: ewens_tail(k) + _fq_degree_series(q, k, tol, m0 + 1)
 
 
 # --- moment bridge ----------------------------------------------------------

@@ -342,7 +342,8 @@ def reference_zeta(s, a=1.0):
 # --- reference alphabet kernels ---------------------------------------------------
 # symfunc's per-kind power sums and head/tail split before one split function
 # served both; the current power_sums_infinite and residue_product_eval must
-# reproduce them bit for bit.
+# reproduce them bit for bit, except the fq products with a degree head (now
+# summed directly) and the omega ones past their radius (now refused).
 
 def reference_power_sums_infinite(alphabet, kmax):
     """p_1..p_kmax of an infinite alphabet, one closed form per kind."""

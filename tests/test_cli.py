@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -57,6 +58,34 @@ def test_pmf_weights_file(tmp_path, capsys):
 
 
 # --- scheme ----------------------------------------------------------------------
+
+#: each flag that gives a whole Bernoulli law or scheme, with a value
+SOURCES = {"--alphabet": "harmonic", "--weights": "0.1,0.2", "--weights-file": None,
+           "--b": "0,-0.1", "--b2": "-0.3"}
+
+
+@pytest.mark.parametrize("first, second", itertools.combinations(SOURCES, 2),
+                         ids=lambda flag: flag.lstrip("-"))
+def test_scheme_refuses_two_sources(first, second, tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    path.write_text("0.1\n0.2\n")
+    values = dict(SOURCES, **{"--weights-file": str(path)})
+    code, out, err = run_cli(["scheme", "--lambda", "3", "--r", "2",
+                              first, values[first], second, values[second]], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: pass one of {first} and {second}, not both"]
+
+
+def test_bernoulli_model_refuses_two_weight_sources(tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    path.write_text("0.5\n")
+    for command in (["pmf"], ["compare", "--r", "1"]):
+        code, out, err = run_cli(command + ["--model", "bernoulli", "--weights", "0.1",
+                                            "--weights-file", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: pass one of --weights and --weights-file, not both"]
+
 
 def test_scheme_b2_example(capsys):
     code, out, err = run_cli(["scheme", "--lambda", "2", "--b2", "-0.125",
@@ -231,6 +260,17 @@ def test_compare_nonpositive_ewens_rate_names_it(theta, n, lam, capsys):
     assert out == ""
     assert err.splitlines() == [f"error: ewens rate theta log n + gamma_theta = {lam} "
                                 f"is not positive at theta = {theta}, n = {n}"]
+
+
+def test_compare_nonpositive_weighted_perm_rate_names_theta_and_k(capsys):
+    # theta = 8 past the first weight, K = (0.05 - 8)/1, and
+    # 8 log 3 - 7.95 + gamma_8 = 8.7889 - 7.95 - 8 psi(8) = -15.2862
+    code, out, err = run_cli(["compare", "--model", "weighted-perm", "--theta-seq",
+                              "0.05,8,8", "--n", "3", "--r", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: weighted_perm rate theta log n + K + gamma_theta = "
+                                "-15.2862 is not positive at theta = 8, K = -7.95, n = 3"]
 
 
 def test_compare_jsonl_matches_schema(capsys):

@@ -64,7 +64,8 @@ CASES = {
         "--bound", "theorem-b,corollary", "--r", "0:3"],
     "omega": [
         "--model", "omega", "--N", "200", "--bound", "theorem-a", "--r", "1:3"],
-    "weighted_perm_sweep_fails": [
+    # constant weights: the Ewens rows of --theta 1 --n 3, bar model, family, tv, slack
+    "weighted_perm_constant_is_ewens": [
         "--model", "weighted-perm", "--theta-seq", "1,1,1", "--n", "3", "--r", "1"],
     # out of the bounds' regime (lam = 0.21), pinned as it stands
     "omega_n2_out_of_regime": ["--model", "omega", "--N", "2", "--r", "0:2"],
@@ -83,8 +84,8 @@ CASES = {
         "--model", "bernoulli", "--weights", WEIGHTS,
         "--bound", "chen-stein,lecam,corollary", "--tail-rn", "1e-8",
         "--r", "0:2", "--format", "json"],
-    # only an order-0 bound is asked for, and the sweep is still refused
-    "weighted_perm_order_zero_only": [
+    # only an order-0 bound, which needs Bernoulli weights: one row, no bound
+    "weighted_perm_order_zero_no_bound": [
         "--model", "weighted-perm", "--theta-seq", "1,1,1", "--n", "3",
         "--bound", "lecam", "--r", "1"],
     # no default tail r_n and no Bernoulli weights: empty bound columns

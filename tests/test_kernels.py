@@ -27,8 +27,8 @@ from modpoisson.models import (RATIONAL_FOLD_BUDGET, ModelSpec, Pmf, bernoulli_s
                                weighted_perm_normalization)
 from modpoisson.schemes import poisson_pmf, scheme_measures
 from modpoisson.suites import random_bernoulli_instances
-from modpoisson.symfunc import (Alphabet, power_sums_infinite, residue_coeffs,
-                                residue_product_eval)
+from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet, power_sums_infinite,
+                                residue_coeffs, residue_product_eval)
 from oracles import (reference_bernoulli_fold_float, reference_bernoulli_rational_pmf,
                      reference_chen_stein, reference_fq_factor_pmf, reference_kolmogorov,
                      reference_omega_pmf, reference_omega_values,
@@ -283,13 +283,11 @@ def test_infinite_power_sums_match_per_kind_formulas(alphabet):
 @pytest.mark.parametrize("alphabet", [*INFINITE_ALPHABETS.values(), *FINITE_ALPHABETS.values()],
                          ids=[*INFINITE_ALPHABETS, *FINITE_ALPHABETS])
 def test_residue_product_matches_per_kind_split(alphabet):
-    def outcome(evaluate, z):
-        # fq at |z| >= 7 overflows in both: the tail's full-minus-head power
-        # sums cancel to ~1e-18 noise, which the z^k terms of the series blow up
-        try:
-            return evaluate(alphabet, z)
-        except OverflowError as exc:
-            return repr(exc)
-
+    # except where the product has changed on purpose: an fq head (q < 2|z|)
+    # now sums its tail directly, checked against mpmath in
+    # test_mpmath_oracles, and omega refuses |z| past its radius
     for z in Z_GRID:
-        assert outcome(residue_product_eval, z) == outcome(reference_residue_product_eval, z)
+        if ((alphabet.kind == "fq_limit" and alphabet.q < 2.0 * abs(z))
+                or (alphabet.kind == "omega_limit" and abs(z) > OMEGA_RESIDUE_RADIUS)):
+            continue
+        assert residue_product_eval(alphabet, z) == reference_residue_product_eval(alphabet, z)

@@ -266,9 +266,17 @@ def test_verify_bounds_rejects_negative_order():
         verify_bounds(ModelSpec.bernoulli([0.1]), [-1, 2])
 
 
-def test_verify_bounds_weighted_perm_is_rejected():
-    with pytest.raises(ValueError):
-        verify_bounds(ModelSpec.weighted_perm([1.0, 1.0], 2), [1])
+@pytest.mark.parametrize("theta, n", [(1.0, 3), (1.0, 50), (1.7, 120)])
+def test_verify_bounds_constant_weighted_perm_matches_ewens(theta, n):
+    # same rate, alphabet and scheme; only the two exact laws differ in bits
+    which = ("theorem-a", "theorem-b", "corollary", "chen-stein")
+    rows = [verify_bounds(spec, range(5), which=which, tail_rn=1e-6)
+            for spec in (ModelSpec.weighted_perm([theta] * n, n), ModelSpec.ewens(theta, n))]
+    assert len(rows[0]) == len(rows[1]) == 16
+    for got, want in zip(*rows):
+        assert (got.r, got.lam, got.sigma2, got.bound, got.name, got.holds) == \
+            (want.r, want.lam, want.sigma2, want.bound, want.name, want.holds)
+        assert got.tv == pytest.approx(want.tv, rel=0.0, abs=1e-12)
 
 
 def test_verify_bounds_puts_per_r_rows_first():

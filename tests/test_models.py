@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpoisson.models import (EULER_GAMMA, ModelSpec, Pmf, RationalPmf,
-                               bernoulli_sum_pmf, empirical_residue,
+from modpoisson.models import (EULER_GAMMA, OMEGA_SIEVE_BUDGET, ModelSpec, Pmf,
+                               RationalPmf, bernoulli_sum_pmf, empirical_residue,
                                ewens_cycle_pmf,
                                fq_factor_pmf, gamma_theta,
                                gauss_irreducible_count, model_lambda,
@@ -17,8 +17,8 @@ from modpoisson.models import (EULER_GAMMA, ModelSpec, Pmf, RationalPmf,
                                weighted_perm_cycle_pmf,
                                weighted_perm_normalization)
 from modpoisson.schemes import SignedMeasure, poisson_pmf
-from modpoisson.suites import fq_factor_histogram_by_enumeration
-from modpoisson.symfunc import zeta
+from modpoisson.suites import fq_factor_histogram_by_enumeration, residue_error
+from modpoisson.symfunc import Alphabet, zeta
 
 from oracles import permutation_cycle_counts, weighted_cycle_histogram
 
@@ -224,8 +224,9 @@ def test_omega_120():
 
 
 def test_omega_memory_budget():
-    with pytest.raises(ValueError):
-        omega_pmf(10 ** 7, memory_max=10 ** 6)
+    # refused before the sieve allocates anything
+    with pytest.raises(ValueError, match="sieve memory budget"):
+        omega_pmf(OMEGA_SIEVE_BUDGET + 1)
 
 
 # --- rates and residues ----------------------------------------------------------------
@@ -244,12 +245,36 @@ def test_model_lambda_fq_uses_rq():
     assert lam == pytest.approx(math.log(50.0) + r_q(2) + EULER_GAMMA, abs=1e-12)
 
 
-def test_model_lambda_weighted_perm_needs_singularity_data():
+def test_model_lambda_weighted_perm_derives_theta_and_k():
+    # weights past the sequence are theta = 1; K = (1 - 1)/1 + (2 - 1)/2 + 0
     spec = ModelSpec.weighted_perm([1.0, 2.0, 1.0], 3)
-    with pytest.raises(ValueError):
-        model_lambda(spec)
-    spec = ModelSpec.weighted_perm([1.0] * 3, 3, log_singularity=(1.0, 0.0))
-    assert model_lambda(spec) == pytest.approx(math.log(3.0) + EULER_GAMMA)
+    assert model_lambda(spec) == math.log(3.0) + 0.5 + gamma_theta(1.0)
+    assert spec.alphabet(1e-12) == Alphabet.ewens_limit(1.0)
+    # ... and the law reads them so too, past n or short of it
+    assert ModelSpec.weighted_perm([1.0, 2.0, 1.0], 5).pmf(rational=True) == \
+        weighted_perm_cycle_pmf([1, 2, 1, 1, 1], 5, rational=True)
+    assert model_lambda(ModelSpec.weighted_perm([1.0, 2.0, 1.0, 1.0, 1.0], 2)) == \
+        math.log(2.0) + 0.5 + gamma_theta(1.0)
+    # a constant sequence is Ewens, rate and alphabet alike
+    for theta, n in ((1.0, 3), (0.37, 41), (2.5, 120)):
+        spec, ewens = ModelSpec.weighted_perm([theta] * n, n), ModelSpec.ewens(theta, n)
+        assert model_lambda(spec) == model_lambda(ewens)
+        assert spec.alphabet(1e-9) == ewens.alphabet(1e-9)
+    with pytest.raises(ValueError, match="weighted_perm rate theta log n \\+ K"):
+        model_lambda(ModelSpec.weighted_perm([0.05, 8.0, 8.0], 3))
+
+
+@pytest.mark.parametrize("theta_seq", [[2.0, 1.0], [1.0, 1.0, 2.0]],
+                         ids=["theta1_first_2", "theta2_first_two_1"])
+def test_weighted_perm_residue_error_halves_with_n(theta_seq):
+    # the eventually constant weights converge to the Ewens(theta) product
+    # form at speed O(1/n), as Ewens itself does
+    eps = {}
+    for n in (100, 200, 400):
+        spec = ModelSpec.weighted_perm(theta_seq, n)
+        eps[n] = residue_error(spec.pmf(), model_lambda(spec), spec.alphabet(1e-12))
+    for n in (100, 200):
+        assert 0.3 <= eps[2 * n] / eps[n] <= 0.7
 
 
 def test_gamma_theta_one_is_euler_mascheroni():
@@ -375,11 +400,29 @@ def test_modelspec_validation():
 def test_modelspec_binds_what_each_family_offers():
     for theta, n in ((2.0, 300), (0.37, 41), (1.5, 200)):
         assert ModelSpec.ewens(theta, n).tail() == theta * theta * zeta(2, theta + n)
-    assert ModelSpec.weighted_perm([1.0, 1.0, 1.0], 3).alphabet is None
+    assert ModelSpec.weighted_perm([0.5, 2.0, 1.5], 3).alphabet(1e-9) == \
+        Alphabet.ewens_limit(1.5, 1e-9)
     assert ModelSpec.bernoulli([0.25, 0.5]).weights == (0.25, 0.5)
     for spec in (ModelSpec.ewens(1.0, 5), ModelSpec.fq_poly(2, 4), ModelSpec.omega(10)):
         assert spec.weights == () and spec.alphabet is not None
     assert ModelSpec.fq_poly(2, 4).tail is None
+
+
+CONSTRUCTOR_ARGS = {"bernoulli": ([0.25, 0.5],), "ewens": (1.5, 20),
+                    "weighted_perm": ([2.0, 1.0, 1.0], 3), "fq_poly": (2, 4),
+                    "omega": (30,)}
+
+
+def test_every_modelspec_constructor_binds_law_rate_and_alphabet():
+    constructors = {name for name, attr in vars(ModelSpec).items()
+                    if isinstance(attr, classmethod)}
+    assert constructors == set(CONSTRUCTOR_ARGS)
+    for name, args in CONSTRUCTOR_ARGS.items():
+        spec = getattr(ModelSpec, name)(*args)
+        assert callable(spec.law) and callable(spec.rate) and callable(spec.alphabet)
+        assert isinstance(spec.pmf(), Pmf)
+        assert spec.rate(1e-12) > 0.0
+        assert isinstance(spec.alphabet(1e-12), Alphabet)
 
 
 # --- the measure contract --------------------------------------------------------

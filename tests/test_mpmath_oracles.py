@@ -19,7 +19,8 @@ import pytest
 
 from modpoisson.models import gamma_theta, r_q
 from modpoisson.specialfn import complex_log_gamma
-from modpoisson.symfunc import Alphabet, power_sums_infinite, prime_zeta, zeta
+from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet, power_sums_infinite,
+                                prime_zeta, residue_product_eval, zeta)
 
 mpmath.mp.dps = 40
 
@@ -100,6 +101,66 @@ def _fq_side_sum(q, k):
 def test_infinite_power_sums_against_mpmath(alphabet, oracle):
     values = power_sums_infinite(alphabet, 40).values
     worst = max(_rel(values[k - 1], oracle(k)) for k in range(2, 41))
+    assert worst <= alphabet.tolerance
+
+
+# --- residue products of the infinite alphabets -------------------------------------
+
+def _residue_grid(radii):
+    return [r * cmath.exp(1j * angle) for r in radii
+            for angle in (0.0, 0.9, 1.7, 2.6, math.pi, 4.4)]
+
+
+def _harmonic_log_residue(z):
+    """log prod_n (1 + z/n) e^(-z/n) = -gamma z - log Gamma(1 + z)."""
+    return -mpmath.euler * z - mpmath.loggamma(1 + z)
+
+
+def _fq_residue(q, z):
+    """The harmonic part times exp(sum_m I_q(m) (log1p(x) - x)), x = z q^-m.
+
+    Summed until |z|^2 q^-m, which bounds the terms, falls below 1e-45; the
+    naive product of (1 + x)^I_q(m) would lose the rounding of 1 + x to the
+    exponent I_q(m)."""
+    z = mpmath.mpc(z)
+    m_max = math.ceil((45 + 2 * math.log10(max(abs(z), 1.0))) / math.log10(q)) + 1
+    counts = _irreducible_counts(q, m_max)
+    xs = [z / mpmath.mpf(q) ** m for m in range(m_max + 1)]
+    side = mpmath.fsum(counts[m] * (mpmath.log1p(xs[m]) - xs[m]) for m in range(1, m_max + 1))
+    return mpmath.exp(_harmonic_log_residue(z) + side)
+
+
+PRIMES_2000 = [p for p in range(2, 2001) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+#: sum_{p > 2000} p^-k for k = 2..15
+PRIME_TAILS = [mpmath.primezeta(k) - mpmath.fsum(mpmath.mpf(p) ** -k for p in PRIMES_2000)
+               for k in range(2, 16)]
+
+
+def _omega_residue(z):
+    """The harmonic part times the primes p <= 2000 literally and the other
+    primes by their log-series sum_k (-1)^(k-1) (P(k) - sum_{p<=2000} p^-k) z^k/k,
+    whose terms fall below 1e-40 by k = 16 for |z| <= 1.25."""
+    z = mpmath.mpc(z)
+    acc = _harmonic_log_residue(z) + mpmath.fsum(mpmath.log1p(z / p) - z / p
+                                                 for p in PRIMES_2000)
+    acc += mpmath.fsum((-1) ** (k - 1) * tail * z ** k / k
+                       for k, tail in enumerate(PRIME_TAILS, 2))
+    return mpmath.exp(acc)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_fq_residue_product_against_mpmath(q):
+    # an fq head from |z| > q/2 on: the tail is summed from its first degree
+    grid = _residue_grid((0.3, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 7.0, 8.0, 12.0, 20.0))
+    worst = max(_rel(residue_product_eval(Alphabet.fq_limit(q), z), _fq_residue(q, z))
+                for z in grid)
+    assert worst <= 1e-12
+
+
+def test_omega_residue_product_against_mpmath_up_to_its_radius():
+    grid = _residue_grid((0.3, 0.5, 1.0, 1.2, OMEGA_RESIDUE_RADIUS))
+    alphabet = Alphabet.omega_limit()
+    worst = max(_rel(residue_product_eval(alphabet, z), _omega_residue(z)) for z in grid)
     assert worst <= alphabet.tolerance
 
 

@@ -315,6 +315,18 @@ def test_product_eval_rejects_huge_arguments():
         residue_product_eval(Alphabet.harmonic(), 1e7)
 
 
+def test_omega_product_eval_is_refused_past_its_radius():
+    # within the radius it meets its tolerance (test_mpmath_oracles); past
+    # it the amplified prime-zeta error grows fast: 3.7e-12 at |z| = 1.5
+    from modpoisson.symfunc import OMEGA_RESIDUE_RADIUS
+    alphabet = Alphabet.omega_limit()
+    for angle in (0.0, 1.7, math.pi):
+        residue_product_eval(alphabet, OMEGA_RESIDUE_RADIUS * cmath.exp(1j * angle))
+        for radius in (1.3, 1.5, 3.0, 7.0, 20.0):
+            with pytest.raises(ToleranceError, match="omega residue"):
+                residue_product_eval(alphabet, radius * cmath.exp(1j * angle))
+
+
 # --- moment bridge ---------------------------------------------------------------
 
 def test_stirling_numbers_count_set_partitions():
