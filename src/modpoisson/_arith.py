@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 
 @lru_cache(maxsize=None)
 def mobius(n: int) -> int:
@@ -62,12 +64,11 @@ def prime_power_base(q: int) -> int | None:
     return m  # q itself is prime
 
 
-def primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = bytearray(len(range(p * p, n + 1, p)))
-    return [i for i in range(2, n + 1) if sieve[i]]
+def primes_up_to(n: int) -> np.ndarray:
+    """The primes <= n, ascending, by the sieve of Eratosthenes."""
+    is_prime = np.ones(max(n + 1, 2), dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, int(max(n, 0) ** 0.5) + 1):
+        if is_prime[p]:
+            is_prime[p * p:: p] = False
+    return np.flatnonzero(is_prime)

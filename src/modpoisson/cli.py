@@ -141,11 +141,12 @@ def _collect_weights(args):
 
 
 def _emit(text: str, output: str):
+    text = text if text.endswith("\n") else text + "\n"
     if output == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _emit_measure(measure, args):

@@ -6,6 +6,8 @@ import json
 import math
 from dataclasses import fields
 
+from .metrics import CSV_HEADER
+
 CSV_MASS_HEADER = "k,mass"
 
 
@@ -47,14 +49,12 @@ def mass_json_obj(measure) -> dict:
 
 
 def report_csv_lines(reports) -> list:
-    from .metrics import CSV_HEADER
     return [CSV_HEADER] + [",".join(fmt17(getattr(rep, f.name)) for f in fields(rep))
                            for rep in reports]
 
 
 def report_json_obj(rep) -> dict:
     """The row keyed by the CSV header's columns; an infinite slack is "inf"."""
-    from .metrics import CSV_HEADER
     obj = {col: getattr(rep, f.name)
            for col, f in zip(CSV_HEADER.split(","), fields(rep))}
     if obj["slack"] is not None and not math.isfinite(obj["slack"]):

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._arith import irreducible_count, mobius, prime_power_base
+from ._arith import divisors, irreducible_count, mobius, prime_power_base, primes_up_to
 from .symfunc import Alphabet, ToleranceError, zeta
 
 __all__ = [
@@ -326,11 +326,10 @@ def fq_factor_pmf(q: int, n: int, rational: bool = False):
     ls = [None]
     for m in range(1, n + 1):
         lm = [0] * (m + 1)
-        for k in range(1, m + 1):
-            if m % k == 0:
-                scale = (m // k) * irreducible_count(q, m // k)
-                for j, c in enumerate(_one_minus_power_poly(k)):
-                    lm[j] += scale * c
+        for k in divisors(m):
+            scale = (m // k) * irreducible_count(q, m // k)
+            for j, c in enumerate(_one_minus_power_poly(k)):
+                lm[j] += scale * c
         ls.append(lm)
     fs = [[1]]
     for m in range(1, n + 1):
@@ -361,21 +360,14 @@ def omega_values(n_max: int) -> np.ndarray:
     marked one multiplier j at a time, for all primes p <= n_max // j at once.
     """
     counts = np.zeros(n_max + 1, dtype=np.uint8)
-    if n_max >= 2:
-        root = int(n_max ** 0.5)
-        is_prime = np.ones(n_max + 1, dtype=bool)
-        is_prime[:2] = False
-        for p in range(2, root + 1):
-            if is_prime[p]:
-                is_prime[p * p:: p] = False
-        primes = np.flatnonzero(is_prime)
-        del is_prime
-        split = np.searchsorted(primes, root, side="right")
-        for p in primes[:split]:
-            counts[p::p] += 1
-        for j in range(1, n_max // (root + 1) + 1):
-            big = primes[split:np.searchsorted(primes, n_max // j, side="right")]
-            counts[j * big] += 1
+    root = int(n_max ** 0.5)
+    primes = primes_up_to(n_max)
+    split = np.searchsorted(primes, root, side="right")
+    for p in primes[:split]:
+        counts[p::p] += 1
+    for j in range(1, n_max // (root + 1) + 1):
+        big = primes[split:np.searchsorted(primes, n_max // j, side="right")]
+        counts[j * big] += 1
     return counts
 
 
@@ -402,7 +394,9 @@ def gamma_theta(theta: float) -> float:
     """gamma_theta = sum_{n>=1} theta/(n+theta-1) - theta log(1+1/n).
 
     Partial sum of 100000 terms with the analytic integral tail and two
-    Euler-Maclaurin corrections; gamma_1 is the Euler-Mascheroni constant.
+    Euler-Maclaurin corrections.  It equals -theta psi(theta), the identity
+    its mpmath oracle checks; gamma_1 comes out within 2 ulps of Euler's
+    constant (0.5772156649015331 against 0.5772156649015329), not equal to it.
     """
     theta = float(theta)
     if theta <= 0.0:

@@ -134,8 +134,6 @@ def charlier_delta(lam: float, s: int, b_next: float, k: int) -> float:
 
 def derived_scheme(lam: float, limiting_alphabet: Alphabet, r: int) -> SignedMeasure:
     """Order-r scheme built from the limiting alphabet's residue coefficients."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
     return scheme_measure(residue_coeffs(limiting_alphabet, r, lam))
 
 

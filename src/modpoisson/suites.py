@@ -23,11 +23,6 @@ __all__ = ["SUITE_NAMES", "SuiteResult", "run_suite", "residue_error",
            "harmonic_residue_error", "random_bernoulli_instances",
            "fq_factor_histogram_by_enumeration"]
 
-SUITE_NAMES = ("theorem-b", "chen-stein", "coefficients", "hermite",
-               "charlier", "gamma-ratio", "rates", "oracles")
-RANDOMIZED_SUITES = ("theorem-b", "chen-stein", "coefficients")
-
-
 @dataclass
 class SuiteResult:
     suite: str
@@ -68,8 +63,7 @@ def random_bernoulli_instances(rng, count: int):
     return out
 
 
-def _suite_theorem_b(rec, seed, instances):
-    rng = np.random.default_rng(seed)
+def _suite_theorem_b(rec, rng, instances):
     worst = 0.0
     for wts in random_bernoulli_instances(rng, instances):
         for rep in metrics.verify_bounds(ModelSpec.bernoulli(wts), range(1, 7)):
@@ -79,8 +73,7 @@ def _suite_theorem_b(rec, seed, instances):
     return {"worst_tv_over_bound": worst}
 
 
-def _suite_chen_stein(rec, seed, instances):
-    rng = np.random.default_rng(seed)
+def _suite_chen_stein(rec, rng, instances):
     for wts in random_bernoulli_instances(rng, instances):
         chen, lecam = metrics.verify_bounds(ModelSpec.bernoulli(wts), [],
                                             which=("chen-stein", "lecam"))
@@ -91,8 +84,7 @@ def _suite_chen_stein(rec, seed, instances):
     return {}
 
 
-def _suite_coefficients(rec, seed, instances):
-    rng = np.random.default_rng(seed)
+def _suite_coefficients(rec, rng, instances):
     worst = 0.0
     for _ in range(instances):
         n = int(rng.integers(1, 21))
@@ -109,7 +101,7 @@ def _suite_coefficients(rec, seed, instances):
     return {"worst_excess": worst}
 
 
-def _suite_hermite(rec, seed, instances):
+def _suite_hermite(rec):
     # recurrence vs explicit expansion
     pts = [x + 1j * y for x in np.linspace(-5, 5, 9) for y in np.linspace(-5, 5, 5)]
     for m in range(0, 31):
@@ -142,7 +134,7 @@ def _suite_hermite(rec, seed, instances):
     return {}
 
 
-def _suite_charlier(rec, seed, instances):
+def _suite_charlier(rec):
     bs = [(-1) ** s * 0.8 * (math.e / s) ** (s / 2.0) for s in range(1, 10)]
     worst = 0.0
     for lam in (1.0, 5.0, 20.0, 50.0):
@@ -158,7 +150,7 @@ def _suite_charlier(rec, seed, instances):
     return {"worst_error": worst}
 
 
-def _suite_gamma_ratio(rec, seed, instances):
+def _suite_gamma_ratio(rec):
     theta, rho = 1.0, 1.25
     grid = [rho * (i + 1) / 8.0 * cmath.exp(2j * math.pi * j / 8)
             for i in range(8) for j in range(8)]
@@ -193,7 +185,7 @@ def harmonic_residue_error(n, points=16):
                          symfunc.Alphabet.harmonic(), points)
 
 
-def _suite_rates(rec, seed, instances):
+def _suite_rates(rec):
     eps = {n: harmonic_residue_error(n) for n in (200, 400, 800, 1600)}
     ratios = {n: eps[2 * n] / eps[n] for n in (200, 400, 800)}
     for n, ratio in ratios.items():
@@ -246,7 +238,7 @@ def fq_factor_histogram_by_enumeration(q: int, n: int):
     return counts
 
 
-def _suite_oracles(rec, seed, instances):
+def _suite_oracles(rec):
     from fractions import Fraction
     # rational-vs-float convolution
     weight_sets = ([Fraction(1, i) for i in range(1, 21)],
@@ -276,6 +268,8 @@ def _suite_oracles(rec, seed, instances):
     return {}
 
 
+#: name -> (suite, default instance count); exactly the suites with a default
+#: count are randomized and draw their instances from one caller-seeded generator
 _SUITES = {
     "theorem-b": (_suite_theorem_b, 200),
     "chen-stein": (_suite_chen_stein, 200),
@@ -286,17 +280,21 @@ _SUITES = {
     "rates": (_suite_rates, None),
     "oracles": (_suite_oracles, None),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed=None, instances=None) -> SuiteResult:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     fn, default_instances = _SUITES[name]
-    if name in RANDOMIZED_SUITES and seed is None:
+    randomized = default_instances is not None
+    if randomized and seed is None:
         raise ValueError(f"suite {name!r} is randomized and needs an explicit seed")
     count = default_instances if instances is None else instances
+    if count is not None and count < 1:
+        raise ValueError(f"instances must be >= 1, got {count}")
     rec = _Recorder()
-    details = fn(rec, seed, count)
+    details = fn(rec, np.random.default_rng(seed), count) if randomized else fn(rec)
     return SuiteResult(suite=name, passed=not rec.failures, checks=rec.checks,
                        failures=rec.failures, seed=seed, instances=count,
                        details=details)

@@ -270,17 +270,9 @@ def _fq_degree_series(q: int, k: int, tol: float, first: int = 1) -> float:
     raise ToleranceError(f"fq power-sum series (q={q}, k={k}) did not reach {tol:g}")
 
 
-def _newton_elementary(p, rmax: int):
-    """e_0..e_rmax from p_1..p_rmax via k e_k = sum_i (-1)^(i-1) p_i e_(k-i)."""
-    e = [0.0] * (rmax + 1)
-    e[0] = 1.0
-    for k in range(1, rmax + 1):
-        e[k] = math.fsum((-1) ** (i - 1) * p[i - 1] * e[k - i] for i in range(1, k + 1)) / k
-    return e
-
-
 def elementary_from_power(ps: PowerSums, rmax: int):
-    """Elementary symmetric values e_0..e_rmax by the Newton recursion.
+    """Elementary symmetric values e_0..e_rmax by the Newton recursion
+    k e_k = sum_i (-1)^(i-1) p_i e_(k-i).
 
     The recursion is the O(r^2) form of the partition-sum change of basis
     encoded by E(z) = exp(-P(-z)).
@@ -291,7 +283,11 @@ def elementary_from_power(ps: PowerSums, rmax: int):
     if any(not math.isfinite(v) for v in p):
         raise ValueError("power sums must be finite; use virtual_residue_coeffs "
                          "for infinite alphabets (p_1 -> 0)")
-    return _newton_elementary(p, rmax)
+    e = [0.0] * (rmax + 1)
+    e[0] = 1.0
+    for k in range(1, rmax + 1):
+        e[k] = math.fsum((-1) ** (i - 1) * p[i - 1] * e[k - i] for i in range(1, k + 1)) / k
+    return e
 
 
 def power_from_elementary(e, kmax: int):
@@ -311,10 +307,7 @@ def virtual_residue_coeffs(ps: PowerSums, rmax: int, lam: float) -> ResidueCoeff
     b_1 = 0 by construction; b_2 = -p_2/2, b_3 = p_3/3,
     b_4 = p_2^2/8 - p_4/4, and so on through the Newton recursion.
     """
-    if rmax > ps.kmax:
-        raise ValueError(f"rmax={rmax} exceeds available power sums (kmax={ps.kmax})")
-    p = (0.0,) + tuple(ps.values[1:rmax])
-    e = _newton_elementary(p, rmax)
+    e = elementary_from_power(PowerSums((0.0,) + tuple(ps.values[1:])), rmax)
     return ResidueCoeffs(lam=float(lam), b=tuple(e[1:]))
 
 
@@ -417,7 +410,7 @@ def _split(alphabet: Alphabet, az: float = 0.0):
     if alphabet.kind == "ewens_limit":
         return head, ewens_tail
     if alphabet.kind == "omega_limit":
-        head_primes = primes_up_to(n0)
+        head_primes = primes_up_to(n0).tolist()
         head += [(1.0 / p, 1) for p in head_primes]
         return head, lambda k: (ewens_tail(k) + prime_zeta(k, tol)
                                 - math.fsum(p ** float(-k) for p in head_primes))

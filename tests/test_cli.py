@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from modpoisson.cli import main
+from modpoisson.suites import SUITE_NAMES
 
 
 def run_cli(args, capsys):
@@ -55,6 +56,21 @@ def test_pmf_weights_file(tmp_path, capsys):
                             str(path)], capsys)
     assert code == 0
     assert out.splitlines()[1] == "0,0.25"
+
+
+@pytest.mark.parametrize("command", [["pmf", "--model", "bernoulli"],
+                                     ["compare", "--model", "bernoulli", "--r", "1"],
+                                     ["scheme", "--lambda", "1", "--r", "2"]],
+                         ids=lambda command: command[0])
+def test_weights_file_errors_are_one_error_line(command, tmp_path, capsys):
+    bad = tmp_path / "w.csv"
+    bad.write_text("0.5\nabc\n")
+    code, out, err = run_cli(command + ["--weights-file", str(bad)], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {bad}:2: not a probability: 'abc'"]
+    code, out, err = run_cli(command + ["--weights-file", str(tmp_path / "none.csv")], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # --- scheme ----------------------------------------------------------------------
@@ -385,9 +401,24 @@ def test_verify_summary_matches_schema(capsys):
 
 
 def test_verify_randomized_suite_requires_seed(capsys):
-    code, _, err = run_cli(["verify", "--suite", "coefficients"], capsys)
-    assert code == 2
-    assert "seed" in err
+    randomized = ("theorem-b", "chen-stein", "coefficients")
+    for suite in randomized:
+        code, out, err = run_cli(["verify", "--suite", suite], capsys)
+        assert (code, out) == (2, "")
+        assert "seed" in err
+    for suite in [name for name in SUITE_NAMES if name not in randomized]:
+        code, out, _ = run_cli(["verify", "--suite", suite], capsys)
+        assert code == 0
+        assert json.loads(out)["seed"] is None
+
+
+@pytest.mark.parametrize("suite, count", [("theorem-b", "0"), ("chen-stein", "-1"),
+                                          ("coefficients", "-3")])
+def test_verify_refuses_an_instance_count_below_one(suite, count, capsys):
+    code, out, err = run_cli(["verify", "--suite", suite, "--seed", "1",
+                              "--instances", count], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: instances must be >= 1, got {count}"]
 
 
 def test_verify_unknown_suite_exits_2():

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modpoisson._arith import primes_up_to
 from modpoisson.metrics import kolmogorov, total_variation, verify_bounds
 from modpoisson.models import (RATIONAL_FOLD_BUDGET, ModelSpec, Pmf, bernoulli_sum_pmf,
                                ewens_cycle_pmf, fq_factor_pmf, omega_pmf,
@@ -50,6 +51,12 @@ def test_fq_factor_pmf_matches_fraction_recursion(q, n):
     exact = reference_fq_factor_pmf(q, n, rational=True)
     assert_same(fq_factor_pmf(q, n, rational=True), exact)
     assert_same(fq_factor_pmf(q, n), exact.to_float())  # the reference float mode
+
+
+def test_primes_up_to_matches_trial_division():
+    for n in range(301):
+        want = [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        assert primes_up_to(n).tolist() == want
 
 
 # 1368, 1369 = 37^2 and 1370 sit on the sqrt(N) split of the sieve
