@@ -264,7 +264,7 @@ def main(argv=None) -> int:
                 "compare": _cmd_compare, "verify": _cmd_verify}
     try:
         return handlers[args.command](args)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

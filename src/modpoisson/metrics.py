@@ -200,7 +200,8 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     tail_rn, else the spec's default tail, else has no bound.  Rows with
     failing preconditions are emitted with holds = None instead of raising.
     The per-r rows come first, then the order-0 ones, each group in the
-    order of `which`; r_list is read only when some per-r name is asked for.
+    order of `which`; r_list, a sequence of orders, is read only when some
+    per-r name is asked for.
 
     The model pmf, its rate, its alphabet, its power sums, the residue
     coefficients and the Poisson base are computed once per call and each
@@ -211,19 +212,17 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     unknown = [name for name in which if name not in KNOWN_BOUNDS]
     if unknown:
         raise ValueError(f"unknown bound names: {unknown}")
-    which = sorted(which, key=lambda name: name in ORDER_ZERO_BOUNDS)
-    singles = [name in ORDER_ZERO_BOUNDS for name in which]
-    r_list = [] if all(singles) else list(r_list)
-    if any(r < 0 for r in r_list):
+    rows = ([(name, r) for name in which if name not in ORDER_ZERO_BOUNDS for r in r_list]
+            + [(name, 0) for name in which if name in ORDER_ZERO_BOUNDS])
+    if any(r < 0 for _, r in rows):
         raise ValueError("scheme orders must be >= 0")
-    orders = set(r_list) | ({0} if any(singles) else set())
-    if not orders:
+    if not rows:
         return []
 
     pmf = spec.pmf()
     lam = model_lambda(spec, tolerance)
     alphabet = spec.alphabet(tolerance)
-    orders = sorted(orders)
+    orders = sorted({r for _, r in rows})
     ps = symfunc.power_sums(alphabet, max(2, orders[-1]))
     sigma2 = ps.sigma2
     rc = symfunc.virtual_residue_coeffs(ps, orders[-1], lam)
@@ -244,14 +243,13 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
         bounds["chen-stein"] = lambda r: chen_stein_bound(spec.weights)
         bounds["lecam"] = lambda r: lecam_bound(spec.weights)
     reports = []
-    for name, single in zip(which, singles):
-        for r in (0,) if single else r_list:
-            bound = None
-            # the order-r theorems need r >= 1
-            if bounds.get(name) and (single or r >= 1):
-                try:
-                    bound = bounds[name](r)
-                except InapplicableBoundError:
-                    pass
-            reports.append(BoundReport.build(spec, r, lam, sigma2, tvs[r], bound, name))
+    for name, r in rows:
+        bound = None
+        # the order-r theorems need r >= 1
+        if bounds.get(name) and (r >= 1 or name in ORDER_ZERO_BOUNDS):
+            try:
+                bound = bounds[name](r)
+            except InapplicableBoundError:
+                pass
+        reports.append(BoundReport.build(spec, r, lam, sigma2, tvs[r], bound, name))
     return reports

@@ -1,10 +1,11 @@
 """Exact finite-support distributions for the four model families.
 
 Every model is computed exactly and exposed as a plain mass function:
-float dynamic programming with compensated totals; integer recursions for
-the F_q counts and the rational Bernoulli fold, whose Fraction masses are
-formed once at the end; a Fraction recursion for rational h_n; and a numpy
-sieve for omega.  The families are
+float dynamic programming with compensated totals; one numpy-row h_n
+recursion in both modes (object rows of Fractions when rational); integer
+recursions for the F_q counts (object rows, np.convolve) and the rational
+Bernoulli fold, whose Fraction masses are formed once at the end; and a
+numpy sieve for omega.  The families are
 
   bernoulli_sum        X = sum of independent Be(p_i)
   weighted_perm        number of cycles under cycle-weighted permutation
@@ -228,36 +229,26 @@ def _homogeneous_polynomials(theta_seq, n, rational):
     """h_n(w Theta) as its coefficient list in w.
 
     Newton-type recursion m h_m = sum_{k=1}^m (w theta_k) h_{m-k}; each term
-    shifts the lower polynomial by one power of w.  The float path keeps
-    h_0..h_n as the rows of one array and sums the terms of each m in the
-    order k = 1..m (a sequential cumsum, not a pairwise sum), so it gives
-    the same bits as adding the terms one at a time.
+    shifts the lower polynomial by one power of w.  h_0..h_n are the rows of
+    one array, of Fractions (object dtype) when rational and of floats
+    otherwise, and the terms of each m are summed in the order k = 1..m (a
+    sequential cumsum, not a pairwise sum), so the float mode gives the same
+    bits as adding the terms one at a time.
     """
     if not all(0 < t < math.inf for t in theta_seq):
         raise ValueError("cycle weights theta_k must be finite and positive")
     theta = [Fraction(t) if rational else float(t) for t in theta_seq]
     if len(theta) < n:
         raise ValueError(f"need theta_1..theta_{n}")
-    if not rational:
-        hs = np.zeros((n + 1, n + 1))
-        hs[0, 0] = 1.0
-        th = np.array(theta[:n]).reshape(-1, 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses inf and nan
-            for m in range(1, n + 1):
-                terms = th[:m] * hs[m - 1::-1, :m]  # row k-1 is theta_k h_{m-k}
-                hs[m, 1:m + 1] = np.cumsum(terms, axis=0)[-1] * (1.0 / m)
-        return hs[n].tolist()
-    hs = [[Fraction(1)]]
-    for m in range(1, n + 1):
-        coeffs = [Fraction(0)] * (m + 1)
-        for k in range(1, m + 1):
-            tk = theta[k - 1]
-            lower = hs[m - k]
-            for j, c in enumerate(lower):
-                coeffs[j + 1] += tk * c
-        inv = Fraction(1, m)
-        hs.append([c * inv for c in coeffs])
-    return hs[n]
+    one = Fraction(1) if rational else 1.0
+    hs = np.zeros((n + 1, n + 1), dtype=object if rational else float)
+    hs[0, 0] = one
+    th = np.array(theta[:n], dtype=hs.dtype).reshape(-1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses inf and nan
+        for m in range(1, n + 1):
+            terms = th[:m] * hs[m - 1::-1, :m]  # row k-1 is theta_k h_{m-k}
+            hs[m, 1:m + 1] = np.cumsum(terms, axis=0)[-1] * (one / m)
+    return hs[n].tolist()
 
 
 def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
@@ -305,8 +296,9 @@ gauss_irreducible_count = irreducible_count
 
 
 def _one_minus_power_poly(k):
-    """Coefficients of 1 - (1-w)^k in w (degree k, zero constant term)."""
-    return [0] + [(-1) ** (j + 1) * math.comb(k, j) for j in range(1, k + 1)]
+    """1 - (1-w)^k as an object row of Python int coefficients in w."""
+    return np.array([0] + [(-1) ** (j + 1) * math.comb(k, j) for j in range(1, k + 1)],
+                    dtype=object)
 
 
 def fq_factor_pmf(q: int, n: int, rational: bool = False):
@@ -314,10 +306,11 @@ def fq_factor_pmf(q: int, n: int, rational: bool = False):
 
     Builds the integer-coefficient polynomials
     L_m(w) = sum_{k|m} (m/k) I_q(m/k) (1 - (1-w)^k) and runs the recursion
-    m f_m = sum_k L_k f_{m-k} on integers: f_m(w) counts the monic
-    degree-m polynomials by number of distinct factors, so the division by
-    m is exact (and checked).  Checks the count identity f_n(1) = q^n and
-    only then forms the rational masses f_n / q^n.
+    m f_m = sum_k L_k f_{m-k}, all as object rows of Python ints multiplied
+    by np.convolve: f_m(w) counts the monic degree-m polynomials by number
+    of distinct factors, so the division by m is exact (and checked).
+    Checks the count identity f_n(1) = q^n and only then forms the rational
+    masses f_n / q^n.
     """
     if prime_power_base(q) is None:
         raise ValueError("q must be a prime power >= 2")
@@ -325,24 +318,16 @@ def fq_factor_pmf(q: int, n: int, rational: bool = False):
         raise ValueError("n must be >= 1")
     ls = [None]
     for m in range(1, n + 1):
-        lm = [0] * (m + 1)
+        lm = np.zeros(m + 1, dtype=object)
         for k in divisors(m):
-            scale = (m // k) * irreducible_count(q, m // k)
-            for j, c in enumerate(_one_minus_power_poly(k)):
-                lm[j] += scale * c
+            lm[:k + 1] += (m // k) * irreducible_count(q, m // k) * _one_minus_power_poly(k)
         ls.append(lm)
-    fs = [[1]]
+    fs = [np.ones(1, dtype=object)]
     for m in range(1, n + 1):
-        coeffs = [0] * (m + 1)
-        for k in range(1, m + 1):
-            lk, lower = ls[k], fs[m - k]
-            for i, a in enumerate(lk):
-                if a:
-                    for j, b in enumerate(lower):
-                        coeffs[i + j] += a * b
-        if any(c % m for c in coeffs):
+        coeffs = sum(np.convolve(ls[k], fs[m - k]) for k in range(1, m + 1))
+        if any(coeffs % m):
             raise AssertionError(f"integer recursion failed: m f_m not divisible by m = {m}")
-        fs.append([c // m for c in coeffs])
+        fs.append(coeffs // m)
     total = sum(fs[n])
     if total != q ** n:
         raise AssertionError(f"count identity f_n(1) = q^n failed: {total} != {q ** n}")

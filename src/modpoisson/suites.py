@@ -290,6 +290,8 @@ def run_suite(name: str, seed=None, instances=None) -> SuiteResult:
     randomized = default_instances is not None
     if randomized and seed is None:
         raise ValueError(f"suite {name!r} is randomized and needs an explicit seed")
+    if not randomized and (seed is not None or instances is not None):
+        raise ValueError(f"suite {name!r} draws nothing and takes no seed or instance count")
     count = default_instances if instances is None else instances
     if count is not None and count < 1:
         raise ValueError(f"instances must be >= 1, got {count}")

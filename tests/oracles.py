@@ -180,16 +180,38 @@ def reference_homogeneous_polynomials(theta_seq, n):
     return hs
 
 
-def reference_weighted_perm_cycle_pmf(theta_seq, n):
+def reference_rational_homogeneous_polynomials(theta_seq, n):
+    """Fraction h_n(w Theta) by the same loop on Fractions."""
+    theta = [Fraction(t) for t in theta_seq]
+    hs = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        coeffs = [Fraction(0)] * (m + 1)
+        for k in range(1, m + 1):
+            tk = theta[k - 1]
+            lower = hs[m - k]
+            for j, c in enumerate(lower):
+                coeffs[j + 1] += tk * c
+        inv = Fraction(1, m)
+        hs.append([c * inv for c in coeffs])
+    return hs[n]
+
+
+def _reference_h_n(theta_seq, n, rational):
+    if rational:
+        return reference_rational_homogeneous_polynomials(theta_seq, n)
+    return reference_homogeneous_polynomials(theta_seq, n)[n]
+
+
+def reference_weighted_perm_cycle_pmf(theta_seq, n, rational=False):
     from modpoisson.models import Pmf
-    coeffs = reference_homogeneous_polynomials(theta_seq, n)[n]
+    coeffs = _reference_h_n(theta_seq, n, rational)
     norm = sum(coeffs[1:], coeffs[0])
     return Pmf.from_masses(0, [c / norm for c in coeffs])
 
 
-def reference_weighted_perm_normalization(theta_seq, n):
-    hs = reference_homogeneous_polynomials(theta_seq, n)
-    return sum(hs[n][1:], hs[n][0])
+def reference_weighted_perm_normalization(theta_seq, n, rational=False):
+    coeffs = _reference_h_n(theta_seq, n, rational)
+    return sum(coeffs[1:], coeffs[0])
 
 
 def reference_fq_factor_pmf(q, n, rational=False):

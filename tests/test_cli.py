@@ -348,6 +348,16 @@ def test_out_of_domain_parameters_are_one_error_line(args, message, capsys):
     assert message in err
 
 
+def test_memory_error_is_one_error_line(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 728. TiB")
+    monkeypatch.setattr("modpoisson.models.weighted_perm_cycle_pmf", out_of_memory)
+    code, out, err = run_cli(["pmf", "--model", "weighted-perm", "--theta-seq", "1",
+                              "--n", "10000000"], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: Unable to allocate 728. TiB"]
+
+
 @pytest.mark.parametrize("separate, joined", [
     (["--b", "-0.1,0.2"], ["--b=-0.1,0.2"]),
     (["--b2", "-1e-3"], ["--b2=-1e-3"]),
@@ -419,6 +429,15 @@ def test_verify_refuses_an_instance_count_below_one(suite, count, capsys):
                               "--instances", count], capsys)
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: instances must be >= 1, got {count}"]
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--instances"])
+@pytest.mark.parametrize("suite", ["hermite", "charlier", "gamma-ratio", "rates", "oracles"])
+def test_verify_fixed_suite_refuses_seed_and_instances(suite, flag, capsys):
+    code, out, err = run_cli(["verify", "--suite", suite, flag, "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: suite {suite!r} draws nothing and takes no "
+                                "seed or instance count"]
 
 
 def test_verify_unknown_suite_exits_2():

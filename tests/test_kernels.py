@@ -1,9 +1,10 @@
 """Bit identity of the exact model kernels with the reference kernels.
 
 The integer F_q recursion, the integer-numerator rational fold, the numpy
-h_n recursion, the grouped omega sieve, the numpy TV and Kolmogorov
-distances and the one head/tail split of the alphabets must give exactly
-(==, not approx) what the reference kernels in oracles.py give.  The float
+h_n recursion in both modes, the grouped omega sieve, the numpy TV and
+Kolmogorov distances and the one head/tail split of the alphabets must
+give exactly (==, not approx) what the reference kernels in oracles.py
+give.  The float
 Bernoulli product tree sums in another order than the sequential fold it
 replaced, so it is held to exact laws instead: it must be at least as
 accurate as that fold, and within 3e-15 relative per mass.
@@ -84,6 +85,23 @@ def test_float_weighted_perm_matches_loop(n, kind):
     got = weighted_perm_normalization(theta_seq, n)
     assert type(got) is float
     assert got == reference_weighted_perm_normalization(theta_seq, n)
+
+
+def _dyadic_thetas(n):
+    return [Fraction(1 + 7 * k % 13, 8) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("theta_seq, n",
+                         [(_dyadic_thetas(n), n) for n in (1, 2, 17, 60)]
+                         + [(_theta_seqs(6)["random"], 6)],
+                         ids=["dyadic_1", "dyadic_2", "dyadic_17", "dyadic_60", "floats_6"])
+def test_rational_weighted_perm_matches_fraction_loop(theta_seq, n):
+    assert_same(weighted_perm_cycle_pmf(theta_seq, n, rational=True),
+                reference_weighted_perm_cycle_pmf(theta_seq, n, rational=True))
+    got = weighted_perm_normalization(theta_seq, n, rational=True)
+    want = reference_weighted_perm_normalization(theta_seq, n, rational=True)
+    assert type(got) is type(want) is Fraction
+    assert got == want
 
 
 def _float_weights(count):
