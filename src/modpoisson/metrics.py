@@ -49,7 +49,9 @@ def _check_normalized(m):
 
 def _aligned(a, b):
     """Both measures' masses as float64 rows over the union of their windows
-    (Fraction masses are rounded to float first)."""
+    (Fraction masses are rounded to float first); each must total 1."""
+    _check_normalized(a)
+    _check_normalized(b)
     lo = min(a.offset, b.offset)
     xy = np.zeros((2, max(a.offset + len(a.masses), b.offset + len(b.masses)) - lo))
     for row, m in zip(xy, (a, b)):
@@ -63,8 +65,6 @@ def total_variation(a, b) -> float:
     The sub-1e-15 truncation tails of both inputs are added as a
     conservative correction.
     """
-    _check_normalized(a)
-    _check_normalized(b)
     xs, ys = _aligned(a, b)
     core = 0.5 * math.fsum(np.abs(xs - ys).tolist())
     return core + 0.5 * (abs(1.0 - a.total) + abs(1.0 - b.total))
@@ -72,8 +72,6 @@ def total_variation(a, b) -> float:
 
 def kolmogorov(a, b) -> float:
     """max_k |CDF_a(k) - CDF_b(k)|, the CDFs summed in order."""
-    _check_normalized(a)
-    _check_normalized(b)
     xs, ys = _aligned(a, b)
     return float(np.max(np.abs(np.cumsum(xs) - np.cumsum(ys))))
 

@@ -406,6 +406,8 @@ def r_q(q: int, tolerance: float = 1e-12) -> float:
     """R_q = sum_{k>=2} mu(k)/k * log(1/(1 - q^(1-k))); terms decay like q^(1-k)."""
     if q < 2:
         raise ValueError("q must be >= 2")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance:g}")
     total = 0.0
     for k in range(2, 2000):
         x = float(q) ** (1 - k)

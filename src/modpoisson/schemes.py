@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .models import Pmf, SignedMeasure
+from .models import _UNDERFLOW, Pmf, SignedMeasure
 from .symfunc import Alphabet, ResidueCoeffs, residue_coeffs
 
 __all__ = [
@@ -45,33 +45,33 @@ _TAIL_CUTOFF = 1e-15
 
 
 def poisson_pmf(lam: float) -> Pmf:
-    """Po(lam) on a support wide enough that the discarded tail is < 1e-15.
+    """Po(lam) from its first representable mass until the tail is < 1e-15.
 
+    Masses rise up to k = floor(lam), so the first k whose mass exceeds the
+    1e-320 underflow floor is found by bisection; the walk starts there.
     Past k > lam the masses decay geometrically with ratio lam/(k+1), so
     sum_{j>k} m_j <= m_k * ratio / (1 - ratio) bounds the missing tail.
-    The walk visits every k from 0, so lam = inf or lam >= 1e6 fails at once;
-    the leading masses that underflow (at or below 1e-320) are trimmed.
+    lam = inf or lam >= 1e6 fails at once.
     """
     lam = float(lam)
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    runaway = ValueError(f"lam = {lam:g}: the Poisson support exceeds "
-                         "the 1e6-point limit")
     if not lam < 1e6:
-        raise runaway
+        raise ValueError(f"lam = {lam:g}: the Poisson support exceeds "
+                         "the 1e6-point limit")
     log_lam = math.log(lam)
+    mass = lambda k: math.exp(k * log_lam - lam - math.lgamma(k + 1))
+    lo = bisect.bisect_left(range(int(lam)), True, key=lambda k: mass(k) > _UNDERFLOW)
     masses = []
-    k = 0
+    k = lo
     while True:
-        masses.append(math.exp(k * log_lam - lam - math.lgamma(k + 1)))
+        masses.append(mass(k))
         if k > lam and masses[-1] < _POINTWISE_CUTOFF:
             ratio = lam / (k + 1.0)
             if masses[-1] * ratio / (1.0 - ratio) < _TAIL_CUTOFF:
                 break
         k += 1
-        if k > 10 ** 6:
-            raise runaway
-    return Pmf.from_masses(0, masses)
+    return Pmf.from_masses(lo, masses)
 
 
 def scheme_measures(rc: ResidueCoeffs, orders) -> list:

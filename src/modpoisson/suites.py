@@ -26,9 +26,9 @@ __all__ = ["SUITE_NAMES", "SuiteResult", "run_suite", "residue_error",
 @dataclass
 class SuiteResult:
     suite: str
-    passed: bool
-    checks: int
-    failures: list
+    passed: bool = True
+    checks: int = 0
+    failures: list = field(default_factory=list)
     seed: int = None
     instances: int = None
     details: dict = field(default_factory=dict)
@@ -36,17 +36,13 @@ class SuiteResult:
     def to_json_obj(self) -> dict:
         return asdict(self)
 
-
-class _Recorder:
-    def __init__(self):
-        self.checks = 0
-        self.failures = []
-
     def expect(self, ok: bool, message: str):
+        """Count one check; a failed one fails the suite (first 50 messages kept)."""
         self.checks += 1
-        if not ok and len(self.failures) < 50:
-            self.failures.append(message)
-        return ok
+        if not ok:
+            self.passed = False
+            if len(self.failures) < 50:
+                self.failures.append(message)
 
 
 def random_bernoulli_instances(rng, count: int):
@@ -295,8 +291,7 @@ def run_suite(name: str, seed=None, instances=None) -> SuiteResult:
     count = default_instances if instances is None else instances
     if count is not None and count < 1:
         raise ValueError(f"instances must be >= 1, got {count}")
-    rec = _Recorder()
-    details = fn(rec, np.random.default_rng(seed), count) if randomized else fn(rec)
-    return SuiteResult(suite=name, passed=not rec.failures, checks=rec.checks,
-                       failures=rec.failures, seed=seed, instances=count,
-                       details=details)
+    result = SuiteResult(suite=name, seed=seed, instances=count)
+    result.details = (fn(result, np.random.default_rng(seed), count) if randomized
+                      else fn(result))
+    return result

@@ -81,8 +81,8 @@ class Alphabet:
     def __post_init__(self):
         if self.kind not in ALPHABET_KINDS:
             raise ValueError(f"unknown alphabet kind {self.kind!r}")
-        if not (0.0 < self.tolerance):
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance:g}")
         if self.kind == "finite":
             for w in self.weights:
                 if not (0.0 <= w <= 1.0):
@@ -255,11 +255,10 @@ def prime_zeta(s: float, tol: float = 1e-13) -> float:
 
 
 def _fq_degree_series(q: int, k: int, tol: float, first: int = 1) -> float:
-    """sum_{m>=first} I_q(m) q^(-k m), truncated on a geometric tail bound:
-    an absolute one for the whole series (first = 1), else one relative to
-    its leading term."""
+    """sum_{m>=first} I_q(m) q^(-k m), truncated once a geometric bound on
+    the tail falls below tol / 10 times the series' leading term."""
     ratio = float(q) ** (1 - k)
-    lead = 1.0 if first == 1 else irreducible_count(q, first) * float(q) ** (-k * first)
+    lead = irreducible_count(q, first) * float(q) ** (-k * first)
     total = 0.0
     for m in range(first, first + 1999):
         total += irreducible_count(q, m) * float(q) ** (-k * m)

@@ -333,10 +333,15 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
       "--bound", "corollary", "--tail-rn", "nan"], "tail_rn"),
     (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
       "--bound", "corollary", "--tail-rn=-1e-8"], "tail_rn"),
+    # an infinite tolerance would truncate every tail series after one term
+    (["compare", "--model", "fq", "--q", "2", "--n", "20", "--r", "2",
+      "--tolerance", "inf"], "tolerance must be finite"),
+    (["scheme", "--alphabet", "omega", "--lambda", "5", "--r", "2",
+      "--tolerance", "inf"], "tolerance must be finite"),
 ], ids=["ewens_theta_nan", "ewens_theta_inf", "theta_seq_inf", "theta_seq_nan_rational",
         "h_n_overflow", "rational_fold_over_budget", "eps_n_nan", "eps_n_negative",
         "eps_n_negative_separate", "theta_minus_inf_separate", "rho_nan", "rho_inf",
-        "tail_rn_nan", "tail_rn_negative"])
+        "tail_rn_nan", "tail_rn_negative", "fq_tolerance_inf", "omega_tolerance_inf"])
 def test_out_of_domain_parameters_are_one_error_line(args, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

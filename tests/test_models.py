@@ -313,6 +313,11 @@ def test_rq_against_brute_force():
     assert abs(r_q(2) - brute) < 1e-13
 
 
+def test_rq_rejects_a_nonfinite_tolerance():
+    with pytest.raises(ValueError, match="finite and positive"):
+        r_q(2, math.inf)
+
+
 def test_rq_vanishes_for_huge_q():
     assert abs(r_q(10 ** 6)) < 1e-5
 

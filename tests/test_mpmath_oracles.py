@@ -148,7 +148,7 @@ def _omega_residue(z):
     return mpmath.exp(acc)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
 def test_fq_residue_product_against_mpmath(q):
     # an fq head from |z| > q/2 on: the tail is summed from its first degree
     grid = _residue_grid((0.3, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 7.0, 8.0, 12.0, 20.0))

@@ -50,13 +50,23 @@ def test_poisson_truncation_contract():
         assert abs(pmf.total - 1.0) < 1e-13  # float-level residual only
 
 
-@pytest.mark.parametrize("lam", [0.5, 50.0, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 7.0, 50.0, 1e3, 1e4, 1e5, 2e5])
 def test_poisson_trims_leading_underflow_and_keeps_every_mass(lam):
     pmf, walk = poisson_pmf(lam), reference_poisson_pmf(lam)
     assert pmf.masses == walk.masses[pmf.offset:]
     assert max(walk.masses[:pmf.offset], default=0.0) <= 1e-320
     assert pmf.masses[0] > 1e-320
     assert (pmf.offset > 0) == (lam >= 1e3)
+
+
+def test_poisson_computes_no_mass_below_its_first_representable_one(monkeypatch):
+    # the start is found by bisection (about 17 masses at lam = 1e5), not by
+    # walking up from k = 0 through 88,162 underflowing masses
+    calls = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+    pmf = poisson_pmf(1e5)
+    assert len(calls) <= len(pmf.masses) + 20
 
 
 def test_poisson_rejects_nonpositive_rate():
