@@ -10,7 +10,9 @@ abort.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -80,18 +82,18 @@ def kolmogorov(a, b) -> float:
 
 def lecam_bound(weights) -> float:
     """sum p_i^2: the classical Le Cam bound on d_TV to Po(sum p_i)."""
-    return math.fsum(float(p) ** 2 for p in weights)
+    return math.fsum(map(pow, map(float, weights), repeat(2)))
 
 
 def chen_stein_bound(weights) -> float:
     """(1 - e^-lam)/lam * sum p_i^2, the Chen-Stein sharpening of Le Cam."""
-    weights = [float(p) for p in weights]
+    weights = list(map(float, weights))
     if not weights:
         raise ValueError("chen_stein_bound needs at least one weight")
     lam = math.fsum(weights)
     if lam <= 0.0:
         raise ValueError("chen_stein_bound needs lam > 0")
-    return -math.expm1(-lam) / lam * math.fsum(p * p for p in weights)
+    return -math.expm1(-lam) / lam * math.fsum(map(operator.mul, weights, weights))
 
 
 def theorem_a_bound(lam: float, tau: float, r: int) -> float:

@@ -36,13 +36,17 @@ class SuiteResult:
     def to_json_obj(self) -> dict:
         return asdict(self)
 
-    def expect(self, ok: bool, message: str):
-        """Count one check; a failed one fails the suite (first 50 messages kept)."""
+    def expect(self, ok: bool, message: str, *args):
+        """Count one check; a failed one fails the suite (first 50 messages kept).
+
+        The message is a str.format template of args, formatted only when
+        the check fails.
+        """
         self.checks += 1
         if not ok:
             self.passed = False
             if len(self.failures) < 50:
-                self.failures.append(message)
+                self.failures.append(message.format(*args))
 
 
 def random_bernoulli_instances(rng, count: int):
@@ -64,8 +68,8 @@ def _suite_theorem_b(rec, rng, instances):
     for wts in random_bernoulli_instances(rng, instances):
         for rep in metrics.verify_bounds(ModelSpec.bernoulli(wts), range(1, 7)):
             worst = max(worst, rep.tv / rep.bound)
-            rec.expect(rep.holds, f"tv={rep.tv:.3e} > bound={rep.bound:.3e} "
-                                  f"(n={rep.n}, r={rep.r})")
+            rec.expect(rep.holds, "tv={:.3e} > bound={:.3e} (n={}, r={})",
+                       rep.tv, rep.bound, rep.n, rep.r)
     return {"worst_tv_over_bound": worst}
 
 
@@ -74,9 +78,9 @@ def _suite_chen_stein(rec, rng, instances):
         chen, lecam = metrics.verify_bounds(ModelSpec.bernoulli(wts), [],
                                             which=("chen-stein", "lecam"))
         for rep in (chen, lecam):
-            rec.expect(rep.holds, f"{rep.name} violated: tv={rep.tv:.3e} > {rep.bound:.3e}")
+            rec.expect(rep.holds, "{} violated: tv={:.3e} > {:.3e}", rep.name, rep.tv, rep.bound)
         rec.expect(chen.bound <= lecam.bound + metrics.HOLDS_SLACK,
-                   f"chen-stein {chen.bound:.3e} above lecam {lecam.bound:.3e}")
+                   "chen-stein {:.3e} above lecam {:.3e}", chen.bound, lecam.bound)
     return {}
 
 
@@ -93,7 +97,7 @@ def _suite_coefficients(rec, rng, instances):
             cap = (math.e * s2 / s) ** (s / 2.0)
             worst = max(worst, abs(rc.b[s - 1]) - cap)
             rec.expect(abs(rc.b[s - 1]) <= cap + 1e-12,
-                       f"|b_{s}|={abs(rc.b[s - 1]):.3e} above cap {cap:.3e}")
+                       "|b_{}|={:.3e} above cap {:.3e}", s, abs(rc.b[s - 1]), cap)
     return {"worst_excess": worst}
 
 
@@ -106,7 +110,7 @@ def _suite_hermite(rec):
             b = specialfn.hermite_explicit(m, z)
             scale = max(1.0, abs(a))
             rec.expect(abs(a - b) <= 1e-9 * scale,
-                       f"hermite mismatch m={m} z={z}: {abs(a - b):.2e}")
+                       "hermite mismatch m={} z={}: {:.2e}", m, z, abs(a - b))
     # multiplication theorem
     for m in range(0, 16):
         for a in (0.5, 1.0, 2.0):
@@ -115,18 +119,18 @@ def _suite_hermite(rec):
                 rhs = specialfn.hermite_multiplication(m, a, float(x))
                 scale = max(1.0, abs(lhs))
                 rec.expect(abs(lhs - rhs) <= 1e-9 * scale,
-                           f"multiplication residual m={m} a={a} x={x:.2f}")
+                           "multiplication residual m={} a={} x={:.2f}", m, a, x)
     # Cramer margins: real then complex
     for m in range(1, 31):
         for x in np.linspace(-10.0, 10.0, 41):
             rec.expect(specialfn.cramer_bound_margin(m, float(x)) >= 0.0,
-                       f"real Cramer margin < 0 at m={m}, x={x:.2f}")
+                       "real Cramer margin < 0 at m={}, x={:.2f}", m, x)
     for m in range(1, 21):
         for radius in (1.0, 2.5, 5.0):
             for j in range(8):
                 z = radius * cmath.exp(2j * math.pi * (j + 0.5) / 8)
                 rec.expect(specialfn.cramer_bound_margin(m, z) >= 0.0,
-                           f"complex Cramer margin < 0 at m={m}, z={z:.2f}")
+                           "complex Cramer margin < 0 at m={}, z={:.2f}", m, z)
     return {}
 
 
@@ -142,7 +146,7 @@ def _suite_charlier(rec):
                 err = abs((nxt.mass(k) - cur.mass(k)) - delta)
                 worst = max(worst, err)
                 rec.expect(err < 1e-12,
-                           f"telescoping error {err:.2e} at lam={lam}, s={s}, k={k}")
+                           "telescoping error {:.2e} at lam={}, s={}, k={}", err, lam, s, k)
     return {"worst_error": worst}
 
 
@@ -155,14 +159,14 @@ def _suite_gamma_ratio(rec):
         for w in grid:
             margin = specialfn.gamma_ratio_margin(n, theta, rho, w)
             min_margin = min(min_margin, margin)
-            rec.expect(margin >= 0.0, f"ratio margin {margin:.2e} < 0 at n={n}, w={w:.2f}")
+            rec.expect(margin >= 0.0, "ratio margin {:.2e} < 0 at n={}, w={:.2f}", margin, n, w)
     # recurrence of the log-gamma itself
     for re in np.linspace(1.25, 10.0, 8):
         for im in np.linspace(-5.0, 5.0, 7):
             z = complex(re, im)
             resid = abs(specialfn.complex_log_gamma(z) - cmath.log(z)
                         - specialfn.complex_log_gamma(z - 1.0))
-            rec.expect(resid < 1e-10, f"log-gamma recurrence residual {resid:.2e} at {z}")
+            rec.expect(resid < 1e-10, "log-gamma recurrence residual {:.2e} at {}", resid, z)
     return {"min_margin": min_margin}
 
 
@@ -185,8 +189,8 @@ def _suite_rates(rec):
     eps = {n: harmonic_residue_error(n) for n in (200, 400, 800, 1600)}
     ratios = {n: eps[2 * n] / eps[n] for n in (200, 400, 800)}
     for n, ratio in ratios.items():
-        rec.expect(0.3 <= ratio <= 0.7,
-                   f"residue error ratio eps_{2 * n}/eps_{n} = {ratio:.3f} outside [0.3, 0.7]")
+        rec.expect(0.3 <= ratio <= 0.7, "residue error ratio eps_{}/eps_{} = {:.3f} "
+                   "outside [0.3, 0.7]", 2 * n, n, ratio)
     return {"epsilons": {str(n): eps[n] for n in eps},
             "ratios": {str(n): ratios[n] for n in ratios}}
 
@@ -245,13 +249,13 @@ def _suite_oracles(rec):
         approx = bernoulli_sum_pmf([float(w) for w in wset])
         err = max(abs(float(exact.mass(k)) - approx.mass(k))
                   for k in range(len(wset) + 1))
-        rec.expect(err < 1e-12, f"rational/float convolution gap {err:.2e}")
+        rec.expect(err < 1e-12, "rational/float convolution gap {:.2e}", err)
     # Feller coupling: cycle counts of uniform permutations
     for n in (1, 2, 5, 10, 30):
         cyc = ewens_cycle_pmf(1.0, n)
         fell = bernoulli_sum_pmf([1.0 / i for i in range(1, n + 1)])
         err = max(abs(cyc.mass(k) - fell.mass(k)) for k in range(n + 2))
-        rec.expect(err < 1e-12, f"Feller coupling gap {err:.2e} at n={n}")
+        rec.expect(err < 1e-12, "Feller coupling gap {:.2e} at n={}", err, n)
     # distinct-factor counts against exhaustive factorization
     for q, nmax in ((2, 10), (3, 6)):
         for n in range(1, nmax + 1):
@@ -260,7 +264,7 @@ def _suite_oracles(rec):
             total = q ** n
             ok = all(exact.mass(j) == Fraction(counts[j], total)
                      for j in range(n + 1))
-            rec.expect(ok, f"fq pmf disagrees with enumeration at q={q}, n={n}")
+            rec.expect(ok, "fq pmf disagrees with enumeration at q={}, n={}", q, n)
     return {}
 
 

@@ -22,8 +22,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+
+import numpy as np
 
 from ._arith import irreducible_count, mobius, prime_power_base, primes_up_to
 
@@ -84,9 +88,11 @@ class Alphabet:
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance:g}")
         if self.kind == "finite":
-            for w in self.weights:
-                if not (0.0 <= w <= 1.0):
-                    raise ValueError(f"finite weights must lie in [0, 1], got {w}")
+            weights = np.asarray(self.weights)
+            bad = np.flatnonzero(~((weights >= 0.0) & (weights <= 1.0)))
+            if bad.size:
+                raise ValueError("finite weights must lie in [0, 1], "
+                                 f"got {self.weights[bad[0]]}")
         elif self.kind == "ewens_limit":
             if not 0.0 < self.theta < math.inf:
                 raise ValueError(f"ewens_limit needs a finite theta > 0, got {self.theta:g}")
@@ -168,7 +174,7 @@ def power_sums_finite(weights, kmax: int) -> PowerSums:
         raise ValueError("empty weight list")
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
-    vals = tuple(math.fsum(w ** k for w in weights) for k in range(1, kmax + 1))
+    vals = tuple(math.fsum(map(pow, weights, repeat(k))) for k in range(1, kmax + 1))
     return PowerSums(vals)
 
 
@@ -220,7 +226,7 @@ def zeta(s: float, a: float = 1.0) -> float:
     size = a ** (1 - s) / (s - 1) + a ** (-s)
     while s * (s + 1) * (s + 2) / 720.0 * (a + n_terms) ** (-s - 3) > 1e-16 * size:
         n_terms *= 2
-    partial = math.fsum((a + j) ** (-s) for j in range(n_terms))
+    partial = math.fsum(map(pow, map(operator.add, repeat(a), range(n_terms)), repeat(-s)))
     t = a + n_terms
     tail = t ** (1 - s) / (s - 1) + 0.5 * t ** (-s) + s / 12.0 * t ** (-s - 1)
     return partial + tail
@@ -282,10 +288,10 @@ def elementary_from_power(ps: PowerSums, rmax: int):
     if any(not math.isfinite(v) for v in p):
         raise ValueError("power sums must be finite; use virtual_residue_coeffs "
                          "for infinite alphabets (p_1 -> 0)")
-    e = [0.0] * (rmax + 1)
-    e[0] = 1.0
+    signed = [-v if i % 2 else v for i, v in enumerate(p)]  # p_1, -p_2, p_3, ...
+    e = [1.0]
     for k in range(1, rmax + 1):
-        e[k] = math.fsum((-1) ** (i - 1) * p[i - 1] * e[k - i] for i in range(1, k + 1)) / k
+        e.append(math.fsum(map(operator.mul, signed[:k], reversed(e))) / k)
     return e
 
 

@@ -7,7 +7,10 @@ give exactly (==, not approx) what the reference kernels in oracles.py
 give.  The float
 Bernoulli product tree sums in another order than the sequential fold it
 replaced, so it is held to exact laws instead: it must be at least as
-accurate as that fold, and within 3e-15 relative per mass.
+accurate as that fold, and within 3e-15 relative per mass.  Its sheared
+level merge, the map-based power sums, Newton sums, zeta partial sums and
+classical bounds, and the suites' deferred failure messages must give
+exactly what the per-element forms they replaced (kept below) give.
 """
 
 import cmath
@@ -21,16 +24,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modpoisson import models
 from modpoisson._arith import primes_up_to
-from modpoisson.metrics import kolmogorov, total_variation, verify_bounds
+from modpoisson.metrics import (chen_stein_bound, kolmogorov, lecam_bound, total_variation,
+                                verify_bounds)
 from modpoisson.models import (RATIONAL_FOLD_BUDGET, ModelSpec, Pmf, bernoulli_sum_pmf,
                                ewens_cycle_pmf, fq_factor_pmf, omega_pmf,
                                omega_values, weighted_perm_cycle_pmf,
                                weighted_perm_normalization)
 from modpoisson.schemes import poisson_pmf, scheme_measures
-from modpoisson.suites import random_bernoulli_instances
-from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet, power_sums_infinite,
-                                residue_coeffs, residue_product_eval)
+from modpoisson.suites import SuiteResult, random_bernoulli_instances
+from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet, PowerSums,
+                                elementary_from_power, power_sums_finite, power_sums_infinite,
+                                residue_coeffs, residue_product_eval, zeta)
 from oracles import (reference_bernoulli_fold_float, reference_bernoulli_rational_pmf,
                      reference_chen_stein, reference_fq_factor_pmf, reference_kolmogorov,
                      reference_omega_pmf, reference_omega_values,
@@ -230,6 +236,46 @@ def test_float_fold_names_the_first_bad_weight(weights):
     assert str(got.value) == str(want.value)
 
 
+def _per_j_product_tree(weights):
+    """The product tree with its levels merged by the per-j slice loop,
+    verbatim: the reference for the sheared level merge."""
+    p = np.asarray(weights, dtype=float)
+    rows = np.stack([1.0 - p, p], axis=1) if p.size else np.eye(1, 2)
+    while len(rows) > 1 and rows.shape[1] < 64:
+        if len(rows) % 2:
+            rows = np.vstack([rows, np.eye(1, rows.shape[1])])
+        a, b, w = rows[0::2], rows[1::2], rows.shape[1]
+        rows = np.zeros((len(a), 2 * w - 1))
+        for j in range(w):
+            rows[:, j:j + w] += a[:, j:j + 1] * b
+    parts = [(0, row) for row in rows]
+    while len(parts) > 1:
+        merged = []
+        for (o1, r1), (o2, r2) in zip(parts[0::2], parts[1::2]):
+            row = np.convolve(r1, r2)
+            kept = np.flatnonzero(row > models._UNDERFLOW)
+            merged.append((o1 + o2 + int(kept[0]), row[kept[0]:kept[-1] + 1]))
+        parts = merged + parts[len(merged) * 2:]
+    offset, row = parts[0]
+    return Pmf.from_masses(offset, row.tolist())
+
+
+#: factors past which the w = 2 level of the fold spills into a second chunk
+#: of the largest block
+_W2_CHUNK = 2 * (models._FOLD_BLOCK_BYTES[1] // 8 // (2 * 2 * 2))
+
+
+@pytest.mark.parametrize("n", [*range(71), 255, 256, 257, 500, 1500,
+                               _W2_CHUNK + 1, 2 * _W2_CHUNK + 3])
+def test_float_fold_has_the_bits_of_the_per_j_level_loop(n):
+    rng = np.random.default_rng(n)
+    weights = rng.uniform(0.0, 0.3, size=n)
+    weights[rng.integers(0, max(n, 1), size=n // 4)] = rng.choice([0.0, 1.0], size=n // 4)
+    got, want = bernoulli_sum_pmf(weights.tolist()), _per_j_product_tree(weights.tolist())
+    assert got.offset == want.offset
+    assert got.masses == want.masses
+
+
 def test_float_fold_of_1e5_weights_takes_under_0_4_s():
     weights = np.random.default_rng(11).uniform(0.0, 0.05, size=10 ** 5).tolist()
     start = time.perf_counter()
@@ -316,3 +362,92 @@ def test_residue_product_matches_per_kind_split(alphabet):
                 or (alphabet.kind == "omega_limit" and abs(z) > OMEGA_RESIDUE_RADIUS)):
             continue
         assert residue_product_eval(alphabet, z) == reference_residue_product_eval(alphabet, z)
+
+
+# --- per-element forms replaced by map passes ----------------------------------
+
+def _generator_power_sums(weights, kmax):
+    return tuple(math.fsum(w ** k for w in weights) for k in range(1, kmax + 1))
+
+
+def _generator_elementary(p, rmax):
+    e = [0.0] * (rmax + 1)
+    e[0] = 1.0
+    for k in range(1, rmax + 1):
+        e[k] = math.fsum((-1) ** (i - 1) * p[i - 1] * e[k - i] for i in range(1, k + 1)) / k
+    return e
+
+
+def _generator_zeta(s, a=1.0):
+    if s >= 10:
+        n_terms = 100
+    elif s >= 6:
+        n_terms = 1000
+    else:
+        n_terms = 10000
+    size = a ** (1 - s) / (s - 1) + a ** (-s)
+    while s * (s + 1) * (s + 2) / 720.0 * (a + n_terms) ** (-s - 3) > 1e-16 * size:
+        n_terms *= 2
+    partial = math.fsum((a + j) ** (-s) for j in range(n_terms))
+    t = a + n_terms
+    tail = t ** (1 - s) / (s - 1) + 0.5 * t ** (-s) + s / 12.0 * t ** (-s - 1)
+    return partial + tail
+
+
+def _generator_chen_stein(weights):
+    weights = [float(p) for p in weights]
+    lam = math.fsum(weights)
+    return -math.expm1(-lam) / lam * math.fsum(p * p for p in weights)
+
+
+def _seeded_weight_sets():
+    rng = np.random.default_rng(16)
+    sets = [rng.uniform(0.0, 1.0, size=int(rng.integers(1, 40))).tolist() for _ in range(30)]
+    return sets + [[0.0, 1.0, 0.5], [1.0], [0.0, 0.0, 0.25], _float_weights(500)]
+
+
+def test_map_power_and_newton_sums_match_the_generator_forms():
+    for weights in _seeded_weight_sets():
+        ps = power_sums_finite(weights, 30)
+        assert ps.values == _generator_power_sums(weights, 30)
+        signed = (0.0,) + ps.values[1:]  # the virtual alphabet too, whose p_1 is 0
+        for values in (ps.values, signed):
+            assert elementary_from_power(PowerSums(values), 30) == \
+                _generator_elementary(values, 30)
+
+
+def test_map_zeta_matches_the_generator_form():
+    for a in (0.05, 0.37, 1.0, 2.5, 17.0, 201.0, 20001.5):
+        for s in (2, 3, 2.5, 7, 10, 33, 60.0):
+            assert zeta(s, a) == _generator_zeta(s, a)
+
+
+def test_map_classical_bounds_match_the_generator_forms():
+    for weights in _seeded_weight_sets():
+        assert lecam_bound(weights) == math.fsum(float(p) ** 2 for p in weights)
+        if math.fsum(weights) > 0.0:
+            assert chen_stein_bound(weights) == _generator_chen_stein(weights)
+
+
+def test_suite_messages_are_formatted_as_the_f_strings_were():
+    tv, bound, n, r = 1.23456789e-7, 9.87e-300, 431, 6
+    z, x, m = complex(-2.5, 0.375), np.float64(-3.5), 12
+    cases = [
+        (("tv={:.3e} > bound={:.3e} (n={}, r={})", tv, bound, n, r),
+         f"tv={tv:.3e} > bound={bound:.3e} (n={n}, r={r})"),
+        (("hermite mismatch m={} z={}: {:.2e}", m, z, abs(z)),
+         f"hermite mismatch m={m} z={z}: {abs(z):.2e}"),
+        (("complex Cramer margin < 0 at m={}, z={:.2f}", m, z),
+         f"complex Cramer margin < 0 at m={m}, z={z:.2f}"),
+        (("multiplication residual m={} a={} x={:.2f}", m, 0.5, x),
+         f"multiplication residual m={m} a={0.5} x={x:.2f}"),
+        (("log-gamma recurrence residual {:.2e} at {}", tv, z),
+         f"log-gamma recurrence residual {tv:.2e} at {z}"),
+        (("b_1 != 0 from a virtual alphabet",), "b_1 != 0 from a virtual alphabet"),
+    ]
+    result = SuiteResult("formatting")
+    result.expect(True, "{:.3e}", None)  # a passing check formats nothing
+    for args, _ in cases:
+        result.expect(False, *args)
+    assert result.failures == [want for _, want in cases]
+    assert (result.checks, result.passed) == (len(cases) + 1, False)

@@ -1,5 +1,7 @@
-"""Smoke tests for the table scripts, the package's callers in scripts/."""
+"""Smoke tests for the table and benchmark scripts, the package's callers in
+scripts/."""
 
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +25,19 @@ def test_script_runs(script, args, header):
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert " ".join(done.stdout.splitlines()[0].split()) == header
+
+
+def test_bench_kernels_adds_its_label_and_keeps_the_others(tmp_path):
+    out = tmp_path / "BENCH_kernels.json"
+    out.write_text('{"parent": {"kept": true}}\n')
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_kernels.py"),
+                           "--label", "smoke", "--out", str(out), "--fold-sizes", "5,40",
+                           "--verify-weights", "30", "--repeat", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(out.read_text())
+    assert results["parent"] == {"kept": True}
+    kernels = results["smoke"]["kernels"]
+    assert set(kernels) == {"fold_5", "fold_40", "power_sums_finite_30x30", "verify_bounds_30"}
+    assert all(k["best_s"] > 0.0 and k["unscaled_s"] > 0.0 for k in kernels.values())
