@@ -209,7 +209,7 @@ def _bernoulli_fold_float(weights):
             # a fresh contiguous result: reducing into the strided columns
             # would make numpy allocate a buffer of the chunk's size
             cols[:, lo:lo + c] = np.add.reduce(sheared, axis=0)
-    parts = [(0, row) for row in np.ascontiguousarray(cols.T)]
+    parts = [(0, row) for row in cols.T]
     while len(parts) > 1:
         merged = []
         for (o1, r1), (o2, r2) in zip(parts[0::2], parts[1::2]):
