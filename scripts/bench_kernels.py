@@ -4,10 +4,12 @@
     PYTHONPATH=src python scripts/bench_kernels.py --label change
 
 Times the float Bernoulli fold at --fold-sizes weights, power_sums_finite
-of --verify-weights weights to order 30, and one
+of --verify-weights weights to order 30, one
 verify_bounds(ModelSpec.bernoulli(w), range(1, 7)), the theorem-b suite's
-per-instance call, on --verify-weights weights.  Weights are seeded, so
-every run times the same inputs.
+per-instance call, on --verify-weights weights, the Poisson base
+poisson_pmf at lambda = 10^3 and 10^5, and, on the fold of the most
+weights, total_variation against its Poisson law and io.mass_csv_lines.
+Weights are seeded, so every run times the same inputs.
 
 Each of --repeat rounds runs a fixed reference job, the work of
 perfbench/reference.py in this process (no `modpoisson` code), and then
@@ -33,8 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
-from modpoisson.metrics import verify_bounds
+from modpoisson.io import mass_csv_lines
+from modpoisson.metrics import total_variation, verify_bounds
 from modpoisson.models import ModelSpec, bernoulli_sum_pmf
+from modpoisson.schemes import poisson_pmf
 from modpoisson.symfunc import power_sums_finite
 
 #: scaled times read as seconds on a machine where the reference job takes
@@ -76,6 +80,13 @@ def kernel_jobs(fold_sizes, verify_weights):
     jobs[f"power_sums_finite_{verify_weights}x30"] = (power_sums_finite, (weights, 30))
     spec = ModelSpec.bernoulli(weights)
     jobs[f"verify_bounds_{verify_weights}"] = (verify_bounds, (spec, range(1, 7)))
+    for lam in (1000, 100000):
+        jobs[f"poisson_{lam}"] = (poisson_pmf, (lam,))
+    n = max(fold_sizes)
+    fold_weights = jobs[f"fold_{n}"][1][0]
+    fold = bernoulli_sum_pmf(fold_weights)
+    jobs[f"tv_{n}"] = (total_variation, (fold, poisson_pmf(math.fsum(fold_weights))))
+    jobs[f"mass_csv_{n}"] = (mass_csv_lines, (fold,))
     return jobs
 
 

@@ -14,6 +14,8 @@ import json
 import re
 import sys
 
+import numpy as np
+
 from . import io, metrics, schemes, suites, symfunc
 from .models import ModelSpec
 from .symfunc import Alphabet, ResidueCoeffs
@@ -207,11 +209,9 @@ def _cmd_scheme(args) -> int:
     measure = schemes.scheme_measure(rc)
     if args.positive:
         measure = schemes.rectify_positive(measure)
-    else:
-        negatives = sum(1 for m in measure.masses if m < 0.0)
-        if negatives:
-            print(f"warning: {negatives} negative entries in the signed measure "
-                  "(use --positive to sweep them)", file=sys.stderr)
+    elif negatives := np.count_nonzero(measure.masses < 0.0):
+        print(f"warning: {negatives} negative entries in the signed measure "
+              "(use --positive to sweep them)", file=sys.stderr)
     _emit_measure(measure, args)
     return 0
 

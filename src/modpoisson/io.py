@@ -38,14 +38,12 @@ def read_weights_csv(path) -> list:
 
 
 def mass_csv_lines(measure) -> list:
-    lines = [CSV_MASS_HEADER]
-    for k, m in zip(measure.support(), measure.masses):
-        lines.append(f"{k},{fmt17(float(m))}")
-    return lines
+    masses = measure.masses.astype(float, copy=False).tolist()  # f"{m:.17g}" is fmt17(m)
+    return [CSV_MASS_HEADER] + [f"{k},{m:.17g}" for k, m in zip(measure.support(), masses)]
 
 
 def mass_json_obj(measure) -> dict:
-    return {"offset": measure.offset, "masses": [float(m) for m in measure.masses]}
+    return {"offset": measure.offset, "masses": measure.masses.astype(float, copy=False).tolist()}
 
 
 def report_csv_lines(reports) -> list:

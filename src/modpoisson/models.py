@@ -77,54 +77,59 @@ _FOLD_BLOCK_BYTES = (2 * 33 * 33 * 8, 128 * 1024)
 OMEGA_SIEVE_BUDGET = 10 ** 8
 
 
-def _all_fractions(masses) -> bool:
-    return all(isinstance(m, Fraction) for m in masses)
+def _mass_array(masses) -> np.ndarray:
+    """masses as a SignedMeasure holds them."""
+    masses = np.asarray(masses)
+    if masses.dtype != object or not all(isinstance(m, Fraction) for m in masses.tolist()):
+        masses = masses.astype(float, copy=False)
+    masses = masses.view()
+    masses.flags.writeable = False
+    return masses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedMeasure:
     """Real-valued mass function with unit total on a contiguous integer window.
 
-    masses[j] is the mass of offset + j.  Exactness follows the mass type:
-    Fraction masses must total exactly 1, float masses 1 within 1e-10 by
-    compensated sum (truncation of sub-1e-300 tails keeps it far inside
-    that).  total is that sum, a Fraction or a float accordingly.
+    masses[j] is the mass of offset + j, in a read-only 1-D array whose dtype
+    is its exactness: object when every mass is a Fraction (they must total
+    exactly 1), float64 otherwise, ints and mixed input included (1 within
+    1e-10 by compensated sum; truncation of sub-1e-300 tails keeps it far
+    inside that).  total is that sum.  Measures compare by identity.
     """
 
     offset: int
-    masses: tuple
+    masses: np.ndarray
     total: object = field(init=False)
 
     def __post_init__(self):
         if self.offset < 0:
             raise ValueError("offset must be >= 0")
-        if not self.masses:
+        object.__setattr__(self, "masses", _mass_array(self.masses))
+        if len(self.masses) == 0:
             raise ValueError("empty mass function")
-        if _all_fractions(self.masses):
-            total = sum(self.masses, Fraction(0))
-            if total != 1:
-                raise ValueError("rational masses must sum to exactly 1")
-        else:
-            total = math.fsum(self.masses)
-            if not abs(total - 1.0) <= 1e-10:
-                raise ValueError(f"masses sum to {total!r}, not 1")
+        total = self._sum(self.masses.tolist())
+        if self._exact and total != 1:
+            raise ValueError("rational masses must sum to exactly 1")
+        if not abs(total - 1.0) <= 1e-10:
+            raise ValueError(f"masses sum to {total!r}, not 1")
         object.__setattr__(self, "total", total)
 
     @property
     def _exact(self) -> bool:
-        return isinstance(self.total, Fraction)
+        return self.masses.dtype == object
 
     @classmethod
     def from_masses(cls, offset, masses):
         """Build a measure, trimming zero edges (for floats, underflow-level ones)."""
-        masses = list(masses)
-        floor = 0 if _all_fractions(masses) else _UNDERFLOW
+        masses = _mass_array(masses)
+        floor = 0 if masses.dtype == object else _UNDERFLOW
         lo, hi = 0, len(masses)
-        while lo < hi - 1 and abs(masses[lo]) <= floor:
+        while lo < hi - 1 and abs(masses.item(lo)) <= floor:
             lo += 1
-        while hi - 1 > lo and abs(masses[hi - 1]) <= floor:
+        while hi - 1 > lo and abs(masses.item(hi - 1)) <= floor:
             hi -= 1
-        return cls(offset + lo, tuple(masses[lo:hi]))
+        return cls(offset + lo, masses[lo:hi])
 
     def _sum(self, terms):
         return sum(terms, Fraction(0)) if self._exact else math.fsum(terms)
@@ -132,24 +137,24 @@ class SignedMeasure:
     def mass(self, k: int):
         j = k - self.offset
         if 0 <= j < len(self.masses):
-            return self.masses[j]
+            return self.masses.item(j)
         return Fraction(0) if self._exact else 0.0
 
     def support(self) -> range:
         return range(self.offset, self.offset + len(self.masses))
 
     def mean(self):
-        return self._sum(k * m for k, m in zip(self.support(), self.masses))
+        return self._sum(k * m for k, m in enumerate(self.masses.tolist(), self.offset))
 
     def variance(self):
         mu = self.mean()
-        return self._sum((k - mu) ** 2 * m for k, m in zip(self.support(), self.masses))
+        return self._sum((k - mu) ** 2 * m
+                         for k, m in enumerate(self.masses.tolist(), self.offset))
 
     def to_float(self):
         """The same measure with float masses, underflow-level edges trimmed."""
-        if not self._exact:
-            return self
-        return type(self).from_masses(self.offset, [float(m) for m in self.masses])
+        return (type(self).from_masses(self.offset, self.masses.astype(float))
+                if self._exact else self)
 
 
 class Pmf(SignedMeasure):
@@ -157,7 +162,7 @@ class Pmf(SignedMeasure):
 
     def __post_init__(self):
         super().__post_init__()
-        if min(self.masses) < 0:
+        if min(self.masses.tolist()) < 0:  # ndarray.min maps 64 KB of numpy code
             raise ValueError("negative mass in a Pmf")
 
 
@@ -217,8 +222,7 @@ def _bernoulli_fold_float(weights):
             kept = np.flatnonzero(row > _UNDERFLOW)
             merged.append((o1 + o2 + int(kept[0]), row[kept[0]:kept[-1] + 1]))
         parts = merged + parts[len(merged) * 2:]
-    offset, row = parts[0]
-    return Pmf.from_masses(offset, row.tolist())
+    return Pmf.from_masses(*parts[0])
 
 
 def bernoulli_sum_pmf(weights, rational: bool = False):
@@ -253,7 +257,7 @@ def bernoulli_sum_pmf(weights, rational: bool = False):
 # --- weighted permutations ---------------------------------------------------
 
 def _homogeneous_polynomials(theta_seq, n, rational):
-    """h_n(w Theta) as its coefficient list in w.
+    """h_n(w Theta) as its row of coefficients in w.
 
     Newton-type recursion m h_m = sum_{k=1}^m (w theta_k) h_{m-k}; each term
     shifts the lower polynomial by one power of w.  h_0..h_n are the rows of
@@ -281,7 +285,7 @@ def _homogeneous_polynomials(theta_seq, n, rational):
             rows, mask = hs[m - 1::-1, :m], live[n - m:, :m]
             terms = np.multiply(th[:m], rows, out=np.zeros_like(rows), where=mask)
             hs[m, 1:m + 1] = np.add.reduce(terms, axis=0, where=mask, initial=0) * (one / m)
-    return hs[n].tolist()
+    return hs[n]
 
 
 def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
@@ -292,17 +296,16 @@ def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
     if n < 1:
         raise ValueError("n must be >= 1")
     coeffs = _homogeneous_polynomials(theta_seq, n, rational)
-    norm = sum(coeffs[1:], coeffs[0])
+    norm = sum(coeffs.tolist())
     if not 0 < norm < math.inf:
         raise ValueError(f"h_n(Theta) = {norm} is outside the float range; "
                          "use the rational mode")
-    return Pmf.from_masses(0, [c / norm for c in coeffs])
+    return Pmf.from_masses(0, coeffs / norm)
 
 
 def weighted_perm_normalization(theta_seq, n: int, rational: bool = False):
     """h_n(Theta), the partition function of the weighted measure."""
-    coeffs = _homogeneous_polynomials(theta_seq, n, rational)
-    return sum(coeffs[1:], coeffs[0])
+    return sum(_homogeneous_polynomials(theta_seq, n, rational).tolist())
 
 
 def ewens_cycle_pmf(theta, n: int, rational: bool = False):
@@ -402,7 +405,7 @@ def omega_pmf(n_max: int) -> Pmf:
         raise ValueError(f"n_max={n_max} exceeds the sieve memory budget {OMEGA_SIEVE_BUDGET}")
     values = omega_values(n_max)[1:]
     counts = np.array([np.count_nonzero(values == k) for k in range(int(values.max()) + 1)])
-    return Pmf.from_masses(0, (counts / float(n_max)).tolist())
+    return Pmf.from_masses(0, counts / float(n_max))
 
 
 # --- mod-Poisson parameters ---------------------------------------------------
@@ -459,7 +462,7 @@ def empirical_residue(pmf, lam: float, w) -> complex:
     """(sum_k pmf(k) w^k) * exp(-lam (w-1)): the model's Fourier ratio."""
     w = complex(w)
     acc = 0.0 + 0.0j
-    for m in reversed(pmf.masses):
+    for m in reversed(pmf.masses.tolist()):
         acc = acc * w + m
     if pmf.offset:
         acc *= w ** pmf.offset

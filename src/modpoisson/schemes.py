@@ -86,8 +86,7 @@ def scheme_measures(rc: ResidueCoeffs, orders) -> list:
     if bad:
         raise ValueError(f"scheme orders must lie in 0..{rc.order}, got {bad}")
     base = poisson_pmf(rc.lam)
-    nu0 = np.asarray(base.masses)
-    measures = {r: _shifted_sum(base.offset, nu0, (1.0,) + tuple(rc.b[:r]))
+    measures = {r: _shifted_sum(base.offset, base.masses, (1.0,) + tuple(rc.b[:r]))
                 for r in dict.fromkeys(orders)}
     return [measures[r] for r in orders]
 
@@ -103,7 +102,7 @@ def _shifted_sum(offset, nu0, b) -> SignedMeasure:
     with np.errstate(over="ignore", invalid="ignore"):
         for t, w in enumerate(shift_weights):
             out[t: t + len(nu0)] += w * nu0
-    return SignedMeasure(offset, tuple(out.tolist()))
+    return SignedMeasure(offset, out)
 
 
 def scheme_measure(rc: ResidueCoeffs) -> SignedMeasure:
@@ -145,19 +144,20 @@ def rectify_positive(nu: SignedMeasure) -> Pmf:
     alpha_N - beta at N, and keeps max(0, nu) above N.  Total variation to
     any probability measure never increases.
     """
-    beta = -math.fsum(m for m in nu.masses if m < 0.0)
+    masses = nu.masses.astype(float, copy=False)
+    beta = -math.fsum(masses[masses < 0.0].tolist())
     if beta == 0.0:
-        return Pmf.from_masses(nu.offset, nu.masses)
-    clipped = [m if m > 0.0 else 0.0 for m in nu.masses]
+        return Pmf.from_masses(nu.offset, masses)
+    out = np.where(masses > 0.0, masses, 0.0)
+    clipped = out.tolist()
     # fsum of a prefix is its correctly rounded exact sum, so alpha_j is
     # nondecreasing in j and the first j with alpha_j > beta is found by bisection
     big_n = bisect.bisect_left(range(len(clipped)), True,
                                key=lambda j: math.fsum(clipped[:j + 1]) > beta)
     if big_n == len(clipped):
         raise AssertionError("no feasible sweep point; input total was not 1")
-    alpha = math.fsum(clipped[:big_n + 1])
-    return Pmf.from_masses(nu.offset,
-                           [0.0] * big_n + [alpha - beta] + clipped[big_n + 1:])
+    out[big_n] = math.fsum(clipped[:big_n + 1]) - beta
+    return Pmf.from_masses(nu.offset + big_n, out[big_n:])
 
 
 def expect_via_scheme(f, rc: ResidueCoeffs) -> float:
@@ -169,11 +169,10 @@ def expect_via_scheme(f, rc: ResidueCoeffs) -> float:
     nu0 = poisson_pmf(rc.lam)
     size = len(nu0.masses)
     r = rc.order
-    values = np.array([float(f(k))
-                       for k in range(nu0.offset, nu0.offset + size + r)])
+    values = np.array([float(f(k)) for k in range(nu0.offset, nu0.offset + size + r)])
     g = values[:size].copy()
     diff = values
     for s in range(1, r + 1):
         diff = diff[1:] - diff[:-1]
         g = g + rc.b[s - 1] * diff[:size]
-    return math.fsum(np.asarray(nu0.masses) * g)
+    return math.fsum((nu0.masses * g).tolist())

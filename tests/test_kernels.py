@@ -49,8 +49,8 @@ from test_cli_golden import WEIGHTS
 
 def assert_same(got, want):
     assert got.offset == want.offset
-    assert got.masses == want.masses
-    assert [type(m) for m in got.masses] == [type(m) for m in want.masses]
+    assert tuple(got.masses) == tuple(want.masses)
+    assert [type(m) for m in got.masses.tolist()] == [type(m) for m in want.masses.tolist()]
 
 
 @pytest.mark.parametrize("q, n", [(2, 1), (2, 12), (2, 40), (3, 24), (4, 15), (9, 7)])
@@ -140,7 +140,7 @@ def test_rational_ewens_matches_fraction_fold(theta):
     inner = reference_bernoulli_rational_pmf([th / (th + i) for i in range(1, 60)])
     got = ewens_cycle_pmf(theta, 60, rational=True)
     assert got.offset == inner.offset + 1
-    assert got.masses == inner.masses
+    assert tuple(got.masses) == tuple(inner.masses)
 
 
 # --- float Bernoulli fold against exact laws ------------------------------------
@@ -273,7 +273,7 @@ def test_float_fold_has_the_bits_of_the_per_j_level_loop(n):
     weights[rng.integers(0, max(n, 1), size=n // 4)] = rng.choice([0.0, 1.0], size=n // 4)
     got, want = bernoulli_sum_pmf(weights.tolist()), _per_j_product_tree(weights.tolist())
     assert got.offset == want.offset
-    assert got.masses == want.masses
+    assert tuple(got.masses) == tuple(want.masses)
 
 
 def test_float_fold_of_1e5_weights_takes_under_0_4_s():

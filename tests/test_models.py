@@ -16,7 +16,7 @@ from modpoisson.models import (EULER_GAMMA, OMEGA_SIEVE_BUDGET, ModelSpec, Pmf,
                                omega_pmf, omega_values, r_q,
                                weighted_perm_cycle_pmf,
                                weighted_perm_normalization)
-from modpoisson.schemes import SignedMeasure, poisson_pmf
+from modpoisson.schemes import SignedMeasure, poisson_pmf, rectify_positive
 from modpoisson.suites import fq_factor_histogram_by_enumeration, residue_error
 from modpoisson.symfunc import Alphabet, zeta
 
@@ -251,8 +251,9 @@ def test_model_lambda_weighted_perm_derives_theta_and_k():
     assert model_lambda(spec) == math.log(3.0) + 0.5 + gamma_theta(1.0)
     assert spec.alphabet(1e-12) == Alphabet.ewens_limit(1.0)
     # ... and the law reads them so too, past n or short of it
-    assert ModelSpec.weighted_perm([1.0, 2.0, 1.0], 5).pmf(rational=True) == \
-        weighted_perm_cycle_pmf([1, 2, 1, 1, 1], 5, rational=True)
+    got = ModelSpec.weighted_perm([1.0, 2.0, 1.0], 5).pmf(rational=True)
+    want = weighted_perm_cycle_pmf([1, 2, 1, 1, 1], 5, rational=True)
+    assert (got.offset, tuple(got.masses)) == (want.offset, tuple(want.masses))
     assert model_lambda(ModelSpec.weighted_perm([1.0, 2.0, 1.0, 1.0, 1.0], 2)) == \
         math.log(2.0) + 0.5 + gamma_theta(1.0)
     # a constant sequence is Ewens, rate and alphabet alike
@@ -461,8 +462,66 @@ def test_float_measure_rejects_nan_mass():
     for masses in ((0.5, math.nan), (math.nan,)):
         with pytest.raises(ValueError, match="not 1"):
             SignedMeasure(0, masses)
+    # trimming keeps a NaN edge, so the total check still sees it
+    for masses in ((math.nan, 1.0), (1.0, math.nan), np.array([0.0, 1.0, math.nan, 0.0])):
+        with pytest.raises(ValueError, match="not 1"):
+            SignedMeasure.from_masses(0, masses)
 
 
 def test_total_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         Pmf(0, (1.0,), total=5.0)
+
+
+def test_masses_are_a_read_only_array():
+    writable = np.array([0.25, 0.75])
+    for pmf in (Pmf(0, writable), Pmf.from_masses(0, writable),
+                RationalPmf(0, (Fraction(1, 4), Fraction(3, 4))), poisson_pmf(3.0)):
+        assert isinstance(pmf.masses, np.ndarray) and pmf.masses.ndim == 1
+        with pytest.raises(ValueError):
+            pmf.masses[0] = 0.5
+    writable[0] = 0.5  # the caller's own array stays writable
+
+
+@pytest.mark.parametrize("masses, dtype", [
+    ((0.25, 0.75), np.float64),
+    (np.array([0.25, 0.75]), np.float64),
+    ((0, 1), np.float64),
+    (np.array([0, 1]), np.float64),
+    ((Fraction(1, 4), 0.75), np.float64),
+    ((Fraction(1, 4), Fraction(3, 4)), object),
+    (np.array([Fraction(1, 4), Fraction(3, 4)], dtype=object), object),
+])
+def test_mass_dtype_is_object_only_when_every_mass_is_a_fraction(masses, dtype):
+    for pmf in (Pmf(0, masses), Pmf.from_masses(0, masses)):
+        assert pmf.masses.dtype == dtype
+        assert isinstance(pmf.total, Fraction) == (dtype is object)
+
+
+def test_mass_returns_a_python_float_or_fraction():
+    for pmf in (Pmf(1, np.array([0.25, 0.75])), Pmf.from_masses(1, np.array([0.0, 0.25, 0.75]))):
+        assert [type(pmf.mass(k)) for k in range(4)] == [float] * 4
+        assert pmf.mass(pmf.offset) == 0.25
+    exact = Pmf.from_masses(0, np.array([Fraction(0), Fraction(1, 3), Fraction(2, 3)]))
+    assert exact.offset == 1
+    assert [type(exact.mass(k)) for k in range(4)] == [Fraction] * 4
+
+
+@pytest.mark.parametrize("empty", [(), np.array([]), np.array([], dtype=object)])
+def test_an_empty_array_is_an_empty_mass_function(empty):
+    for build in (SignedMeasure, Pmf, Pmf.from_masses):
+        with pytest.raises(ValueError, match="empty mass function"):
+            build(0, empty)
+
+
+def test_rectify_positive_of_fraction_masses_has_float_masses():
+    nu = SignedMeasure(0, (Fraction(-1, 10), Fraction(11, 10)))
+    pmf = rectify_positive(nu)
+    assert pmf.masses.dtype == np.float64 and isinstance(pmf.total, float)
+    assert (pmf.offset, tuple(pmf.masses)) == (1, (1.1 - 0.1,))
+
+
+def test_measures_compare_by_identity():
+    a, b = Pmf(0, (0.5, 0.5)), Pmf(0, (0.5, 0.5))
+    assert a == a and a != b
+    assert len({a, b}) == 2

@@ -53,7 +53,7 @@ def test_poisson_truncation_contract():
 @pytest.mark.parametrize("lam", [0.5, 1.0, 7.0, 50.0, 1e3, 1e4, 1e5, 2e5])
 def test_poisson_trims_leading_underflow_and_keeps_every_mass(lam):
     pmf, walk = poisson_pmf(lam), reference_poisson_pmf(lam)
-    assert pmf.masses == walk.masses[pmf.offset:]
+    assert tuple(pmf.masses) == tuple(walk.masses[pmf.offset:])
     assert max(walk.masses[:pmf.offset], default=0.0) <= 1e-320
     assert pmf.masses[0] > 1e-320
     assert (pmf.offset > 0) == (lam >= 1e3)
@@ -79,7 +79,7 @@ def test_poisson_rejects_nonpositive_rate():
 def test_order_zero_scheme_is_poisson():
     nu = scheme_measure(ResidueCoeffs(3.0, ()))
     po = poisson_pmf(3.0)
-    assert nu.masses == po.masses
+    assert tuple(nu.masses) == tuple(po.masses)
 
 
 def test_all_zero_coefficients_give_poisson():
@@ -173,7 +173,7 @@ def test_derived_scheme_finite_alphabet_same_code_path():
     rc = virtual_residue_coeffs(power_sums_finite(weights, 3), 3, 2.5)
     direct = scheme_measure(rc)
     derived = derived_scheme(2.5, Alphabet.finite(weights), 3)
-    assert direct.masses == derived.masses
+    assert tuple(direct.masses) == tuple(derived.masses)
 
 
 def test_derived_scheme_harmonic_b2_is_half_zeta2():
@@ -186,7 +186,7 @@ def test_derived_scheme_harmonic_b2_is_half_zeta2():
 
 def test_derived_scheme_order_zero_is_poisson():
     nu = derived_scheme(3.0, Alphabet.omega_limit(), 0)
-    assert nu.masses == poisson_pmf(3.0).masses
+    assert tuple(nu.masses) == tuple(poisson_pmf(3.0).masses)
 
 
 # --- one Poisson base for every order ------------------------------------------------
@@ -202,7 +202,8 @@ def test_scheme_measures_are_the_truncated_schemes(alphabet, lam, orders):
     rc = residue_coeffs(alphabet, 6, lam)
     got = scheme_measures(rc, orders)
     want = [scheme_measure(ResidueCoeffs(lam, rc.b[:r])) for r in orders]
-    assert [(nu.offset, nu.masses) for nu in got] == [(nu.offset, nu.masses) for nu in want]
+    assert ([(nu.offset, tuple(nu.masses)) for nu in got]
+            == [(nu.offset, tuple(nu.masses)) for nu in want])
 
 
 @pytest.mark.parametrize("orders", [(-1,), (0, 5), (2, 5, 1)])
@@ -216,7 +217,7 @@ def test_scheme_measures_reject_orders_outside_the_coefficients(orders):
 def test_rectify_keeps_nonnegative_measures():
     nu = SignedMeasure(0, (0.25, 0.5, 0.25))
     pmf = rectify_positive(nu)
-    assert pmf.offset == 0 and pmf.masses == (0.25, 0.5, 0.25)
+    assert pmf.offset == 0 and tuple(pmf.masses) == (0.25, 0.5, 0.25)
 
 
 def test_rectify_hand_traced_example():
@@ -250,12 +251,12 @@ def test_rectify_on_arbitrary_signed_measures(seed):
     assert all(m >= 0.0 for m in pmf.masses)
     beta = -math.fsum(m for m in nu.masses if m < 0.0)
     if beta == 0.0:
-        assert pmf.masses == nu.masses  # untouched when already nonnegative
+        assert tuple(pmf.masses) == tuple(nu.masses)  # untouched when already nonnegative
 
 
 def assert_same_sweep(nu):
     got, want = rectify_positive(nu), reference_rectify_positive(nu)
-    assert (got.offset, got.masses) == (want.offset, want.masses)
+    assert (got.offset, tuple(got.masses)) == (want.offset, tuple(want.masses))
 
 
 # the omega coefficients at lam = 12 and r = 6 are the `scheme --alphabet omega
@@ -333,7 +334,7 @@ def test_signed_measure_accepts_negative_mass_a_pmf_rejects():
     with pytest.raises(ValueError):
         Pmf(0, (-0.1, 1.1))
     nu = SignedMeasure(0, (-0.1, 1.1))
-    assert nu.masses == (-0.1, 1.1) and nu.mass(0) == -0.1
+    assert tuple(nu.masses) == (-0.1, 1.1) and nu.mass(0) == -0.1
 
 
 def test_float_total_is_checked_within_1e_10():

@@ -39,5 +39,6 @@ def test_bench_kernels_adds_its_label_and_keeps_the_others(tmp_path):
     results = json.loads(out.read_text())
     assert results["parent"] == {"kept": True}
     kernels = results["smoke"]["kernels"]
-    assert set(kernels) == {"fold_5", "fold_40", "power_sums_finite_30x30", "verify_bounds_30"}
+    assert set(kernels) == {"fold_5", "fold_40", "power_sums_finite_30x30", "verify_bounds_30",
+                            "poisson_1000", "poisson_100000", "tv_40", "mass_csv_40"}
     assert all(k["best_s"] > 0.0 and k["unscaled_s"] > 0.0 for k in kernels.values())
