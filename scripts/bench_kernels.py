@@ -3,15 +3,15 @@
 
     PYTHONPATH=src python scripts/bench_kernels.py --label change
 
-Times the float Bernoulli fold at --fold-sizes weights, power_sums_finite
-of --verify-weights weights to order 30, one
+Times the float Bernoulli fold at --fold-sizes weights, power_sums of a
+finite alphabet of --verify-weights weights to order 30, one
 verify_bounds(ModelSpec.bernoulli(w), range(1, 7)), the theorem-b suite's
 per-instance call, on --verify-weights weights, the Poisson base
 poisson_pmf at lambda = 10^3 and 10^5, and, on the fold of the most
 weights, total_variation against its Poisson law and io.mass_csv_lines.
 Weights are seeded, so every run times the same inputs.
 
-Each of --repeat rounds runs a fixed reference job, the work of
+Each of --repeat rounds runs a fixed reference job, the main() of
 perfbench/reference.py in this process (no `modpoisson` code), and then
 each kernel three times in a row, so that small kernels run warm.  A
 kernel's time is its fastest call, scaled to reference speed: multiplied
@@ -28,9 +28,9 @@ import json
 import math
 import os
 import platform
+import runpy
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -39,29 +39,14 @@ from modpoisson.io import mass_csv_lines
 from modpoisson.metrics import total_variation, verify_bounds
 from modpoisson.models import ModelSpec, bernoulli_sum_pmf
 from modpoisson.schemes import poisson_pmf
-from modpoisson.symfunc import power_sums_finite
+from modpoisson.symfunc import Alphabet, power_sums
 
 #: scaled times read as seconds on a machine where the reference job takes
 #: this long; in process it took 0.12-0.19 s on a loaded 2-CPU x86-64 VM
 REFERENCE_S = 0.2
 
-
-def reference_job():
-    """The work of perfbench/reference.py's main(), with no modpoisson code."""
-    acc = Fraction(0)
-    for i in range(1, 1500):
-        acc += Fraction(i, i * i + 1)
-    total = 0
-    for i in range(200_000):
-        total += (i * i) % 7
-    buf = np.zeros(512)
-    buf[0] = 1.0
-    for i in range(20_000):
-        p = 1.0 / (i + 2.0)
-        carried = p * buf[:300]
-        buf[:300] *= 1.0 - p
-        buf[1:301] += carried
-    return acc, total, math.fsum(buf.tolist() * 200)
+reference_job = runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"))["main"]
 
 
 def timed(fn, *args):
@@ -77,7 +62,7 @@ def kernel_jobs(fold_sizes, verify_weights):
     jobs = {f"fold_{n}": (bernoulli_sum_pmf, (rng.uniform(0.0, 0.05, size=n).tolist(),))
             for n in fold_sizes}
     weights = rng.uniform(0.0, 0.02, size=verify_weights).tolist()
-    jobs[f"power_sums_finite_{verify_weights}x30"] = (power_sums_finite, (weights, 30))
+    jobs[f"power_sums_finite_{verify_weights}x30"] = (power_sums, (Alphabet.finite(weights), 30))
     spec = ModelSpec.bernoulli(weights)
     jobs[f"verify_bounds_{verify_weights}"] = (verify_bounds, (spec, range(1, 7)))
     for lam in (1000, 100000):

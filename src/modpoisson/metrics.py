@@ -196,7 +196,8 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     Every family uses the derived scheme of its limiting alphabet, which
     for Bernoulli sums is the finite alphabet of their weights.  chen-stein
     and lecam always refer to the order-0 scheme, emit a single row each
-    and apply only to a spec with Bernoulli weights; the corollary takes
+    and read their weights from that alphabet, so they apply only to a
+    nonempty finite one (an infinite kind holds none); the corollary takes
     tail_rn, else the spec's default tail, else has no bound.  Rows with
     failing preconditions are emitted with holds = None instead of raising.
     The per-r rows come first, then the order-0 ones, each group in the
@@ -239,9 +240,9 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
         "theorem-c": (None if eps_n is None
                       else lambda r: theorem_c_bound(lam, sigma2, r, eps_n, rho)),
     }
-    if spec.weights:
-        bounds["chen-stein"] = lambda r: chen_stein_bound(spec.weights)
-        bounds["lecam"] = lambda r: lecam_bound(spec.weights)
+    if alphabet.weights:
+        bounds["chen-stein"] = lambda r: chen_stein_bound(alphabet.weights)
+        bounds["lecam"] = lambda r: lecam_bound(alphabet.weights)
     reports = []
     for name, r in rows:
         bound = None

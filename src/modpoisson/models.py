@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,7 +42,6 @@ __all__ = [
     "EULER_GAMMA",
     "SignedMeasure",
     "Pmf",
-    "RationalPmf",
     "ModelSpec",
     "bernoulli_sum_pmf",
     "weighted_perm_cycle_pmf",
@@ -164,10 +163,6 @@ class Pmf(SignedMeasure):
         super().__post_init__()
         if min(self.masses.tolist()) < 0:  # ndarray.min maps 64 KB of numpy code
             raise ValueError("negative mass in a Pmf")
-
-
-#: exact-rational pmfs are Pmfs with Fraction masses
-RationalPmf = Pmf
 
 
 # --- Bernoulli convolutions -------------------------------------------------
@@ -491,11 +486,12 @@ class ModelSpec:
     Each constructor below is the one definition of its family: it checks
     the parameters and binds the exact law (rational -> measure), the
     mod-Poisson rate (tolerance -> lam) and the limiting alphabet
-    (tolerance -> Alphabet).  A Bernoulli sum also carries its float
-    weights, for the classical bounds, and Ewens the corollary's default
-    tail r_n (no argument -> float).  The label is comma-free, so it stays a
-    single CSV field.  Specs compare by identity: the bound law carries
-    parameters, such as the cycle weights, that no field holds.
+    (tolerance -> Alphabet).  A Bernoulli sum's weights are those of its
+    finite alphabet, built and checked once, which its law folds and its
+    rate sums; Ewens also binds the corollary's default tail r_n (no
+    argument -> float).  The label is comma-free, so it stays a single CSV
+    field.  Specs compare by identity: the bound law carries parameters,
+    such as the cycle weights, that no field holds.
     """
 
     family: str
@@ -504,15 +500,12 @@ class ModelSpec:
     law: Callable = field(repr=False)
     rate: Callable = field(repr=False)
     alphabet: Callable = field(repr=False)
-    weights: tuple = ()
     tail: Callable | None = field(default=None, repr=False)
 
     @classmethod
     def bernoulli(cls, weights):
-        weights = tuple(map(float, weights))
-        unit = np.asarray(weights)
-        if np.flatnonzero(~((unit >= 0.0) & (unit <= 1.0))).size:
-            raise ValueError("weights must lie in [0, 1]")
+        alphabet = Alphabet.finite(weights)
+        weights = alphabet.weights
 
         def rate(tolerance):
             if not weights:
@@ -520,8 +513,7 @@ class ModelSpec:
             return math.fsum(weights)
         return cls("bernoulli_sum", f"bernoulli_sum(n={len(weights)})", len(weights),
                    lambda rational: bernoulli_sum_pmf(weights, rational=rational),
-                   rate, lambda tolerance: Alphabet("finite", weights, tolerance=tolerance),
-                   weights=weights)
+                   rate, lambda tolerance: replace(alphabet, tolerance=tolerance))
 
     @classmethod
     def ewens(cls, theta, n):

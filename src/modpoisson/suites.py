@@ -89,7 +89,7 @@ def _suite_coefficients(rec, rng, instances):
     for _ in range(instances):
         n = int(rng.integers(1, 21))
         wts = rng.uniform(0.0, 1.0, size=n).tolist()
-        ps = symfunc.power_sums_finite(wts, 30)
+        ps = symfunc.power_sums(symfunc.Alphabet.finite(wts), 30)
         rc = symfunc.virtual_residue_coeffs(ps, 30, 1.0)
         rec.expect(rc.b[0] == 0.0, "b_1 != 0 from a virtual alphabet")
         s2 = ps.sigma2

@@ -37,8 +37,6 @@ __all__ = [
     "ResidueCoeffs",
     "ToleranceError",
     "power_sums",
-    "power_sums_finite",
-    "power_sums_infinite",
     "elementary_from_power",
     "power_from_elementary",
     "virtual_residue_coeffs",
@@ -167,34 +165,19 @@ class ResidueCoeffs:
         return len(self.b)
 
 
-def power_sums_finite(weights, kmax: int) -> PowerSums:
-    """p_k = sum_i weights_i^k for k = 1..kmax, compensated summation."""
-    weights = tuple(map(float, weights))
-    if not weights:
-        raise ValueError("empty weight list")
-    if kmax < 2:
-        raise ValueError("kmax must be >= 2")
-    vals = tuple(math.fsum(map(pow, weights, repeat(k))) for k in range(1, kmax + 1))
-    return PowerSums(vals)
-
-
 def power_sums(alphabet: Alphabet, kmax: int) -> PowerSums:
-    """p_1..p_kmax of any alphabet, finite or infinite."""
-    if alphabet.kind == "finite":
-        return power_sums_finite(alphabet.weights, kmax)
-    return power_sums_infinite(alphabet, kmax)
+    """p_1..p_kmax of any alphabet.
 
-
-def power_sums_infinite(alphabet: Alphabet, kmax: int) -> PowerSums:
-    """Tail-corrected power sums of one of the infinite alphabet families:
-    the tail of `_split` with an empty head (for theta = 1, the harmonic
-    alphabet, p_k = zeta(k)).  p_1 is divergent for all of them and is
+    A finite alphabet's are compensated sums p_k = sum_i a_i^k.  An infinite
+    kind's are the tail of `_split` with an empty head (for theta = 1, the
+    harmonic alphabet, p_k = zeta(k)); p_1 diverges for all of them and is
     reported as +inf.
     """
     if alphabet.kind == "finite":
-        raise ValueError("power_sums_infinite needs an infinite alphabet kind")
-    if kmax < 2:
-        raise ValueError("kmax must be >= 2")
+        if not alphabet.weights:
+            raise ValueError("empty weight list")
+        return PowerSums(tuple(math.fsum(map(pow, alphabet.weights, repeat(k)))
+                               for k in range(1, kmax + 1)))
     if alphabet.tolerance < _MIN_TOLERANCE:
         raise ToleranceError(
             f"tolerance {alphabet.tolerance:g} is below the double-precision "

@@ -338,10 +338,25 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
       "--tolerance", "inf"], "tolerance must be finite"),
     (["scheme", "--alphabet", "omega", "--lambda", "5", "--r", "2",
       "--tolerance", "inf"], "tolerance must be finite"),
+    (["compare", "--model", "bernoulli", "--weights", "0.1,0.2", "--r", "1",
+      "--tolerance", "-1"], "error: tolerance must be finite and positive, got -1"),
+    # the spec checks its weights even when the range is empty
+    (["compare", "--model", "bernoulli", "--weights", "1.5", "--r", "4:3"],
+     "error: finite weights must lie in [0, 1], got 1.5"),
+    (["pmf", "--model", "bernoulli", "--weights", "0.2,nan"],
+     "error: finite weights must lie in [0, 1], got nan"),
+    (["pmf", "--model", "bernoulli"], "error: bernoulli model needs --weights or --weights-file"),
+    (["pmf", "--model", "weighted-perm", "--n", "3"],
+     "error: weighted-perm model needs --theta-seq and --n"),
+    (["pmf", "--model", "fq", "--n", "3"], "error: fq model needs --q and --n"),
+    (["pmf", "--model", "omega"], "error: omega model needs --N"),
 ], ids=["ewens_theta_nan", "ewens_theta_inf", "theta_seq_inf", "theta_seq_nan_rational",
         "h_n_overflow", "rational_fold_over_budget", "eps_n_nan", "eps_n_negative",
         "eps_n_negative_separate", "theta_minus_inf_separate", "rho_nan", "rho_inf",
-        "tail_rn_nan", "tail_rn_negative", "fq_tolerance_inf", "omega_tolerance_inf"])
+        "tail_rn_nan", "tail_rn_negative", "fq_tolerance_inf", "omega_tolerance_inf",
+        "bernoulli_tolerance_negative", "bernoulli_weight_above_1_empty_range",
+        "bernoulli_weight_nan", "bernoulli_no_weights", "weighted_perm_no_theta_seq",
+        "fq_no_q", "omega_no_n"])
 def test_out_of_domain_parameters_are_one_error_line(args, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

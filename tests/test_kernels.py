@@ -35,7 +35,7 @@ from modpoisson.models import (RATIONAL_FOLD_BUDGET, ModelSpec, Pmf, bernoulli_s
 from modpoisson.schemes import poisson_pmf, scheme_measures
 from modpoisson.suites import SuiteResult, random_bernoulli_instances
 from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet, PowerSums,
-                                elementary_from_power, power_sums_finite, power_sums_infinite,
+                                elementary_from_power, power_sums,
                                 residue_coeffs, residue_product_eval, zeta)
 from oracles import (reference_bernoulli_fold_float, reference_bernoulli_rational_pmf,
                      reference_chen_stein, reference_fq_factor_pmf, reference_kolmogorov,
@@ -347,7 +347,7 @@ Z_GRID = [radius * cmath.exp(1j * angle) for radius in (0.0, 0.3, 1.0, 2.5, 7.0,
 
 @pytest.mark.parametrize("alphabet", INFINITE_ALPHABETS.values(), ids=INFINITE_ALPHABETS)
 def test_infinite_power_sums_match_per_kind_formulas(alphabet):
-    got = power_sums_infinite(alphabet, 40).values
+    got = power_sums(alphabet, 40).values
     assert got == reference_power_sums_infinite(alphabet, 40)
 
 
@@ -408,7 +408,7 @@ def _seeded_weight_sets():
 
 def test_map_power_and_newton_sums_match_the_generator_forms():
     for weights in _seeded_weight_sets():
-        ps = power_sums_finite(weights, 30)
+        ps = power_sums(Alphabet.finite(weights), 30)
         assert ps.values == _generator_power_sums(weights, 30)
         signed = (0.0,) + ps.values[1:]  # the virtual alphabet too, whose p_1 is 0
         for values in (ps.values, signed):

@@ -1,8 +1,8 @@
 """Design guards.
 
 Only `models` and `symfunc` know family and alphabet names.  The layers
-above them read what a family offers from its ModelSpec (its alphabet,
-weights and default tail) and what an alphabet holds through `symfunc`, so
+above them read what a family offers from its ModelSpec (its alphabet and
+default tail) and what an alphabet holds through `symfunc`, so
 none of them compares a `.family` or `.kind` attribute with a string
 literal.
 
@@ -21,7 +21,7 @@ LAYERS = ("metrics.py", "schemes.py", "suites.py", "cli.py", "io.py")
 NAMED_ATTRIBUTES = {"family", "kind"}
 MODULES = sorted(path.name for path in SRC.glob("*.py"))
 #: calls that build a measure from masses
-MEASURE_BUILDERS = {"SignedMeasure", "Pmf", "RationalPmf", "from_masses"}
+MEASURE_BUILDERS = {"SignedMeasure", "Pmf", "from_masses"}
 
 
 def _is_string_literal(node):

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modpoisson.models import (EULER_GAMMA, OMEGA_SIEVE_BUDGET, ModelSpec, Pmf,
-                               RationalPmf, bernoulli_sum_pmf, empirical_residue,
-                               ewens_cycle_pmf,
+                               bernoulli_sum_pmf, empirical_residue, ewens_cycle_pmf,
                                fq_factor_pmf, gamma_theta,
                                gauss_irreducible_count, model_lambda,
                                omega_pmf, omega_values, r_q,
@@ -185,7 +184,7 @@ def test_fq_quadratics_over_f2():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_fq_total_count_identity(q):
-    # RationalPmf validates an exact unit total, which is f_n(1) = q^n;
+    # a Pmf of Fractions validates an exact unit total, which is f_n(1) = q^n;
     # the identity is asserted inside fq_factor_pmf for every build
     for n in (6, 17, 30):
         exact = fq_factor_pmf(q, n, rational=True)
@@ -221,6 +220,21 @@ def test_omega_120():
     assert omega_values(120)[120] == 3
     pmf = omega_pmf(120)
     assert pmf.mass(3) >= 1.0 / 120.0
+
+
+@pytest.mark.parametrize("law, args, message", [
+    (weighted_perm_cycle_pmf, ([1.0, 2.0], 3), "need theta_1..theta_3"),
+    (weighted_perm_cycle_pmf, ([1.0], 0), "n must be >= 1"),
+    (ewens_cycle_pmf, (1.0, 0), "n must be >= 1"),
+    (ewens_cycle_pmf, (0.0, 3), "theta must be positive"),
+    (ewens_cycle_pmf, (-1.5, 3), "theta must be positive"),
+    (fq_factor_pmf, (2, 0), "n must be >= 1"),
+    (omega_pmf, (0,), "n_max must be >= 1"),
+], ids=["weighted_perm_short_theta", "weighted_perm_n0", "ewens_n0", "ewens_theta0",
+        "ewens_theta_negative", "fq_n0", "omega_n0"])
+def test_model_laws_refuse_arguments_outside_their_domain(law, args, message):
+    with pytest.raises(ValueError, match=message):
+        law(*args)
 
 
 def test_omega_memory_budget():
@@ -408,9 +422,9 @@ def test_modelspec_binds_what_each_family_offers():
         assert ModelSpec.ewens(theta, n).tail() == theta * theta * zeta(2, theta + n)
     assert ModelSpec.weighted_perm([0.5, 2.0, 1.5], 3).alphabet(1e-9) == \
         Alphabet.ewens_limit(1.5, 1e-9)
-    assert ModelSpec.bernoulli([0.25, 0.5]).weights == (0.25, 0.5)
+    assert ModelSpec.bernoulli([0.25, 0.5]).alphabet(1e-12).weights == (0.25, 0.5)
     for spec in (ModelSpec.ewens(1.0, 5), ModelSpec.fq_poly(2, 4), ModelSpec.omega(10)):
-        assert spec.weights == () and spec.alphabet is not None
+        assert spec.alphabet(1e-12).weights == ()
     assert ModelSpec.fq_poly(2, 4).tail is None
 
 
@@ -437,10 +451,10 @@ def test_exact_total_is_checked_exactly():
     # 1 - 10^-30 would pass a 1e-10 float check; Fraction masses must total 1
     short = (Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10 ** 30))
     with pytest.raises(ValueError):
-        RationalPmf(0, short)
+        Pmf(0, short)
     with pytest.raises(ValueError):
         SignedMeasure(0, short)
-    assert RationalPmf(0, (Fraction(1, 2), Fraction(1, 2))).total == Fraction(1)
+    assert Pmf(0, (Fraction(1, 2), Fraction(1, 2))).total == Fraction(1)
 
 
 def test_exact_masses_keep_tiny_edges_that_float_trims():
@@ -451,7 +465,7 @@ def test_exact_masses_keep_tiny_edges_that_float_trims():
 
 
 def test_mass_outside_support_follows_mass_type():
-    exact = RationalPmf(2, (Fraction(1, 3), Fraction(2, 3)))
+    exact = Pmf(2, (Fraction(1, 3), Fraction(2, 3)))
     approx = exact.to_float()
     for k in (0, 9):
         assert exact.mass(k) == 0 and type(exact.mass(k)) is Fraction
@@ -476,7 +490,7 @@ def test_total_is_not_a_constructor_argument():
 def test_masses_are_a_read_only_array():
     writable = np.array([0.25, 0.75])
     for pmf in (Pmf(0, writable), Pmf.from_masses(0, writable),
-                RationalPmf(0, (Fraction(1, 4), Fraction(3, 4))), poisson_pmf(3.0)):
+                Pmf(0, (Fraction(1, 4), Fraction(3, 4))), poisson_pmf(3.0)):
         assert isinstance(pmf.masses, np.ndarray) and pmf.masses.ndim == 1
         with pytest.raises(ValueError):
             pmf.masses[0] = 0.5

@@ -19,7 +19,7 @@ import pytest
 
 from modpoisson.models import gamma_theta, r_q
 from modpoisson.specialfn import complex_log_gamma
-from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet, power_sums_infinite,
+from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet, power_sums,
                                 prime_zeta, residue_product_eval, zeta)
 
 mpmath.mp.dps = 40
@@ -99,7 +99,7 @@ def _fq_side_sum(q, k):
       for q in (2, 3, 4, 9)],
 ])
 def test_infinite_power_sums_against_mpmath(alphabet, oracle):
-    values = power_sums_infinite(alphabet, 40).values
+    values = power_sums(alphabet, 40).values
     worst = max(_rel(values[k - 1], oracle(k)) for k in range(2, 41))
     assert worst <= alphabet.tolerance
 

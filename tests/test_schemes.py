@@ -169,8 +169,8 @@ def test_charlier_telescoping(lam):
 
 def test_derived_scheme_finite_alphabet_same_code_path():
     weights = [0.2, 0.4]
-    from modpoisson.symfunc import power_sums_finite, virtual_residue_coeffs
-    rc = virtual_residue_coeffs(power_sums_finite(weights, 3), 3, 2.5)
+    from modpoisson.symfunc import power_sums, virtual_residue_coeffs
+    rc = virtual_residue_coeffs(power_sums(Alphabet.finite(weights), 3), 3, 2.5)
     direct = scheme_measure(rc)
     derived = derived_scheme(2.5, Alphabet.finite(weights), 3)
     assert tuple(direct.masses) == tuple(derived.masses)

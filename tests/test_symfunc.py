@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from modpoisson.symfunc import (Alphabet, PowerSums, ResidueCoeffs,
                                 ToleranceError, elementary_from_power,
-                                power_from_elementary, power_sums,
-                                power_sums_finite, power_sums_infinite,
-                                prime_zeta, residue_coeffs,
-                                residue_product_eval, residue_series_eval,
+                                power_from_elementary, power_sums, prime_zeta,
+                                residue_coeffs, residue_product_eval, residue_series_eval,
                                 stirling2, stirling2_elementary_bridge,
                                 virtual_residue_coeffs, zeta)
 
@@ -25,29 +23,31 @@ weight_lists = st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1,
 # --- power sums --------------------------------------------------------------
 
 def test_power_sums_single_weight():
-    ps = power_sums_finite([0.5], 4)
+    ps = power_sums(Alphabet.finite([0.5]), 4)
     assert ps.values == pytest.approx((0.5, 0.25, 0.125, 0.0625), abs=1e-15)
 
 
 def test_power_sums_unit_weights():
-    assert power_sums_finite([1.0, 1.0, 1.0], 2).values == (3.0, 3.0)
+    assert power_sums(Alphabet.finite([1.0, 1.0, 1.0]), 2).values == (3.0, 3.0)
 
 
 def test_power_sums_partial_harmonic_approaches_zeta2():
     n = 1000
-    ps = power_sums_finite([1.0 / i for i in range(1, n + 1)], 2)
+    ps = power_sums(Alphabet.finite([1.0 / i for i in range(1, n + 1)]), 2)
     assert abs(ps.sigma2 - math.pi ** 2 / 6.0) < 1.0 / n
 
 
 def test_power_sums_rejects_bad_input():
     with pytest.raises(ValueError):
-        power_sums_finite([], 3)
+        power_sums(Alphabet.finite([]), 3)
     with pytest.raises(ValueError):
-        power_sums_finite([0.5], 1)
+        power_sums(Alphabet.finite([0.5]), 1)
+    with pytest.raises(ValueError, match="at least to k = 2"):
+        power_sums(Alphabet.harmonic(), 1)
 
 
 def test_harmonic_power_sums_match_independent_zeta():
-    ps = power_sums_infinite(Alphabet.harmonic(), 4)
+    ps = power_sums(Alphabet.harmonic(), 4)
     # independent partial-sum + integral-tail evaluation of zeta(2)
     oracle = zeta_partial_with_tail(2, 100000)
     assert abs(ps.sigma2 - oracle) < 1e-12
@@ -56,14 +56,14 @@ def test_harmonic_power_sums_match_independent_zeta():
 
 
 def test_ewens_limit_one_is_harmonic():
-    pa = power_sums_infinite(Alphabet.ewens_limit(1.0), 12)
-    pb = power_sums_infinite(Alphabet.harmonic(), 12)
+    pa = power_sums(Alphabet.ewens_limit(1.0), 12)
+    pb = power_sums(Alphabet.harmonic(), 12)
     for k in range(2, 13):
         assert abs(pa.values[k - 1] - pb.values[k - 1]) < 1e-13
 
 
 def test_omega_limit_adds_prime_zeta():
-    ps = power_sums_infinite(Alphabet.omega_limit(), 2)
+    ps = power_sums(Alphabet.omega_limit(), 2)
     # brute-force prime sum below 10^6; the missing tail is under sum_{n>1e6} n^-2
     sieve = np.ones(10 ** 6, dtype=bool)
     sieve[:2] = False
@@ -78,7 +78,7 @@ def test_omega_limit_adds_prime_zeta():
 
 
 def test_fq_limit_power_sums():
-    ps = power_sums_infinite(Alphabet.fq_limit(2), 3)
+    ps = power_sums(Alphabet.fq_limit(2), 3)
     # the degree side dominates: I_2(1)=2 linear + I_2(2)=1 quadratic + ...
     head = 2 * 0.25 + 1 * 0.0625 + 2 * 4.0 ** -3 + 3 * 4.0 ** -4
     excess = ps.sigma2 - zeta(2)
@@ -90,7 +90,7 @@ def test_fq_limit_power_sums():
 
 def test_infinite_power_sums_reject_unreachable_tolerance():
     with pytest.raises(ToleranceError):
-        power_sums_infinite(Alphabet.harmonic(tolerance=1e-20), 4)
+        power_sums(Alphabet.harmonic(tolerance=1e-20), 4)
 
 
 def test_zeta_keeps_its_bits_where_the_cutoff_did_not_grow():
@@ -110,7 +110,7 @@ def test_prime_zeta_values():
 @settings(deadline=None, max_examples=40)
 @given(weight_lists)
 def test_power_sums_non_increasing_for_unit_box_weights(weights):
-    ps = power_sums_finite(weights, 8)
+    ps = power_sums(Alphabet.finite(weights), 8)
     assert all(a >= b - 1e-15 for a, b in zip(ps.values, ps.values[1:]))
 
 
@@ -139,7 +139,7 @@ def test_elementary_requires_enough_power_sums():
 @given(weight_lists)
 def test_newton_round_trip(weights):
     kmax = 8
-    ps = power_sums_finite(weights, kmax)
+    ps = power_sums(Alphabet.finite(weights), kmax)
     e = elementary_from_power(ps, kmax)
     back = power_from_elementary(e, kmax)
     scale = max(1.0, kmax * max(abs(v) for v in e))  # conditioning of the recursion
@@ -150,7 +150,7 @@ def test_newton_round_trip(weights):
 # --- virtual residue coefficients ----------------------------------------------
 
 def test_virtual_coeffs_single_half_weight():
-    rc = virtual_residue_coeffs(power_sums_finite([0.5], 10), 10, 1.0)
+    rc = virtual_residue_coeffs(power_sums(Alphabet.finite([0.5]), 10), 10, 1.0)
     assert rc.b[0] == 0.0
     assert rc.b[1] == pytest.approx(-0.125, abs=1e-15)
     assert rc.b[2] == pytest.approx(1.0 / 24.0, abs=1e-15)
@@ -164,7 +164,7 @@ def test_virtual_coeffs_single_half_weight():
 @settings(deadline=None)
 @given(weight_lists)
 def test_virtual_coeffs_b1_is_exactly_zero(weights):
-    rc = virtual_residue_coeffs(power_sums_finite(weights, 4), 4, 2.0)
+    rc = virtual_residue_coeffs(power_sums(Alphabet.finite(weights), 4), 4, 2.0)
     assert rc.b[0] == 0.0
 
 
@@ -176,7 +176,7 @@ def test_virtual_coeffs_empty_alphabet_residue_is_one():
 @settings(deadline=None, max_examples=60)
 @given(weight_lists)
 def test_coefficient_decay_bound(weights):
-    ps = power_sums_finite(weights, 30)
+    ps = power_sums(Alphabet.finite(weights), 30)
     rc = virtual_residue_coeffs(ps, 30, 1.0)
     for s in range(2, 31):
         cap = (math.e * ps.sigma2 / s) ** (s / 2.0)
@@ -194,21 +194,14 @@ def test_residue_coeffs_order_zero_empty_alphabet_and_negative_order():
 
 
 @pytest.mark.parametrize("alphabet, chain", [
-    (Alphabet.finite([0.1, 0.2, 0.05]), lambda r: power_sums_finite([0.1, 0.2, 0.05], r)),
-    (Alphabet.fq_limit(3), lambda r: power_sums_infinite(Alphabet.fq_limit(3), r)),
+    (Alphabet.finite([0.1, 0.2, 0.05]),
+     lambda r: power_sums(Alphabet.finite([0.1, 0.2, 0.05]), r)),
+    (Alphabet.fq_limit(3), lambda r: power_sums(Alphabet.fq_limit(3), r)),
 ])
 def test_residue_coeffs_match_the_explicit_chain(alphabet, chain):
     for r in (1, 2, 5):
         expected = virtual_residue_coeffs(chain(max(2, r)), r, 7.5)
         assert residue_coeffs(alphabet, r, 7.5) == expected
-
-
-def test_power_sums_dispatch_on_the_alphabet_kind():
-    assert power_sums(Alphabet.finite([0.5, 0.25]), 3) == power_sums_finite([0.5, 0.25], 3)
-    assert (power_sums(Alphabet.ewens_limit(2.5), 4)
-            == power_sums_infinite(Alphabet.ewens_limit(2.5), 4))
-    with pytest.raises(ValueError):
-        power_sums(Alphabet.finite(()), 2)
 
 
 def test_harmonic_is_the_ewens_alphabet_at_theta_one():
@@ -237,7 +230,7 @@ def test_series_eval_plain_polynomial():
 
 
 def test_series_matches_product_for_single_weight():
-    rc = virtual_residue_coeffs(power_sums_finite([0.5], 30), 30, 1.0)
+    rc = virtual_residue_coeffs(power_sums(Alphabet.finite([0.5]), 30), 30, 1.0)
     z = -0.3
     expected = (1.0 + 0.5 * z) * math.exp(-0.5 * z)
     assert abs(residue_series_eval(rc, z) - expected) < 1e-12
@@ -302,7 +295,7 @@ def test_product_series_agreement_on_grid():
         s2 = float(np.sum(weights ** 2))
         if s2 > 2.0:
             weights = weights * math.sqrt(2.0 / s2)  # keep sigma^2 <= 2
-        rc = virtual_residue_coeffs(power_sums_finite(weights.tolist(), 40), 40, 1.0)
+        rc = virtual_residue_coeffs(power_sums(Alphabet.finite(weights.tolist()), 40), 40, 1.0)
         alpha = Alphabet.finite(weights.tolist())
         for j in range(32):
             z = 1.5 * cmath.exp(2j * math.pi * j / 32)
@@ -351,7 +344,7 @@ def test_bridge_two_weights():
 def test_bridge_round_trip(weights):
     from oracles import moments_from_elementary
     r = 8
-    e = elementary_from_power(power_sums_finite(weights, r), r)[1:]
+    e = elementary_from_power(power_sums(Alphabet.finite(weights), r), r)[1:]
     moments = moments_from_elementary(e)
     back = stirling2_elementary_bridge(moments)
     for k in range(r):
