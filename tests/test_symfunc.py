@@ -13,8 +13,8 @@ from modpoisson.symfunc import (Alphabet, PowerSums, ResidueCoeffs,
                                 stirling2, stirling2_elementary_bridge,
                                 virtual_residue_coeffs, zeta)
 
-from oracles import (reference_zeta, single_weight_residue_coeff,
-                     zeta_partial_with_tail)
+from oracles import (reference_power_sums_infinite, reference_zeta,
+                     single_weight_residue_coeff, zeta_partial_with_tail)
 
 weight_lists = st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1,
                         max_size=20)
@@ -202,6 +202,17 @@ def test_residue_coeffs_match_the_explicit_chain(alphabet, chain):
     for r in (1, 2, 5):
         expected = virtual_residue_coeffs(chain(max(2, r)), r, 7.5)
         assert residue_coeffs(alphabet, r, 7.5) == expected
+
+
+def test_power_sums_dispatch_on_the_alphabet_kind():
+    # one power_sums serves both kinds: compensated sums of a finite
+    # alphabet's weights, and the closed forms of an infinite kind with p_1 = inf
+    assert power_sums(Alphabet.finite([0.5, 0.25]), 3).values == tuple(
+        math.fsum((0.5 ** k, 0.25 ** k)) for k in (1, 2, 3))
+    assert (power_sums(Alphabet.ewens_limit(2.5), 4).values
+            == reference_power_sums_infinite(Alphabet.ewens_limit(2.5), 4))
+    with pytest.raises(ValueError):
+        power_sums(Alphabet.finite(()), 2)
 
 
 def test_harmonic_is_the_ewens_alphabet_at_theta_one():
