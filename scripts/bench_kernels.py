@@ -11,6 +11,12 @@ poisson_pmf at lambda = 10^3 and 10^5, and, on the fold of the most
 weights, total_variation against its Poisson law and io.mass_csv_lines.
 Weights are seeded, so every run times the same inputs.
 
+The special-function kernels run cold, as in a fresh `modpoisson`
+process: each call first empties the caches of zeta and gamma_theta.
+They are gamma_theta(1.2345), the five values zeta(k, 1.2345) for
+k = 2..6, and power_sums of Alphabet.ewens_limit(1.2345) and of
+Alphabet.omega_limit() to order 6.
+
 Each of --repeat rounds runs a fixed reference job, the main() of
 perfbench/reference.py in this process (no `modpoisson` code), and then
 each kernel three times in a row, so that small kernels run warm.  A
@@ -37,9 +43,9 @@ import numpy as np
 
 from modpoisson.io import mass_csv_lines
 from modpoisson.metrics import total_variation, verify_bounds
-from modpoisson.models import ModelSpec, bernoulli_sum_pmf
+from modpoisson.models import ModelSpec, bernoulli_sum_pmf, gamma_theta
 from modpoisson.schemes import poisson_pmf
-from modpoisson.symfunc import Alphabet, power_sums
+from modpoisson.symfunc import Alphabet, power_sums, zeta
 
 #: scaled times read as seconds on a machine where the reference job takes
 #: this long; in process it took 0.12-0.19 s on a loaded 2-CPU x86-64 VM
@@ -54,6 +60,20 @@ def timed(fn, *args):
     start = time.perf_counter()
     fn(*args)
     return time.perf_counter() - start
+
+
+def cold(fn):
+    """fn, called with the zeta and gamma_theta caches emptied first."""
+    def run(*args):
+        zeta.cache_clear()
+        gamma_theta.cache_clear()
+        return fn(*args)
+    return run
+
+
+def zeta_values(ks, a):
+    """zeta(k, a) for each k in ks."""
+    return [zeta(k, a) for k in ks]
 
 
 def kernel_jobs(fold_sizes, verify_weights):
@@ -72,6 +92,10 @@ def kernel_jobs(fold_sizes, verify_weights):
     fold = bernoulli_sum_pmf(fold_weights)
     jobs[f"tv_{n}"] = (total_variation, (fold, poisson_pmf(math.fsum(fold_weights))))
     jobs[f"mass_csv_{n}"] = (mass_csv_lines, (fold,))
+    jobs["gamma_theta_cold"] = (cold(gamma_theta), (1.2345,))
+    jobs["zeta_k2to6_cold"] = (cold(zeta_values), (range(2, 7), 1.2345))
+    jobs["power_sums_ewens_6_cold"] = (cold(power_sums), (Alphabet.ewens_limit(1.2345), 6))
+    jobs["power_sums_omega_6_cold"] = (cold(power_sums), (Alphabet.omega_limit(), 6))
     return jobs
 
 

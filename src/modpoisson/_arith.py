@@ -25,6 +25,12 @@ def mobius(n: int) -> int:
     return result
 
 
+#: the Bernoulli numbers B_2, B_4, ..., B_24 as (numerator, denominator)
+EVEN_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+                  (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+                  (-236364091, 2730))
+
+
 def divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1

@@ -35,7 +35,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._arith import divisors, irreducible_count, mobius, prime_power_base, primes_up_to
+from ._arith import (EVEN_BERNOULLI, divisors, irreducible_count, mobius, prime_power_base,
+                     primes_up_to)
 from .symfunc import Alphabet, ToleranceError, zeta
 
 __all__ = [
@@ -405,31 +406,32 @@ def omega_pmf(n_max: int) -> Pmf:
 
 # --- mod-Poisson parameters ---------------------------------------------------
 
+#: B_2k / (2k), k = 1..8: the asymptotic series of the digamma function
+_DIGAMMA_COEFFS = tuple(num / (2 * k * den) for k, (num, den) in enumerate(EVEN_BERNOULLI[:8], 1))
+#: the series is summed at x >= 16, where its 9th term is below 1e-21
+_DIGAMMA_MIN_ARGUMENT = 16.0
+
+
 @lru_cache(maxsize=1024)
 def gamma_theta(theta: float) -> float:
-    """gamma_theta = sum_{n>=1} theta/(n+theta-1) - theta log(1+1/n).
+    """gamma_theta = sum_{n>=1} theta/(n+theta-1) - theta log(1+1/n) = -theta psi(theta).
 
-    Partial sum of 100000 terms with the analytic integral tail and two
-    Euler-Maclaurin corrections.  It equals -theta psi(theta), the identity
-    its mpmath oracle checks; gamma_1 comes out within 2 ulps of Euler's
-    constant (0.5772156649015331 against 0.5772156649015329), not equal to it.
+    psi(theta) = psi(x) - sum_{0<=i<m} 1/(theta+i) moves the argument to
+    x = theta + m >= 16, where psi(x) = log x - 1/(2x) - sum_k B_2k/(2k x^2k)
+    (DLMF 5.11.2) with eight terms; the m shift terms theta/(theta+i) and the
+    series times -theta go into one compensated sum.  Against mpmath's
+    digamma the error is at most 1e-15 max(1, |gamma_theta|) for theta in
+    [1e-3, 1e3]; gamma_1 is 0.577215664901533, an ulp from Euler's constant.
     """
     theta = float(theta)
     if theta <= 0.0:
         raise ValueError("theta must be positive")
-    n_terms = 100000
-
-    def term(x):
-        # (x-1) + theta, never x + theta - 1: exact for integer x-1
-        return theta / ((x - 1.0) + theta) - theta * math.log1p(1.0 / x)
-
-    partial = math.fsum(term(n) for n in range(1, n_terms + 1))
-    nn = float(n_terms)
-    tail_int = -theta * (1.0 + math.log1p((theta - 2.0) / (nn + 1.0))
-                         - nn * math.log1p(1.0 / nn))
-    f_n = term(nn)
-    fp_n = theta * (-1.0 / ((nn - 1.0) + theta) ** 2 + 1.0 / (nn * (nn + 1.0)))
-    return partial + tail_int - f_n / 2.0 - fp_n / 12.0
+    m = math.ceil(_DIGAMMA_MIN_ARGUMENT - theta) if theta < _DIGAMMA_MIN_ARGUMENT else 0
+    x = theta + m
+    terms = [theta / (theta + i) for i in range(m)]
+    terms += [-theta * math.log(x), theta / (2.0 * x)]
+    terms += [theta * c * x ** (-2 * k) for k, c in enumerate(_DIGAMMA_COEFFS, 1)]
+    return math.fsum(terms)
 
 
 @lru_cache(maxsize=1024)

@@ -344,28 +344,13 @@ def reference_chen_stein(wts):
             tv0 <= lecam + metrics.HOLDS_SLACK)
 
 
-# --- reference zeta ---------------------------------------------------------------
-# symfunc.zeta before its cutoff grew with a; for a <= 5, and for s = 2 up to
-# a = 2e4, the current one must reproduce it bit for bit.
-
-def reference_zeta(s, a=1.0):
-    if s >= 10:
-        n_terms = 100
-    elif s >= 6:
-        n_terms = 1000
-    else:
-        n_terms = 10000
-    partial = math.fsum((a + j) ** (-s) for j in range(n_terms))
-    t = a + n_terms
-    tail = t ** (1 - s) / (s - 1) + 0.5 * t ** (-s) + s / 12.0 * t ** (-s - 1)
-    return partial + tail
-
-
 # --- reference alphabet kernels ---------------------------------------------------
 # symfunc's per-kind power sums and head/tail split before one split function
 # served both; power_sums of an infinite alphabet and residue_product_eval
 # must reproduce them bit for bit, except the fq products with a degree head
 # (now summed directly) and the omega ones past their radius (now refused).
+# An Ewens power sum takes its atom 1 apart, as 1 + theta^k zeta(k, theta + 1),
+# so that tiny theta does not overflow.
 
 def reference_power_sums_infinite(alphabet, kmax):
     """p_1..p_kmax of an infinite alphabet, one closed form per kind."""
@@ -374,7 +359,7 @@ def reference_power_sums_infinite(alphabet, kmax):
     vals = [math.inf]
     for k in range(2, kmax + 1):
         if alphabet.kind == "ewens_limit":
-            vals.append(alphabet.theta ** k * zeta(k, alphabet.theta))
+            vals.append(1.0 + alphabet.theta ** k * zeta(k, alphabet.theta + 1.0))
         elif alphabet.kind == "omega_limit":
             vals.append(zeta(k) + prime_zeta(k, tol))
         else:

@@ -148,6 +148,19 @@ def test_scheme_warns_when_eta_is_large(capsys):
     assert out.splitlines()[0] == "k,mass"
 
 
+@pytest.mark.parametrize("r", ["1", "3"])
+def test_scheme_ewens_alphabet_at_tiny_theta_is_the_atom_one(r, capsys):
+    # as theta -> 0 the Ewens weights theta/(theta+j) tend to 1 at j = 0 and
+    # to 0 else, so the scheme is that of the one weight 1: p_k = 1 for all k
+    code, out, err = run_cli(["scheme", "--alphabet", "ewens", "--theta", "1e-300",
+                              "--lambda", "3", "--r", r], capsys)
+    assert code == 0
+    masses = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert math.fsum(masses) == pytest.approx(1.0, abs=1e-10)
+    assert (code, out, err) == run_cli(["scheme", "--weights", "1", "--lambda", "3",
+                                        "--r", r], capsys)
+
+
 @pytest.mark.parametrize("args, message", [
     (["--alphabet", "harmonic", "--r", "-1"], "r must be >= 0"),
     (["--weights", "0.1,0.2", "--r", "-1"], "r must be >= 0"),
@@ -158,14 +171,13 @@ def test_scheme_warns_when_eta_is_large(capsys):
     (["--weights", "nan", "--r", "2"], "finite weights must lie in [0, 1]"),
     (["--b", "nan", "--r", "1"], "not 1"),
     (["--b2", "inf"], "error: "),
-    (["--alphabet", "ewens", "--theta", "1e-300", "--r", "1"], "error: "),
     (["--alphabet", "ewens", "--theta", "inf", "--r", "2"], "finite theta"),
     (["--weights", "1.5", "--r", "0"], "finite weights must lie in [0, 1]"),
     (["--weights", "nan", "--r", "0"], "finite weights must lie in [0, 1]"),
     (["--alphabet", "fq", "--q", "6", "--r", "0"], "prime power"),
     (["--alphabet", "ewens", "--r", "0"], "ewens alphabet needs --theta"),
 ], ids=["alphabet_r", "weights_r", "empty_weights_r", "b2_r", "b_r", "weight_above_1",
-        "weight_nan", "b_nan", "b2_inf", "theta_underflow", "theta_inf", "weight_above_1_r0",
+        "weight_nan", "b_nan", "b2_inf", "theta_inf", "weight_above_1_r0",
         "weight_nan_r0", "fq_not_prime_power_r0", "ewens_no_theta_r0"])
 def test_scheme_rejects_bad_order_weights_and_coefficients(args, message, capsys):
     code, out, err = run_cli(["scheme", "--lambda", "2"] + args, capsys)

@@ -10,9 +10,9 @@ the coefficient flags (`--b`, `--b2`, `--weights`, `--alphabet`, `--r`).  The
 Poisson base loses its normalization from lambda ~ 2.5e5 on, a known defect
 kept visible by the benchmark's `exact` probe rather than pinned here.
 
-For `pmf` and `compare`, theta comes from a few values (each new positive
-theta costs a 55 ms gamma_theta in `compare`), the sizes stay small, and
-the bound parameters `--eps-n`, `--rho` and `--tail-rn` are any float.
+For `pmf` and `compare`, theta comes from a few fixed values or any float
+in [1e-3, 1e3], the sizes stay small, and the bound parameters `--eps-n`,
+`--rho` and `--tail-rn` are any float.
 """
 
 import contextlib
@@ -74,7 +74,7 @@ def test_scheme_exits_cleanly_for_any_coefficient_flags(lam, r, flags, positive)
 THETAS = (0.5, 1.0, 2.5)
 BAD = (math.nan, math.inf, -math.inf, -1.0, 0.0)
 # mostly usable values, so that most draws get past the model to the bounds
-thetas = st.sampled_from(THETAS) | st.sampled_from(BAD)
+thetas = st.sampled_from(THETAS) | st.floats(1e-3, 1e3) | st.sampled_from(BAD)
 any_float = st.floats() | st.sampled_from(BAD + (1e-6, 2.0, 1e308))
 sizes = st.integers(-1, 12).map(lambda n: [f"--n={n}"])
 # weights below 0.02 put Theorem B's lam > 16 e sigma^2 within reach

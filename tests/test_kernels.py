@@ -8,9 +8,9 @@ give.  The float
 Bernoulli product tree sums in another order than the sequential fold it
 replaced, so it is held to exact laws instead: it must be at least as
 accurate as that fold, and within 3e-15 relative per mass.  Its sheared
-level merge, the map-based power sums, Newton sums, zeta partial sums and
-classical bounds, and the suites' deferred failure messages must give
-exactly what the per-element forms they replaced (kept below) give.
+level merge, the map-based power sums, Newton sums and classical bounds,
+and the suites' deferred failure messages must give exactly what the
+per-element forms they replaced (kept below) give.
 """
 
 import cmath
@@ -36,7 +36,7 @@ from modpoisson.schemes import poisson_pmf, scheme_measures
 from modpoisson.suites import SuiteResult, random_bernoulli_instances
 from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet, PowerSums,
                                 elementary_from_power, power_sums,
-                                residue_coeffs, residue_product_eval, zeta)
+                                residue_coeffs, residue_product_eval)
 from oracles import (reference_bernoulli_fold_float, reference_bernoulli_rational_pmf,
                      reference_chen_stein, reference_fq_factor_pmf, reference_kolmogorov,
                      reference_omega_pmf, reference_omega_values,
@@ -378,22 +378,6 @@ def _generator_elementary(p, rmax):
     return e
 
 
-def _generator_zeta(s, a=1.0):
-    if s >= 10:
-        n_terms = 100
-    elif s >= 6:
-        n_terms = 1000
-    else:
-        n_terms = 10000
-    size = a ** (1 - s) / (s - 1) + a ** (-s)
-    while s * (s + 1) * (s + 2) / 720.0 * (a + n_terms) ** (-s - 3) > 1e-16 * size:
-        n_terms *= 2
-    partial = math.fsum((a + j) ** (-s) for j in range(n_terms))
-    t = a + n_terms
-    tail = t ** (1 - s) / (s - 1) + 0.5 * t ** (-s) + s / 12.0 * t ** (-s - 1)
-    return partial + tail
-
-
 def _generator_chen_stein(weights):
     weights = [float(p) for p in weights]
     lam = math.fsum(weights)
@@ -414,12 +398,6 @@ def test_map_power_and_newton_sums_match_the_generator_forms():
         for values in (ps.values, signed):
             assert elementary_from_power(PowerSums(values), 30) == \
                 _generator_elementary(values, 30)
-
-
-def test_map_zeta_matches_the_generator_form():
-    for a in (0.05, 0.37, 1.0, 2.5, 17.0, 201.0, 20001.5):
-        for s in (2, 3, 2.5, 7, 10, 33, 60.0):
-            assert zeta(s, a) == _generator_zeta(s, a)
 
 
 def test_map_classical_bounds_match_the_generator_forms():

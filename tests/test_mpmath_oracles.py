@@ -1,7 +1,7 @@
 """The special functions against mpmath at 40 digits.
 
 mpmath's zeta, primezeta, digamma and loggamma share no code with the
-partial sums, Euler-Maclaurin tails and Stirling series they check here.
+Euler-Maclaurin sums and the digamma and Stirling series they check here.
 For large a, mpmath.zeta(s, a) at 40 digits is itself off by up to 1e-9
 relative (a = 300), so there Hurwitz zeta is checked against a 60-digit
 partial sum with a 14-term Euler-Maclaurin tail instead.
@@ -71,15 +71,27 @@ def _hurwitz_reference(s, a):
         return total
 
 
+ZETA_ORDERS = [*range(2, 61), 2.5, 33.0]
+
+
 @pytest.mark.parametrize("a", [50.0, 300.0, 1000.0, 2e4])
 def test_hurwitz_zeta_large_a_against_independent_reference(a):
-    worst = max(_rel(zeta(s, a), _hurwitz_reference(s, a)) for s in range(2, 61))
-    assert worst <= 1e-14
+    worst = max(_rel(zeta(s, a), _hurwitz_reference(s, a)) for s in ZETA_ORDERS)
+    assert worst <= 1e-15
+
+
+def test_hurwitz_zeta_against_independent_reference_over_a():
+    # for most of these a, a + j rounds once it enters the next binade
+    # (0.37 + 1, 1019.17 + 5), which zeta must make up for
+    grid = [*np.geomspace(0.05, 2e4, 10), 0.37, 1.2345, 1019.1706789837941]
+    worst = max(_rel(zeta(s, float(a)), _hurwitz_reference(s, float(a)))
+                for s in ZETA_ORDERS for a in grid)
+    assert worst <= 1e-15
 
 
 def test_prime_zeta_against_mpmath():
-    worst = max(_rel(prime_zeta(s), mpmath.primezeta(s)) for s in range(2, 13))
-    assert worst <= 1e-13
+    worst = max(_rel(prime_zeta(s), mpmath.primezeta(s)) for s in range(2, 61))
+    assert worst <= 1e-15
 
 
 # --- power sums of the infinite alphabets -------------------------------------------
@@ -102,6 +114,16 @@ def test_infinite_power_sums_against_mpmath(alphabet, oracle):
     values = power_sums(alphabet, 40).values
     worst = max(_rel(values[k - 1], oracle(k)) for k in range(2, 41))
     assert worst <= alphabet.tolerance
+
+
+@pytest.mark.parametrize("theta", [1e-300, 1e-12, 1e-3, 40.0])
+def test_ewens_power_sums_against_mpmath_down_to_tiny_theta(theta):
+    # p_k = sum_{j>=0} (theta/(theta+j))^k tends to 1 as theta -> 0
+    values = power_sums(Alphabet.ewens_limit(theta), 8).values
+    with mpmath.workdps(60):
+        th = mpmath.mpf(theta)
+        worst = max(_rel(values[k - 1], th ** k * mpmath.zeta(k, th)) for k in range(2, 9))
+    assert worst <= 1e-14
 
 
 # --- residue products of the infinite alphabets -------------------------------------
@@ -167,11 +189,11 @@ def test_omega_residue_product_against_mpmath_up_to_its_radius():
 # --- mod-Poisson constants ---------------------------------------------------------
 
 def test_gamma_theta_against_digamma():
-    # gamma_theta = -theta psi(theta); 1e-14 absolute, and relative for
-    # |gamma_theta| > 1, where an ulp of the value reaches 1e-14
-    for theta in np.geomspace(0.05, 50.0, 25):
+    # gamma_theta = -theta psi(theta); 1e-15 absolute, and relative for
+    # |gamma_theta| > 1, where a few ulps of the value reach 1e-15
+    for theta in np.geomspace(1e-3, 1e3, 400):
         ref = -theta * mpmath.digamma(float(theta))
-        assert float(abs(gamma_theta(float(theta)) - ref)) <= 1e-14 * max(1.0, abs(ref))
+        assert float(abs(gamma_theta(float(theta)) - ref)) <= 1e-15 * max(1.0, abs(ref))
 
 
 def test_r_q_against_its_series():

