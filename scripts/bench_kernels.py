@@ -9,6 +9,9 @@ verify_bounds(ModelSpec.bernoulli(w), range(1, 7)), the theorem-b suite's
 per-instance call, on --verify-weights weights, the Poisson base
 poisson_pmf at lambda = 10^3 and 10^5, and, on the fold of the most
 weights, total_variation against its Poisson law and io.mass_csv_lines.
+The scheme kernels are scheme_measures at orders 1..8 for the 6000
+weights of np.random.default_rng(3).uniform(0, 0.3, 6000) (lambda = 896.5)
+and at order 3 for lambda = 10^5 with b = (0, -0.5, 0.3).
 Weights are seeded, so every run times the same inputs.
 
 The special-function kernels run cold, as in a fresh `modpoisson`
@@ -26,7 +29,8 @@ rounds lets the scale follow a machine whose speed drifts during a run;
 between runs, a shared VM can still move it by 20%.  The results go under
 --label into the --out JSON file, whose other labels are kept, so that
 runs of two source trees on one machine (PYTHONPATH pointing at each
-`src/`) sit side by side.
+`src/`) sit side by side.  A kernel that raises ValueError in a tree
+that refuses its input is recorded with the message instead of times.
 """
 
 import argparse
@@ -44,8 +48,8 @@ import numpy as np
 from modpoisson.io import mass_csv_lines
 from modpoisson.metrics import total_variation, verify_bounds
 from modpoisson.models import ModelSpec, bernoulli_sum_pmf, gamma_theta
-from modpoisson.schemes import poisson_pmf
-from modpoisson.symfunc import Alphabet, power_sums, zeta
+from modpoisson.schemes import poisson_pmf, scheme_measures
+from modpoisson.symfunc import Alphabet, ResidueCoeffs, power_sums, residue_coeffs, zeta
 
 #: scaled times read as seconds on a machine where the reference job takes
 #: this long; in process it took 0.12-0.19 s on a loaded 2-CPU x86-64 VM
@@ -87,6 +91,10 @@ def kernel_jobs(fold_sizes, verify_weights):
     jobs[f"verify_bounds_{verify_weights}"] = (verify_bounds, (spec, range(1, 7)))
     for lam in (1000, 100000):
         jobs[f"poisson_{lam}"] = (poisson_pmf, (lam,))
+    out_of_regime = np.random.default_rng(3).uniform(0.0, 0.3, 6000).tolist()
+    jobs["scheme_r8_896"] = (scheme_measures, (residue_coeffs(
+        Alphabet.finite(out_of_regime), 8, math.fsum(out_of_regime)), range(1, 9)))
+    jobs["scheme_r3_1e5"] = (scheme_measures, (ResidueCoeffs(1e5, (0.0, -0.5, 0.3)), (3,)))
     n = max(fold_sizes)
     fold_weights = jobs[f"fold_{n}"][1][0]
     fold = bernoulli_sum_pmf(fold_weights)
@@ -112,8 +120,13 @@ def main():
         ap.error("--repeat and --verify-weights must be >= 1")
 
     jobs = kernel_jobs([int(n) for n in args.fold_sizes.split(",")], args.verify_weights)
-    for fn, fn_args in jobs.values():  # warm caches and lazy set-up
-        fn(*fn_args)
+    errors = {}
+    for name, (fn, fn_args) in jobs.items():  # warm caches and lazy set-up
+        try:
+            fn(*fn_args)
+        except ValueError as exc:
+            errors[name] = str(exc)
+    jobs = {name: job for name, job in jobs.items() if name not in errors}
     ref_s, best = math.inf, dict.fromkeys(jobs, math.inf)
     for _ in range(args.repeat):
         ref_s = min(ref_s, timed(reference_job))
@@ -125,6 +138,9 @@ def main():
         kernels[name] = {"best_s": unscaled * scale, "unscaled_s": unscaled}
         print(f"{name:>28}  {unscaled * scale * 1e3:9.3f} ms  "
               f"(unscaled {unscaled * 1e3:.3f} ms)")
+    for name, message in errors.items():
+        kernels[name] = {"error": message}
+        print(f"{name:>28}  error: {message}")
     print(f"{'reference job':>28}  {ref_s * 1e3:9.3f} ms unscaled", file=sys.stderr)
 
     out = Path(args.out)

@@ -5,13 +5,14 @@ b_1..b_r is the signed measure nu with Fourier transform
 
     exp(lam (e^{i xi} - 1)) * (1 + sum_{s<=r} b_s (e^{i xi} - 1)^s),
 
-evaluated pointwise through the explicit double sum
+that is, the explicit double sum
 
     nu(k) = sum_{0<=t<=s<=r} (-1)^(s-t) C(s,t) b_s Po_lam(k - t),
 
-with b_0 = 1.  Order 0 is the Poisson law itself; consecutive orders
-differ by a Poisson-Charlier polynomial term; negative mass can be
-swept into a genuine probability distribution by `rectify_positive`;
+with b_0 = 1.  As Po_lam(k - t) = Po_lam(k) k(k-1)...(k-t+1) / lam^t, it is
+evaluated as Po_lam(k) sum_{s<=r} b_s (-1)^s C_s(k; lam), with C_s the
+Charlier polynomials.  Order 0 is the Poisson law itself; negative mass
+can be swept into a genuine probability distribution by `rectify_positive`;
 and expectations against nu can be taken under the plain Poisson law
 after a forward-difference transform of the integrand.
 """
@@ -44,6 +45,11 @@ _POINTWISE_CUTOFF = 1e-18
 _TAIL_CUTOFF = 1e-15
 
 
+def _poisson_mass(lam: float):
+    log_lam = math.log(lam)
+    return lambda k: math.exp(k * log_lam - lam - math.lgamma(k + 1))
+
+
 def poisson_pmf(lam: float) -> Pmf:
     """Po(lam) from its first representable mass until the tail is < 1e-15.
 
@@ -59,8 +65,7 @@ def poisson_pmf(lam: float) -> Pmf:
     if not lam < 1e6:
         raise ValueError(f"lam = {lam:g}: the Poisson support exceeds "
                          "the 1e6-point limit")
-    log_lam = math.log(lam)
-    mass = lambda k: math.exp(k * log_lam - lam - math.lgamma(k + 1))
+    mass = _poisson_mass(lam)
     lo = bisect.bisect_left(range(int(lam)), True, key=lambda k: mass(k) > _UNDERFLOW)
     masses = []
     k = lo
@@ -77,32 +82,25 @@ def poisson_pmf(lam: float) -> Pmf:
 def scheme_measures(rc: ResidueCoeffs, orders) -> list:
     """The order-r signed measures, r in `orders`, over one Poisson base.
 
-    Order r uses the first r coefficients rc.b[:r].  The double sum is
-    regrouped by the shift t:
-    nu(k) = sum_t w_t Po(k - t) with w_t = sum_{s>=t} (-1)^(s-t) C(s,t) b_s.
+    Order r uses rc.b[:r] on the base's window plus r points.  One pass of
+    lam C_{s+1} = (s + lam - k) C_s - s C_{s-1}, C_0 = 1, keeps every order's
+    partial sum; below lam = 1 it multiplies rounding by up to (r-1)!/lam^(r-1).
     """
     orders = list(orders)
     bad = [r for r in orders if not 0 <= r <= rc.order]
     if bad:
         raise ValueError(f"scheme orders must lie in 0..{rc.order}, got {bad}")
-    base = poisson_pmf(rc.lam)
-    measures = {r: _shifted_sum(base.offset, base.masses, (1.0,) + tuple(rc.b[:r]))
-                for r in dict.fromkeys(orders)}
-    return [measures[r] for r in orders]
-
-
-def _shifted_sum(offset, nu0, b) -> SignedMeasure:
-    r = len(b) - 1
-    shift_weights = [
-        math.fsum((-1) ** (s - t) * math.comb(s, t) * b[s] for s in range(t, r + 1))
-        for t in range(r + 1)
-    ]
-    out = np.zeros(len(nu0) + r)
+    lam, base = rc.lam, poisson_pmf(rc.lam)
+    size, end, top = len(base.masses), base.offset + len(base.masses), max(orders, default=0)
+    po = np.append(base.masses, list(map(_poisson_mass(lam), range(end, end + top))))
+    k = np.arange(base.offset, end + top, dtype=float)
+    c_prev, c, partial = 0.0, 1.0, [1.0]
     # non-finite or overflowing coefficients are left to the unit-total check
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, w in enumerate(shift_weights):
-            out[t: t + len(nu0)] += w * nu0
-    return SignedMeasure(offset, out)
+        for s, b in enumerate(rc.b[:top]):
+            c_prev, c = c, ((s + lam - k) * c - s * c_prev) / lam
+            partial.append(partial[-1] + (-1) ** (s + 1) * b * c)
+        return [SignedMeasure(base.offset, (po * partial[r])[:size + r]) for r in orders]
 
 
 def scheme_measure(rc: ResidueCoeffs) -> SignedMeasure:
@@ -115,13 +113,14 @@ def charlier_delta(lam: float, s: int, b_next: float, k: int) -> float:
 
     Equals b_{s+1} Po_lam(k) * sum_{l<=min(s+1,k)} (-1)^(s+1-l) C(s+1,l)
     k! lam^-l / (k-l)!; the falling factorial is accumulated as a product
-    of (k-j)/lam ratios so nothing overflows near k ~ lam ~ 100.
+    of (k-j)/lam ratios so nothing overflows near k ~ lam ~ 100.  It is the
+    `charlier` suite's independent check of the recurrence in `scheme_measures`.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     if s < 0 or k < 0:
         raise ValueError("need s >= 0 and k >= 0")
-    nu_k = math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+    nu_k = _poisson_mass(lam)(k)
     terms = []
     falling = 1.0
     for l in range(0, min(s + 1, k) + 1):

@@ -419,3 +419,28 @@ def reference_residue_product_eval(alphabet, z):
         if bound < alphabet.tolerance / 10.0 and k >= 4:
             break
     return prod * cmath.exp(series)
+
+
+# --- 50-digit scheme masses ---------------------------------------------------------
+# The scheme's defining double sum in mpmath, with nothing taken from `schemes`.
+
+def mp_scheme_masses(lam, b, ks):
+    """nu(k) = sum_{0<=t<=s<=r} (-1)^(s-t) C(s,t) b_s Po_lam(k - t), b_0 = 1,
+    for k in ks, with 50-digit Poisson masses from mpmath's loggamma."""
+    import mpmath
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(lam)
+        log_lam = mpmath.log(lam)
+        coeffs = [mpmath.mpf(1)] + [mpmath.mpf(x) for x in b]
+        poisson = {}
+
+        def po(j):
+            if j < 0:
+                return mpmath.mpf(0)
+            if j not in poisson:
+                poisson[j] = mpmath.exp(j * log_lam - lam - mpmath.loggamma(j + 1))
+            return poisson[j]
+
+        return [mpmath.fsum((-1) ** (s - t) * math.comb(s, t) * coeffs[s] * po(k - t)
+                            for s in range(len(coeffs)) for t in range(s + 1))
+                for k in ks]

@@ -226,6 +226,19 @@ def test_compare_bernoulli_theorem_b_holds(tmp_path, capsys):
     assert all(row[9] == "true" for row in rows)
 
 
+def test_compare_bernoulli_out_of_regime_to_order_8(tmp_path, capsys):
+    # the `sweep` benchmark's out-of-regime instance at seed 3: lam = 896.5,
+    # where shifted Poisson masses cancelled the r = 6 and 8 totals away from 1
+    import numpy as np
+    path = tmp_path / "w.csv"
+    weights = np.random.default_rng(3).uniform(0.0, 0.3, 6000)
+    path.write_text("".join(f"{w!r}\n" for w in weights.tolist()))
+    code, out, err = run_cli(["compare", "--model", "bernoulli", "--weights-file",
+                              str(path), "--r", "1:8", "--bound", "theorem-b"], capsys)
+    assert (code, err) == (0, "")
+    assert [line.split(",")[3] for line in out.splitlines()[1:]] == [str(r) for r in range(1, 9)]
+
+
 def test_compare_empty_range_writes_header_only(capsys):
     code, out, _ = run_cli(["compare", "--model", "ewens", "--theta", "1",
                             "--n", "50", "--r", "4:3"], capsys)

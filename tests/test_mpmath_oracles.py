@@ -1,4 +1,4 @@
-"""The special functions against mpmath at 40 digits.
+"""The special functions against mpmath at 40 digits, scheme masses at 50.
 
 mpmath's zeta, primezeta, digamma and loggamma share no code with the
 Euler-Maclaurin sums and the digamma and Stirling series they check here.
@@ -7,7 +7,8 @@ relative (a = 300), so there Hurwitz zeta is checked against a 60-digit
 partial sum with a 14-term Euler-Maclaurin tail instead.
 The integer sequences the oracles need (Moebius values, counts of monic
 irreducible polynomials) are recomputed in this module from their
-definitions, not taken from the library.
+definitions, not taken from the library.  Scheme masses are checked against
+`oracles.mp_scheme_masses`, the scheme's defining double sum in mpmath.
 """
 
 import cmath
@@ -18,9 +19,11 @@ import numpy as np
 import pytest
 
 from modpoisson.models import gamma_theta, r_q
+from modpoisson.schemes import scheme_measure
 from modpoisson.specialfn import complex_log_gamma
 from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet, power_sums,
-                                prime_zeta, residue_product_eval, zeta)
+                                prime_zeta, residue_coeffs, residue_product_eval, zeta)
+from oracles import mp_scheme_masses
 
 mpmath.mp.dps = 40
 
@@ -235,3 +238,29 @@ def test_log_gamma_for_small_arguments():
     zs = [complex(re, im) for re in np.linspace(0.01, 2.0, 25)
           for im in np.linspace(-2.0, 2.0, 9)]
     assert _worst_log_gamma_error(zs) <= 1e-14
+
+
+# --- scheme masses -----------------------------------------------------------------
+
+# the `sweep` benchmark's out-of-regime Bernoulli weights at seed 3 (lam = 896.5)
+SEED3_WEIGHTS = np.random.default_rng(3).uniform(0.0, 0.3, 6000)
+
+
+@pytest.mark.parametrize("alphabet, lam, r", [
+    (Alphabet.omega_limit(), 12.0, 6),
+    (Alphabet.fq_limit(3), 9.0, 5),
+    (Alphabet.harmonic(), 7.5, 4),
+    (Alphabet.harmonic(), 0.5, 6),
+    (Alphabet.finite([0.1, 0.2, 0.3]), 3.0, 3),
+    (Alphabet.ewens_limit(2.0), 300.0, 8),
+    (Alphabet.ewens_limit(1.3), 10.0, 5),
+    (Alphabet.finite(SEED3_WEIGHTS), math.fsum(SEED3_WEIGHTS.tolist()), 8),
+], ids=["omega", "fq3", "harmonic", "harmonic-small-lam", "weights", "ewens2",
+        "ewens1.3", "seed3"])
+def test_scheme_masses_against_the_50_digit_double_sum(alphabet, lam, r):
+    rc = residue_coeffs(alphabet, r, lam)
+    nu = scheme_measure(rc)
+    want = mp_scheme_masses(rc.lam, rc.b, nu.support())
+    errors = [abs(got - ref) for got, ref in zip(nu.masses.tolist(), want)]
+    assert float(max(errors)) <= 1e-13
+    assert max(float(e / abs(ref)) for e, ref in zip(errors, want) if abs(ref) > 1e-300) <= 1e-11

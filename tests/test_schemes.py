@@ -260,10 +260,11 @@ def assert_same_sweep(nu):
 
 
 # the omega coefficients at lam = 12 and r = 6 are the `scheme --alphabet omega
-# --positive` golden's input
+# --positive` golden's input; every instance has masses that are negative at
+# 50 digits (b2 and omega are positive throughout the lam >= 1e3 windows)
 @pytest.mark.parametrize("lam, coeffs", [
-    (lam, coeffs) for lam in (1.0, 12.0, 1e3)
-    for coeffs in ("b2", "omega", "wide")] + [(1e4, "omega"), (1e4, "wide")])
+    (lam, coeffs) for lam in (1.0, 12.0) for coeffs in ("b2", "omega", "wide")]
+    + [(3.0, "b2"), (3.0, "omega")] + [(lam, "wide") for lam in (1e3, 3e3, 1e4)])
 def test_rectify_matches_the_quadratic_sweep(lam, coeffs):
     rc = {"b2": lambda: ResidueCoeffs(lam, (0.0, -0.125)),
           "omega": lambda: residue_coeffs(Alphabet.omega_limit(), 6, lam),
