@@ -29,8 +29,7 @@ rounds lets the scale follow a machine whose speed drifts during a run;
 between runs, a shared VM can still move it by 20%.  The results go under
 --label into the --out JSON file, whose other labels are kept, so that
 runs of two source trees on one machine (PYTHONPATH pointing at each
-`src/`) sit side by side.  A kernel that raises ValueError in a tree
-that refuses its input is recorded with the message instead of times.
+`src/`) sit side by side.
 """
 
 import argparse
@@ -120,13 +119,8 @@ def main():
         ap.error("--repeat and --verify-weights must be >= 1")
 
     jobs = kernel_jobs([int(n) for n in args.fold_sizes.split(",")], args.verify_weights)
-    errors = {}
-    for name, (fn, fn_args) in jobs.items():  # warm caches and lazy set-up
-        try:
-            fn(*fn_args)
-        except ValueError as exc:
-            errors[name] = str(exc)
-    jobs = {name: job for name, job in jobs.items() if name not in errors}
+    for fn, fn_args in jobs.values():  # warm caches and lazy set-up
+        fn(*fn_args)
     ref_s, best = math.inf, dict.fromkeys(jobs, math.inf)
     for _ in range(args.repeat):
         ref_s = min(ref_s, timed(reference_job))
@@ -138,9 +132,6 @@ def main():
         kernels[name] = {"best_s": unscaled * scale, "unscaled_s": unscaled}
         print(f"{name:>28}  {unscaled * scale * 1e3:9.3f} ms  "
               f"(unscaled {unscaled * 1e3:.3f} ms)")
-    for name, message in errors.items():
-        kernels[name] = {"error": message}
-        print(f"{name:>28}  error: {message}")
     print(f"{'reference job':>28}  {ref_s * 1e3:9.3f} ms unscaled", file=sys.stderr)
 
     out = Path(args.out)

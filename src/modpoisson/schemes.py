@@ -10,11 +10,12 @@ that is, the explicit double sum
     nu(k) = sum_{0<=t<=s<=r} (-1)^(s-t) C(s,t) b_s Po_lam(k - t),
 
 with b_0 = 1.  As Po_lam(k - t) = Po_lam(k) k(k-1)...(k-t+1) / lam^t, it is
-evaluated as Po_lam(k) sum_{s<=r} b_s (-1)^s C_s(k; lam), with C_s the
-Charlier polynomials.  Order 0 is the Poisson law itself; negative mass
-can be swept into a genuine probability distribution by `rectify_positive`;
-and expectations against nu can be taken under the plain Poisson law
-after a forward-difference transform of the integrand.
+evaluated as sum_{s<=r} b_s (-1)^s Po_lam(k) C_s(k; lam), C_s the Charlier
+polynomials, Po C_s the s-th backward difference of Po.  Order 0 is the
+Poisson law itself; negative mass can be swept into a genuine probability
+distribution by `rectify_positive`; and expectations against nu can be
+taken under the plain Poisson law after a forward-difference transform of
+the integrand.
 """
 
 from __future__ import annotations
@@ -27,16 +28,8 @@ import numpy as np
 from .models import _UNDERFLOW, Pmf, SignedMeasure
 from .symfunc import Alphabet, ResidueCoeffs, residue_coeffs
 
-__all__ = [
-    "SignedMeasure",
-    "poisson_pmf",
-    "scheme_measure",
-    "scheme_measures",
-    "charlier_delta",
-    "derived_scheme",
-    "rectify_positive",
-    "expect_via_scheme",
-]
+__all__ = ["SignedMeasure", "poisson_pmf", "scheme_measure", "scheme_measures",
+           "charlier_delta", "derived_scheme", "rectify_positive", "expect_via_scheme"]
 
 #: Poisson support is extended until masses drop below this ...
 _POINTWISE_CUTOFF = 1e-18
@@ -82,9 +75,10 @@ def poisson_pmf(lam: float) -> Pmf:
 def scheme_measures(rc: ResidueCoeffs, orders) -> list:
     """The order-r signed measures, r in `orders`, over one Poisson base.
 
-    Order r uses rc.b[:r] on the base's window plus r points.  One pass of
-    lam C_{s+1} = (s + lam - k) C_s - s C_{s-1}, C_0 = 1, keeps every order's
-    partial sum; below lam = 1 it multiplies rounding by up to (r-1)!/lam^(r-1).
+    Order r uses rc.b[:r] on the base's window plus r points.  Below lam = 1
+    Po C_s is the s-th backward difference of Po; from lam = 1 on, where such
+    differences cancel to about lam^(-s/2), C_s comes from lam C_{s+1} =
+    (s + lam - k) C_s - s C_{s-1}, C_0 = 1, which is unstable below lam = 1.
     """
     orders = list(orders)
     bad = [r for r in orders if not 0 <= r <= rc.order]
@@ -93,14 +87,20 @@ def scheme_measures(rc: ResidueCoeffs, orders) -> list:
     lam, base = rc.lam, poisson_pmf(rc.lam)
     size, end, top = len(base.masses), base.offset + len(base.masses), max(orders, default=0)
     po = np.append(base.masses, list(map(_poisson_mass(lam), range(end, end + top))))
-    k = np.arange(base.offset, end + top, dtype=float)
-    c_prev, c, partial = 0.0, 1.0, [1.0]
+    k, small = np.arange(base.offset, end + top, dtype=float), lam < 1.0
+    c_prev, c = 0.0, po if small else 1.0
+    total, kept = c, {0: po[:size]}
     # non-finite or overflowing coefficients are left to the unit-total check
     with np.errstate(over="ignore", invalid="ignore"):
         for s, b in enumerate(rc.b[:top]):
-            c_prev, c = c, ((s + lam - k) * c - s * c_prev) / lam
-            partial.append(partial[-1] + (-1) ** (s + 1) * b * c)
-        return [SignedMeasure(base.offset, (po * partial[r])[:size + r]) for r in orders]
+            if small:  # the base starts at k = 0, and Po(-1) = 0
+                c = np.append(c[:1], c[1:] - c[:-1])
+            else:
+                c_prev, c = c, ((s + lam - k) * c - s * c_prev) / lam
+            total = total + (-1) ** (s + 1) * b * c
+            if s + 1 in orders:
+                kept[s + 1] = total[:size + s + 1] * (1.0 if small else po[:size + s + 1])
+        return [SignedMeasure(base.offset, kept[r]) for r in orders]
 
 
 def scheme_measure(rc: ResidueCoeffs) -> SignedMeasure:
@@ -114,7 +114,7 @@ def charlier_delta(lam: float, s: int, b_next: float, k: int) -> float:
     Equals b_{s+1} Po_lam(k) * sum_{l<=min(s+1,k)} (-1)^(s+1-l) C(s+1,l)
     k! lam^-l / (k-l)!; the falling factorial is accumulated as a product
     of (k-j)/lam ratios so nothing overflows near k ~ lam ~ 100.  It is the
-    `charlier` suite's independent check of the recurrence in `scheme_measures`.
+    `charlier` suite's independent check of the terms in `scheme_measures`.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")

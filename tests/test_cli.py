@@ -239,6 +239,23 @@ def test_compare_bernoulli_out_of_regime_to_order_8(tmp_path, capsys):
     assert [line.split(",")[3] for line in out.splitlines()[1:]] == [str(r) for r in range(1, 9)]
 
 
+def test_compare_omega_at_small_rate_to_order_8(capsys):
+    # lam = 0.21, where the Charlier recurrence would multiply rounding by
+    # up to 7!/lam^7 and push the order-8 total off 1
+    code, out, err = run_cli(["compare", "--model", "omega", "--N", "2", "--r", "0:8"], capsys)
+    assert (code, err) == (0, "")
+    assert [line.split(",")[3] for line in out.splitlines()[1:]] == [str(r) for r in range(9)]
+
+
+def test_scheme_at_a_rate_whose_poisson_masses_underflow(capsys):
+    # Po(2) and Po(3) underflow at lam = 1e-200, while nu(3) = b_2 Po(1) does not
+    code, out, _ = run_cli(["scheme", "--lambda", "1e-200", "--b2", "-0.125", "--r", "2"], capsys)
+    assert code == 0
+    masses = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert masses[:3] == [0.875, 0.25, -0.125]
+    assert abs(masses[3] / -1.25e-201 - 1.0) < 1e-13
+
+
 def test_compare_empty_range_writes_header_only(capsys):
     code, out, _ = run_cli(["compare", "--model", "ewens", "--theta", "1",
                             "--n", "50", "--r", "4:3"], capsys)

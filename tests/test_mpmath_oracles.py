@@ -251,12 +251,18 @@ SEED3_WEIGHTS = np.random.default_rng(3).uniform(0.0, 0.3, 6000)
     (Alphabet.fq_limit(3), 9.0, 5),
     (Alphabet.harmonic(), 7.5, 4),
     (Alphabet.harmonic(), 0.5, 6),
+    (Alphabet.harmonic(), 0.1, 6),
+    (Alphabet.harmonic(), 0.1, 8),
+    (Alphabet.omega_limit(), 0.21, 8),
+    (Alphabet.harmonic(), 1e-200, 2),
+    (Alphabet.harmonic(), 1.07, 8),
     (Alphabet.finite([0.1, 0.2, 0.3]), 3.0, 3),
     (Alphabet.ewens_limit(2.0), 300.0, 8),
     (Alphabet.ewens_limit(1.3), 10.0, 5),
     (Alphabet.finite(SEED3_WEIGHTS), math.fsum(SEED3_WEIGHTS.tolist()), 8),
-], ids=["omega", "fq3", "harmonic", "harmonic-small-lam", "weights", "ewens2",
-        "ewens1.3", "seed3"])
+], ids=["omega", "fq3", "harmonic", "harmonic-small-lam", "harmonic-0.1-r6",
+        "harmonic-0.1-r8", "omega-0.21-r8", "harmonic-1e-200", "harmonic-1.07-r8",
+        "weights", "ewens2", "ewens1.3", "seed3"])
 def test_scheme_masses_against_the_50_digit_double_sum(alphabet, lam, r):
     rc = residue_coeffs(alphabet, r, lam)
     nu = scheme_measure(rc)
