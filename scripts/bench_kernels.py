@@ -7,8 +7,8 @@ Times the float Bernoulli fold at --fold-sizes weights, power_sums of a
 finite alphabet of --verify-weights weights to order 30, one
 verify_bounds(ModelSpec.bernoulli(w), range(1, 7)), the theorem-b suite's
 per-instance call, on --verify-weights weights, the Poisson base
-poisson_pmf at lambda = 10^3 and 10^5, and, on the fold of the most
-weights, total_variation against its Poisson law and io.mass_csv_lines.
+poisson_pmf at lambda = 10 (the rates of the verify suites), 10^3, 10^5,
+10^6 and 10^7, and, on the fold of the most weights, total_variation against its Poisson law and io.mass_csv_lines.
 The scheme kernels are scheme_measures at orders 1..8 for the 6000
 weights of np.random.default_rng(3).uniform(0, 0.3, 6000) (lambda = 896.5)
 and at order 3 for lambda = 10^5 with b = (0, -0.5, 0.3).
@@ -88,8 +88,9 @@ def kernel_jobs(fold_sizes, verify_weights):
     jobs[f"power_sums_finite_{verify_weights}x30"] = (power_sums, (Alphabet.finite(weights), 30))
     spec = ModelSpec.bernoulli(weights)
     jobs[f"verify_bounds_{verify_weights}"] = (verify_bounds, (spec, range(1, 7)))
-    for lam in (1000, 100000):
-        jobs[f"poisson_{lam}"] = (poisson_pmf, (lam,))
+    for name, lam in (("10", 10), ("1000", 1000), ("100000", 100000),
+                      ("1e6", 10 ** 6), ("1e7", 10 ** 7)):
+        jobs[f"poisson_{name}"] = (poisson_pmf, (lam,))
     out_of_regime = np.random.default_rng(3).uniform(0.0, 0.3, 6000).tolist()
     jobs["scheme_r8_896"] = (scheme_measures, (residue_coeffs(
         Alphabet.finite(out_of_regime), 8, math.fsum(out_of_regime)), range(1, 9)))

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import fields
+
+import numpy as np
 
 from .metrics import CSV_HEADER
 
@@ -23,7 +26,20 @@ def fmt17(x) -> str:
 
 
 def read_weights_csv(path) -> list:
-    """One probability per line; '#' starts a comment; blanks ignored."""
+    """One probability per line; '#' starts a comment; blanks ignored.
+
+    numpy parses the file.  A file it cannot read, or one with a line of
+    several values, is read again line by line, which names the first line
+    that is not a number (or raises open()'s own error).
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file has no weights
+            table = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
+        if table.shape[1] == 1:
+            return table[:, 0].tolist()
+    except (OSError, ValueError):
+        pass
     weights = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

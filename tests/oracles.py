@@ -99,8 +99,8 @@ def reference_bernoulli_rational_pmf(weights):
 
 
 # --- reference float kernels --------------------------------------------------
-# The sequential float Bernoulli fold and the Poisson walk from k = 0, kept
-# verbatim as the references for the product tree and the trimmed base.
+# The sequential float Bernoulli fold, kept verbatim as the reference for the
+# product tree.
 
 def reference_bernoulli_fold_float(weights):
     """Windowed exact float convolution of independent Bernoulli factors.
@@ -135,33 +135,6 @@ def reference_bernoulli_fold_float(weights):
             else:
                 hi = h
     return Pmf.from_masses(offset, buf[:hi].tolist())
-
-
-def reference_poisson_pmf(lam):
-    """Po(lam) on a support wide enough that the discarded tail is < 1e-15,
-    every leading underflow zero kept."""
-    from modpoisson.models import Pmf
-    from modpoisson.schemes import _POINTWISE_CUTOFF, _TAIL_CUTOFF
-    lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    runaway = ValueError(f"lam = {lam:g}: the Poisson support exceeds "
-                         "the 1e6-point limit")
-    if not lam < 1e6:
-        raise runaway
-    log_lam = math.log(lam)
-    masses = []
-    k = 0
-    while True:
-        masses.append(math.exp(k * log_lam - lam - math.lgamma(k + 1)))
-        if k > lam and masses[-1] < _POINTWISE_CUTOFF:
-            ratio = lam / (k + 1.0)
-            if masses[-1] * ratio / (1.0 - ratio) < _TAIL_CUTOFF:
-                break
-        k += 1
-        if k > 10 ** 6:
-            raise runaway
-    return Pmf(0, tuple(masses))
 
 
 def reference_homogeneous_polynomials(theta_seq, n):
@@ -444,3 +417,33 @@ def mp_scheme_masses(lam, b, ks):
         return [mpmath.fsum((-1) ** (s - t) * math.comb(s, t) * coeffs[s] * po(k - t)
                             for s in range(len(coeffs)) for t in range(s + 1))
                 for k in ks]
+
+
+# --- 50-digit Poisson masses and tails ------------------------------------------------
+
+def mp_poisson_masses(lam, ks):
+    """Po_lam(k) for the ascending k in ks, to 50 digits: the first from
+    mpmath's loggamma, each next one by the ratio lam/k."""
+    import mpmath
+    ks = list(ks)
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(lam)
+        k = ks[0]
+        mass = mpmath.exp(k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1))
+        out = []
+        for j in ks:
+            while k < j:
+                k += 1
+                mass = mass * lam / k
+            out.append(mass)
+        return out
+
+
+def mp_poisson_tails(lam, start, end):
+    """P(X < start) and P(X > end) for X ~ Po(lam), to 50 digits, from the
+    regularized upper incomplete gamma Q(n + 1, lam) = P(X <= n)."""
+    import mpmath
+    with mpmath.workdps(50):
+        def upto(n):
+            return mpmath.gammainc(n + 1, lam, mpmath.inf, regularized=True) if n >= 0 else 0
+        return upto(start - 1), 1 - upto(end)

@@ -192,14 +192,22 @@ def test_scheme_rejects_bad_order_weights_and_coefficients(args, message, capsys
      "error: lam = inf: the Poisson support exceeds the 1e6-point limit"),
     (["--lambda", "1e300", "--r", "1", "--b", "0"],
      "error: lam = 1e+300: the Poisson support exceeds the 1e6-point limit"),
-    (["--lambda", "2e6", "--r", "0"],
-     "error: lam = 2e+06: the Poisson support exceeds the 1e6-point limit"),
-], ids=["inf", "1e300", "2e6"])
+], ids=["inf", "1e300"])
 def test_scheme_rejects_infinite_or_huge_lambda_at_once(args, message, capsys):
     code, out, err = run_cli(["scheme"] + args, capsys)
     assert code == 1
     assert out == ""
     assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("lam", ["1.14e5", "2e6"])
+def test_scheme_at_a_large_rate_sums_to_one(lam, capsys):
+    # the per-k lgamma walk lost its normalization from lam = 1.14e5 on
+    # (masses summing to 1.000000000103491) and refused lam >= 1e6
+    code, out, err = run_cli(["scheme", "--lambda", lam, "--r", "0"], capsys)
+    assert (code, err) == (0, "")
+    masses = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert abs(math.fsum(masses) - 1.0) <= 1e-10
 
 
 # --- compare ---------------------------------------------------------------------
@@ -524,6 +532,10 @@ def test_mass_output_schema(capsys):
                          "--format", "json"], capsys)
     validator = {"$ref": "#/$defs/massFunction", "$defs": schema["$defs"]}
     jsonschema.validate(json.loads(out), validator)
+    # a Poisson base cut below as well as above: its offset is a plain int
+    _, out, _ = run_cli(["scheme", "--lambda", "100", "--b2", "-0.1", "--format", "json"], capsys)
+    jsonschema.validate(json.loads(out), validator)
+    assert json.loads(out)["offset"] == 26
 
 
 def test_output_file_writing(tmp_path, capsys):

@@ -101,8 +101,7 @@ CASES = {
 THETA_SEQ_60 = ",".join(f"{0.5 + (7 * i) % 13 / 8:g}" for i in range(60))
 WEIGHTS_30 = ",".join(f"{0.003 * (1 + (5 * i) % 11):g}" for i in range(30))
 
-# full argv, subcommand first; lambda stays far below the 2.5e5 where the
-# Poisson normalization is known to break
+# full argv, subcommand first
 COMMANDS = {
     "pmf_fq_rational_json": [
         "pmf", "--model", "fq", "--q", "3", "--n", "8", "--rational",

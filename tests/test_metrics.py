@@ -320,7 +320,7 @@ def counting(monkeypatch, owner, name):
 ])
 def test_verify_bounds_builds_one_poisson_base(monkeypatch, spec, r_list, which):
     from modpoisson import schemes
-    bases = counting(monkeypatch, schemes, "poisson_pmf")
+    bases = counting(monkeypatch, schemes, "_poisson_masses")  # every Poisson mass goes through it
     rows = verify_bounds(spec, r_list, which=which)
     assert len(rows) > 1
     assert len(bases) == 1
@@ -349,7 +349,7 @@ def test_verify_bounds_computes_the_power_sums_once(monkeypatch, spec, r_list, w
 def test_verify_bounds_empty_request_computes_nothing(monkeypatch, spec, r_list, which):
     from modpoisson import schemes
     models = counting(monkeypatch, ModelSpec, "pmf")
-    bases = counting(monkeypatch, schemes, "poisson_pmf")
+    bases = counting(monkeypatch, schemes, "_poisson_masses")  # every Poisson mass goes through it
     assert verify_bounds(spec, r_list, which=which) == []
     assert models == [] and bases == []
 

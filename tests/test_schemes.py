@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modpoisson import schemes
 from modpoisson.metrics import total_variation
 from modpoisson.schemes import (SignedMeasure, charlier_delta, derived_scheme,
                                 expect_via_scheme, poisson_pmf,
@@ -13,7 +14,7 @@ from modpoisson.schemes import (SignedMeasure, charlier_delta, derived_scheme,
                                 scheme_measures)
 from modpoisson.symfunc import (Alphabet, ResidueCoeffs, residue_coeffs,
                                 residue_series_eval)
-from oracles import reference_poisson_pmf, reference_rectify_positive
+from oracles import mp_poisson_masses, mp_poisson_tails, reference_rectify_positive
 
 
 def decaying_coeffs(r, sigma2=1.0, sign=-1.0, scale=0.8):
@@ -41,32 +42,58 @@ def test_poisson_moments_at_50():
 
 
 def test_poisson_truncation_contract():
-    for lam in (0.5, 5.0, 50.0, 100.0):
+    for lam in (0.5, 5.0, 50.0, 100.0, 1e3, 1e5):
         pmf = poisson_pmf(lam)
-        last_k = len(pmf.masses) - 1
+        first_k, last_k = pmf.offset, pmf.offset + len(pmf.masses) - 1
         ratio = lam / (last_k + 1.0)
         assert pmf.masses[-1] < 1e-18
-        assert pmf.masses[-1] * ratio / (1.0 - ratio) < 1e-15  # analytic tail
+        assert pmf.masses[-1] * ratio / (1.0 - ratio) < 1e-15  # analytic upper tail
+        if first_k > 0:
+            ratio = first_k / lam
+            assert pmf.masses[0] < 1e-18
+            assert pmf.masses[0] * ratio / (1.0 - ratio) < 1e-15  # analytic lower tail
+        assert (first_k > 0) == (lam > 41.5)  # exp(-lam) < 1e-18 from lam = 41.45
         assert abs(pmf.total - 1.0) < 1e-13  # float-level residual only
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.0, 7.0, 50.0, 1e3, 1e4, 1e5, 2e5])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 7.0, 10.0, 50.0, 1e3, 1e4, 1e5, 2e5, 1e6, 1e7])
 def test_poisson_trims_leading_underflow_and_keeps_every_mass(lam):
-    pmf, walk = poisson_pmf(lam), reference_poisson_pmf(lam)
-    assert tuple(pmf.masses) == tuple(walk.masses[pmf.offset:])
-    assert max(walk.masses[:pmf.offset], default=0.0) <= 1e-320
+    # the leading masses (underflow, and more from lam = 41.45 on) and the
+    # trailing ones are each dropped only while their 50-digit sum is below
+    # 1e-15, and every mass kept is within 1e-13 of its 50-digit value
+    pmf = poisson_pmf(lam)
+    exact = mp_poisson_masses(lam, pmf.support())
+    worst = max(abs(float(m / e - 1)) for m, e in zip(pmf.masses.tolist(), exact))
+    assert worst <= 1e-13
+    below, above = mp_poisson_tails(lam, pmf.offset, pmf.offset + len(pmf.masses) - 1)
+    assert below <= 1e-15 and above <= 1e-15
+    assert abs(pmf.total - 1.0) <= 1e-13
     assert pmf.masses[0] > 1e-320
-    assert (pmf.offset > 0) == (lam >= 1e3)
 
 
 def test_poisson_computes_no_mass_below_its_first_representable_one(monkeypatch):
-    # the start is found by bisection (about 17 masses at lam = 1e5), not by
-    # walking up from k = 0 through 88,162 underflowing masses
+    # the masses are evaluated once, on lam -+ (12 sqrt(lam) + 30) only: at
+    # lam = 1e5 the window starts at 96,175, far above the 88,162 masses that
+    # underflow, and holds 7,651 points where Po(lam) has 14,488 representable ones
     calls = []
-    lgamma = math.lgamma
-    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
-    pmf = poisson_pmf(1e5)
-    assert len(calls) <= len(pmf.masses) + 20
+    kernel = schemes._poisson_masses
+    monkeypatch.setattr(schemes, "_poisson_masses",
+                        lambda lam, lo, hi: calls.append((lo, hi)) or kernel(lam, lo, hi))
+    for lam in (1e5, 1e7):
+        calls.clear()
+        pmf = poisson_pmf(lam)
+        half = 12.0 * math.sqrt(lam) + 30.0
+        [(lo, hi)] = calls
+        assert lo >= lam - half - 1.0 and hi - lo <= 2.0 * half + 3.0
+        assert len(pmf.masses) < hi - lo
+
+
+def test_poisson_accepts_every_rate_up_to_its_point_limit():
+    for lam in (1e-320, 5e-324, 2e6, 1.7e9):
+        assert abs(poisson_pmf(lam).total - 1.0) < 1e-13
+    for lam in (1.75e9, math.inf, 1e300):
+        with pytest.raises(ValueError, match="exceeds the 1e6-point limit"):
+            poisson_pmf(lam)
 
 
 def test_poisson_rejects_nonpositive_rate():
@@ -261,14 +288,18 @@ def assert_same_sweep(nu):
 
 # the omega coefficients at lam = 12 and r = 6 are the `scheme --alphabet omega
 # --positive` golden's input; every instance has masses that are negative at
-# 50 digits (b2 and omega are positive throughout the lam >= 1e3 windows)
+# 50 digits (b2 and omega are positive throughout the lam >= 1e3 windows).
+# nu = Po (1 + b_2 ((k - lam)^2 - k)/lam^2 + ...) turns negative about
+# sqrt(1 + lam/|b_2|) standard deviations out, so past lam = 256 the wide b_2
+# grows like lam, which keeps that point near 7 sigma, inside the base window
 @pytest.mark.parametrize("lam, coeffs", [
     (lam, coeffs) for lam in (1.0, 12.0) for coeffs in ("b2", "omega", "wide")]
     + [(3.0, "b2"), (3.0, "omega")] + [(lam, "wide") for lam in (1e3, 3e3, 1e4)])
 def test_rectify_matches_the_quadratic_sweep(lam, coeffs):
     rc = {"b2": lambda: ResidueCoeffs(lam, (0.0, -0.125)),
           "omega": lambda: residue_coeffs(Alphabet.omega_limit(), 6, lam),
-          "wide": lambda: ResidueCoeffs(lam, (0.0, -0.35 * math.sqrt(lam), 0.1))}[coeffs]()
+          "wide": lambda: ResidueCoeffs(
+              lam, (0.0, -0.35 * max(math.sqrt(lam), lam / 16.0), 0.1))}[coeffs]()
     nu = scheme_measure(rc)
     assert min(nu.masses) < 0.0
     assert_same_sweep(nu)

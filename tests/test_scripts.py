@@ -40,7 +40,8 @@ def test_bench_kernels_adds_its_label_and_keeps_the_others(tmp_path):
     assert results["parent"] == {"kept": True}
     kernels = results["smoke"]["kernels"]
     assert set(kernels) == {"fold_5", "fold_40", "power_sums_finite_30x30", "verify_bounds_30",
-                            "poisson_1000", "poisson_100000", "scheme_r8_896",
+                            "poisson_10", "poisson_1000", "poisson_100000", "poisson_1e6",
+                            "poisson_1e7", "scheme_r8_896",
                             "scheme_r3_1e5", "tv_40", "mass_csv_40",
                             "gamma_theta_cold", "zeta_k2to6_cold", "power_sums_ewens_6_cold",
                             "power_sums_omega_6_cold"}
