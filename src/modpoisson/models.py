@@ -103,9 +103,13 @@ class SignedMeasure:
     total: object = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "masses", _mass_array(self.masses))
+        self._check()
+
+    def _check(self):
+        """Validate offset and normalized masses, and set total."""
         if self.offset < 0:
             raise ValueError("offset must be >= 0")
-        object.__setattr__(self, "masses", _mass_array(self.masses))
         if len(self.masses) == 0:
             raise ValueError("empty mass function")
         total = self._sum(self.masses.tolist())
@@ -129,7 +133,13 @@ class SignedMeasure:
             lo += 1
         while hi - 1 > lo and abs(masses.item(hi - 1)) <= floor:
             hi -= 1
-        return cls(offset + lo, masses[lo:hi])
+        # the slice is already normalized: fill the fields without __init__,
+        # which would normalize it again
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "offset", offset + lo)
+        object.__setattr__(measure, "masses", masses[lo:hi])
+        measure._check()
+        return measure
 
     def _sum(self, terms):
         return sum(terms, Fraction(0)) if self._exact else math.fsum(terms)
@@ -160,8 +170,8 @@ class SignedMeasure:
 class Pmf(SignedMeasure):
     """A SignedMeasure with nonnegative masses: a probability mass function."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
+        super()._check()
         if min(self.masses.tolist()) < 0:  # ndarray.min maps 64 KB of numpy code
             raise ValueError("negative mass in a Pmf")
 

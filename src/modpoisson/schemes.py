@@ -230,11 +230,10 @@ def rectify_positive(nu: SignedMeasure) -> Pmf:
     out = np.where(masses > 0.0, masses, 0.0)
     clipped = out.tolist()
     # fsum of a prefix is its correctly rounded exact sum, so alpha_j is
-    # nondecreasing in j and the first j with alpha_j > beta is found by bisection
+    # nondecreasing in j and the first j with alpha_j > beta is found by
+    # bisection; it exists, as all positive masses total nu.total + beta > beta
     big_n = bisect.bisect_left(range(len(clipped)), True,
                                key=lambda j: math.fsum(clipped[:j + 1]) > beta)
-    if big_n == len(clipped):
-        raise AssertionError("no feasible sweep point; input total was not 1")
     out[big_n] = math.fsum(clipped[:big_n + 1]) - beta
     return Pmf.from_masses(nu.offset + big_n, out[big_n:])
 

@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -544,3 +548,28 @@ def test_output_file_writing(tmp_path, capsys):
                             "--output", str(target)], capsys)
     assert code == 0 and out == ""
     assert target.read_text() == "k,mass\n1,1\n"
+
+
+# --- garbage collection ------------------------------------------------------------
+
+GC_PROBE = """
+import atexit, contextlib, gc, io
+enabled = gc.isenabled()
+atexit.register(lambda: print("exit", gc.get_freeze_count() > 0))
+import modpoisson
+print("import", gc.isenabled() == enabled, gc.get_freeze_count())
+from modpoisson.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["pmf", "--model", "fq", "--q", "2", "--n", "2"])
+print("main", gc.isenabled() == enabled, gc.get_freeze_count())
+"""
+
+
+def test_library_use_keeps_normal_gc_and_the_command_freezes_at_exit():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", GC_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # atexit runs last-registered first: the probe sees the heap after the freeze
+    assert done.stdout.splitlines() == ["import True 0", "main True 0", "exit True"]

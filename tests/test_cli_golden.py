@@ -14,12 +14,16 @@ new value.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from modpoisson.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden" / "compare.json"
 COMMANDS_GOLDEN = Path(__file__).parent / "golden" / "commands.json"
 
@@ -180,6 +184,53 @@ def test_command_matches_golden(case, capsys):
     code = main(COMMANDS[case])
     captured = capsys.readouterr()
     assert {"exit": code, "stdout": captured.out, "stderr": captured.err} == expected
+
+
+def _golden_case(case):
+    """(full argv, golden) of a compare case or a command case."""
+    if case in CASES:
+        return (["compare"] + CASES[case],
+                json.loads(GOLDEN.read_text(encoding="utf-8"))[case])
+    return COMMANDS[case], json.loads(COMMANDS_GOLDEN.read_text(encoding="utf-8"))[case]
+
+
+def _spawn(argv):
+    """Exit code, stdout and stderr bytes of `python -m modpoisson.cli argv`."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "modpoisson.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+    return {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr}
+
+
+def _as_bytes(golden):
+    return {"exit": golden["exit"], "stdout": golden["stdout"].encode("utf-8"),
+            "stderr": golden["stderr"].encode("utf-8")}
+
+
+# one case per command, the scheme one with a warning on stderr: a real
+# process skips the collections at shutdown and must lose no output
+@pytest.mark.parametrize("case", [
+    "pmf_fq_rational_json", "scheme_b2_negative_entries",
+    "ewens_theorem_b_corollary", "verify_rates"])
+def test_process_matches_golden(case):
+    argv, golden = _golden_case(case)
+    assert _spawn(argv) == _as_bytes(golden)
+
+
+def test_process_error_is_one_error_line():
+    argv, golden = _golden_case("pmf_omega_n1_rational")
+    done = _spawn(argv)
+    assert done == _as_bytes(golden)
+    assert done["exit"] == 1 and done["stdout"] == b""
+    assert done["stderr"].startswith(b"error: ") and done["stderr"].count(b"\n") == 1
+
+
+def test_process_output_file_matches_golden(tmp_path):
+    argv, golden = _golden_case("scheme_b2_negative_entries")
+    out = tmp_path / "scheme.csv"
+    done = _spawn(argv + ["--output", str(out)])
+    assert done == {"exit": 0, "stdout": b"", "stderr": _as_bytes(golden)["stderr"]}
+    assert out.read_bytes() == golden["stdout"].encode("utf-8")
 
 
 def _flatten(obj, prefix=""):

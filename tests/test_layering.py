@@ -9,6 +9,9 @@ literal.
 Masses have one representation, the measure's read-only array.  No module
 builds a measure from a `.tolist()`, `tuple(...)` or `list(...)`
 conversion, or wraps a measure's `.masses` in `np.asarray` or `np.array`.
+
+Only the command touches the garbage collector (it freezes the heap at
+exit); the library leaves collection to its caller.
 """
 
 import ast
@@ -100,3 +103,32 @@ def test_the_guard_sees_each_mass_round_trip():
                      "Pmf.from_masses(0, [c / n for c in coeffs])\n"
                      "Pmf(0, masses)\nnp.asarray(weights)\nlen(nu.masses.tolist())\n")
     assert [line for line, _ in _mass_round_trips(tree)] == [1, 2, 3, 4, 5]
+
+
+def _gc_references(tree):
+    """Lines that import or name the `gc` module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if "gc" in names:
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"])
+def test_library_module_leaves_gc_alone(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert _gc_references(tree) == []
+
+
+def test_the_guard_sees_each_gc_reference():
+    tree = ast.parse("import gc\nfrom gc import freeze\ngc.disable()\n"
+                     "import gcd\nx.gc = 1\n")
+    assert _gc_references(tree) == [1, 2, 3]

@@ -41,35 +41,13 @@ def test_tv_bernoulli_half_versus_poisson():
     assert got == pytest.approx(oracle, abs=1e-14)
 
 
-def test_tv_rejects_unnormalized_input():
-    bad = Pmf.__new__(Pmf)
-    object.__setattr__(bad, "offset", 0)
-    object.__setattr__(bad, "masses", (0.4, 0.4))
-    object.__setattr__(bad, "total", 0.8)
-    with pytest.raises(ValueError):
-        total_variation(bad, poisson_pmf(1.0))
-    # just outside the 1e-10 normalization contract
-    near = Pmf.__new__(Pmf)
-    object.__setattr__(near, "offset", 0)
-    object.__setattr__(near, "masses", (0.5, 0.5 + 1e-8))
-    object.__setattr__(near, "total", 1.0 + 1e-8)
-    for distance in (total_variation, kolmogorov):
-        with pytest.raises(ValueError):
-            distance(near, poisson_pmf(1.0))
-        with pytest.raises(ValueError):
-            distance(poisson_pmf(1.0), near)
-
-
-def test_tv_rejects_nan_total():
-    bad = Pmf.__new__(Pmf)
-    object.__setattr__(bad, "offset", 0)
-    object.__setattr__(bad, "masses", (0.5, math.nan))
-    object.__setattr__(bad, "total", math.nan)
-    for distance in (total_variation, kolmogorov):
-        with pytest.raises(ValueError):
-            distance(bad, poisson_pmf(1.0))
-        with pytest.raises(ValueError):
-            distance(poisson_pmf(1.0), bad)
+def test_distance_inputs_are_normalized_at_construction():
+    # the distances trust the measure type: a total off 1 by more than 1e-10,
+    # NaN included, is refused when the measure is built
+    for masses in ((0.4, 0.4), (0.5, 0.5 + 1e-8), (0.5, math.nan)):
+        for build in (Pmf, Pmf.from_masses):
+            with pytest.raises(ValueError, match="not 1"):
+                build(0, masses)
 
 
 def test_tv_accepts_rational_measures():
