@@ -41,13 +41,19 @@ def test_tv_bernoulli_half_versus_poisson():
     assert got == pytest.approx(oracle, abs=1e-14)
 
 
-def test_distance_inputs_are_normalized_at_construction():
-    # the distances trust the measure type: a total off 1 by more than 1e-10,
-    # NaN included, is refused when the measure is built
-    for masses in ((0.4, 0.4), (0.5, 0.5 + 1e-8), (0.5, math.nan)):
+def test_tv_rejects_unnormalized_input():
+    # the distances trust the measure type: a total off 1 by more than 1e-10
+    # is refused when the measure is built, so it never reaches them
+    for masses in ((0.4, 0.4), (0.5, 0.5 + 1e-8)):
         for build in (Pmf, Pmf.from_masses):
             with pytest.raises(ValueError, match="not 1"):
                 build(0, masses)
+
+
+def test_tv_rejects_nan_total():
+    for build in (Pmf, Pmf.from_masses):
+        with pytest.raises(ValueError, match="not 1"):
+            build(0, (0.5, math.nan))
 
 
 def test_tv_accepts_rational_measures():
