@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 
-@lru_cache(maxsize=None)
 def mobius(n: int) -> int:
     """Moebius function by trial division (n is always small here)."""
     if n < 1:
@@ -43,7 +40,6 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@lru_cache(maxsize=None)
 def irreducible_count(q: int, n: int) -> int:
     """Number of monic irreducible polynomials of degree n over F_q.
 

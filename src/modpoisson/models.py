@@ -1,11 +1,11 @@
 """Exact finite-support distributions for the four model families.
 
 Every model is computed exactly and exposed as a plain mass function:
-float dynamic programming with compensated totals; one numpy-row h_n
-recursion in both modes (object rows of Fractions when rational); integer
-recursions for the F_q counts (object rows, np.convolve) and the rational
-Bernoulli fold, whose Fraction masses are formed once at the end; and a
-numpy sieve for omega.  The families are
+the float Bernoulli fold as a product tree of pairwise convolutions; one
+numpy-row h_n recursion in both modes (object rows of Fractions when
+rational); integer recursions for the F_q counts (object rows,
+np.convolve) and the rational Bernoulli fold, whose Fraction masses are
+formed once at the end; and a numpy sieve for omega.  The families are
 
   bernoulli_sum        X = sum of independent Be(p_i)
   weighted_perm        number of cycles under cycle-weighted permutation
@@ -31,7 +31,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -324,9 +323,9 @@ def ewens_cycle_pmf(theta, n: int, rational: bool = False):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     th = Fraction(theta) if rational else float(theta)
-    if th <= 0:
-        raise ValueError("theta must be positive")
     inner = bernoulli_sum_pmf([th / (th + i) for i in range(1, n)], rational)
     return Pmf(inner.offset + 1, inner.masses)
 
@@ -422,7 +421,6 @@ _DIGAMMA_COEFFS = tuple(num / (2 * k * den) for k, (num, den) in enumerate(EVEN_
 _DIGAMMA_MIN_ARGUMENT = 16.0
 
 
-@lru_cache(maxsize=1024)
 def gamma_theta(theta: float) -> float:
     """gamma_theta = sum_{n>=1} theta/(n+theta-1) - theta log(1+1/n) = -theta psi(theta).
 
@@ -434,8 +432,8 @@ def gamma_theta(theta: float) -> float:
     [1e-3, 1e3]; gamma_1 is 0.577215664901533, an ulp from Euler's constant.
     """
     theta = float(theta)
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta:g}")
     m = math.ceil(_DIGAMMA_MIN_ARGUMENT - theta) if theta < _DIGAMMA_MIN_ARGUMENT else 0
     x = theta + m
     terms = [theta / (theta + i) for i in range(m)]
@@ -444,7 +442,6 @@ def gamma_theta(theta: float) -> float:
     return math.fsum(terms)
 
 
-@lru_cache(maxsize=1024)
 def r_q(q: int, tolerance: float = 1e-12) -> float:
     """R_q = sum_{k>=2} mu(k)/k * log(1/(1 - q^(1-k))); terms decay like q^(1-k)."""
     if q < 2:

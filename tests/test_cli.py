@@ -400,6 +400,8 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
     (["pmf", "--model", "bernoulli", "--weights", "0.2,nan"],
      "error: finite weights must lie in [0, 1], got nan"),
     (["pmf", "--model", "bernoulli"], "error: bernoulli model needs --weights or --weights-file"),
+    (["compare", "--model", "bernoulli", "--weights", ",", "--r", "1"],
+     "error: bernoulli_sum rate needs at least one weight"),
     (["pmf", "--model", "weighted-perm", "--n", "3"],
      "error: weighted-perm model needs --theta-seq and --n"),
     (["pmf", "--model", "fq", "--n", "3"], "error: fq model needs --q and --n"),
@@ -409,7 +411,8 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
         "eps_n_negative_separate", "theta_minus_inf_separate", "rho_nan", "rho_inf",
         "tail_rn_nan", "tail_rn_negative", "fq_tolerance_inf", "omega_tolerance_inf",
         "bernoulli_tolerance_negative", "bernoulli_weight_above_1_empty_range",
-        "bernoulli_weight_nan", "bernoulli_no_weights", "weighted_perm_no_theta_seq",
+        "bernoulli_weight_nan", "bernoulli_no_weights", "bernoulli_empty_weights_rate",
+        "weighted_perm_no_theta_seq",
         "fq_no_q", "omega_no_n"])
 def test_out_of_domain_parameters_are_one_error_line(args, message, capsys):
     with warnings.catch_warnings(record=True) as caught:

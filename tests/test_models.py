@@ -15,9 +15,13 @@ from modpoisson.models import (EULER_GAMMA, OMEGA_SIEVE_BUDGET, ModelSpec, Pmf,
                                omega_pmf, omega_values, r_q,
                                weighted_perm_cycle_pmf,
                                weighted_perm_normalization)
-from modpoisson.schemes import SignedMeasure, poisson_pmf, rectify_positive
-from modpoisson.suites import fq_factor_histogram_by_enumeration, residue_error
-from modpoisson.symfunc import Alphabet, zeta
+from modpoisson.metrics import chen_stein_bound, two_step_bound
+from modpoisson.schemes import SignedMeasure, charlier_delta, poisson_pmf, rectify_positive
+from modpoisson.specialfn import (cramer_bound_margin, hermite, hermite_explicit,
+                                  hermite_multiplication)
+from modpoisson.suites import fq_factor_histogram_by_enumeration, residue_error, run_suite
+from modpoisson.symfunc import (Alphabet, elementary_from_power, power_from_elementary,
+                                power_sums, prime_zeta, zeta)
 
 from oracles import permutation_cycle_counts, weighted_cycle_histogram
 
@@ -228,13 +232,51 @@ def test_omega_120():
     (ewens_cycle_pmf, (1.0, 0), "n must be >= 1"),
     (ewens_cycle_pmf, (0.0, 3), "theta must be positive"),
     (ewens_cycle_pmf, (-1.5, 3), "theta must be positive"),
+    (ewens_cycle_pmf, (math.inf, 5), "theta must be positive and finite, got inf"),
+    (ewens_cycle_pmf, (math.nan, 5), "theta must be positive and finite, got nan"),
+    (ewens_cycle_pmf, (math.inf, 5, True), "theta must be positive and finite, got inf"),
+    (ewens_cycle_pmf, (math.nan, 5, True), "theta must be positive and finite, got nan"),
+    (gamma_theta, (math.inf,), "theta must be positive and finite, got inf"),
+    (gamma_theta, (math.nan,), "theta must be positive and finite, got nan"),
     (fq_factor_pmf, (2, 0), "n must be >= 1"),
     (omega_pmf, (0,), "n_max must be >= 1"),
 ], ids=["weighted_perm_short_theta", "weighted_perm_n0", "ewens_n0", "ewens_theta0",
-        "ewens_theta_negative", "fq_n0", "omega_n0"])
+        "ewens_theta_negative", "ewens_theta_inf", "ewens_theta_nan",
+        "ewens_theta_inf_rational", "ewens_theta_nan_rational", "gamma_theta_inf",
+        "gamma_theta_nan", "fq_n0", "omega_n0"])
 def test_model_laws_refuse_arguments_outside_their_domain(law, args, message):
     with pytest.raises(ValueError, match=message):
         law(*args)
+
+
+@pytest.mark.parametrize("guarded, args, message", [
+    (gauss_irreducible_count, (1, 3), "need q >= 2 and n >= 1"),
+    (r_q, (1,), "q must be >= 2"),
+    (chen_stein_bound, ([0.0, 0.0],), "chen_stein_bound needs lam > 0"),
+    (two_step_bound, (-1.0, 0.0, 1.0), "two_step_bound needs nonnegative inputs"),
+    (SignedMeasure, (-1, [1.0]), "offset must be >= 0"),
+    (charlier_delta, (0.0, 1, 0.5, 3), "lam must be positive"),
+    (charlier_delta, (1.0, -1, 0.5, 3), "need s >= 0 and k >= 0, in steps of 1"),
+    (charlier_delta, (1.0, 1, 0.5, range(0, 6, 2)), "need s >= 0 and k >= 0, in steps of 1"),
+    (hermite, (-1, 0.5), "degree must be >= 0"),
+    (hermite_explicit, (-1, 0.5), "degree must be >= 0"),
+    (hermite_multiplication, (-1, 2.0, 0.5), "degree must be >= 0"),
+    (cramer_bound_margin, (0, 1.0), "degree must be >= 1"),
+    (run_suite, ("nope",), "unknown suite 'nope'; choose from ('theorem-b', 'chen-stein', "
+     "'coefficients', 'hermite', 'charlier', 'gamma-ratio', 'rates', 'oracles')"),
+    (zeta, (1.5,), "zeta tail scheme needs s >= 2"),
+    (prime_zeta, (1.5,), "prime zeta evaluated for s >= 2 only"),
+    (elementary_from_power, (power_sums(Alphabet.harmonic(), 3), 2),
+     "power sums must be finite; use virtual_residue_coeffs for infinite alphabets (p_1 -> 0)"),
+    (power_from_elementary, ([1.0], 2), "need e_0..e_kmax"),
+], ids=["gauss_q1", "r_q_1", "chen_stein_zero_rate", "two_step_negative", "measure_offset",
+        "charlier_lam0", "charlier_s_negative", "charlier_step2", "hermite", "hermite_explicit",
+        "hermite_multiplication", "cramer_degree0", "unknown_suite", "zeta_s_below_2",
+        "prime_zeta_s_below_2", "elementary_from_infinite", "power_from_short_elementary"])
+def test_public_guards_refuse_inputs_outside_their_domain(guarded, args, message):
+    with pytest.raises(ValueError) as refused:
+        guarded(*args)
+    assert str(refused.value) == message
 
 
 def test_omega_memory_budget():
