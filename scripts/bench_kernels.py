@@ -11,7 +11,11 @@ poisson_pmf at lambda = 10 (the rates of the verify suites), 10^3, 10^5,
 10^6 and 10^7, and, on the fold of the most weights, total_variation against its Poisson law and io.mass_csv_lines.
 The scheme kernels are scheme_measures at orders 1..8 for the 6000
 weights of np.random.default_rng(3).uniform(0, 0.3, 6000) (lambda = 896.5)
-and at order 3 for lambda = 10^5 with b = (0, -0.5, 0.3).
+and at order 3 for lambda = 10^5 with b = (0, -0.5, 0.3).  The
+weighted-permutation kernels are weighted_perm_cycle_pmf in the float mode
+at n = 250 (the size of perfbench's `pmf-weighted-perm` op) and 400, on
+theta_k uniform in [0.5, 2], and in the rational mode at n = 60, on the
+dyadic theta_k = (1 + 7k mod 13) / 8.
 Weights are seeded, so every run times the same inputs.
 
 The special-function kernels run cold, as in a fresh `modpoisson`
@@ -35,13 +39,15 @@ import math
 import os
 import platform
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from modpoisson.io import mass_csv_lines
 from modpoisson.metrics import total_variation, verify_bounds
-from modpoisson.models import ModelSpec, bernoulli_sum_pmf, gamma_theta
+from modpoisson.models import (ModelSpec, bernoulli_sum_pmf, gamma_theta,
+                               weighted_perm_cycle_pmf)
 from modpoisson.schemes import poisson_pmf, scheme_measures
 from modpoisson.symfunc import Alphabet, ResidueCoeffs, power_sums, residue_coeffs, zeta
 
@@ -91,6 +97,11 @@ def kernel_jobs(fold_sizes, verify_weights):
     jobs["zeta_k2to6_cold"] = (cold(zeta_values), (range(2, 7), 1.2345))
     jobs["power_sums_ewens_6_cold"] = (cold(power_sums), (Alphabet.ewens_limit(1.2345), 6))
     jobs["power_sums_omega_6_cold"] = (cold(power_sums), (Alphabet.omega_limit(), 6))
+    thetas = np.random.default_rng(250).uniform(0.5, 2.0, 400).tolist()
+    for n in (250, 400):
+        jobs[f"weighted_perm_{n}"] = (weighted_perm_cycle_pmf, (thetas[:n], n))
+    dyadic = [Fraction(1 + 7 * k % 13, 8) for k in range(1, 61)]
+    jobs["weighted_perm_rational_60"] = (weighted_perm_cycle_pmf, (dyadic, 60, True))
     return jobs
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 
@@ -45,6 +47,8 @@ def irreducible_count(q: int, n: int) -> int:
 
     Exact big-integer Moebius sum (1/n) * sum_{d|n} mu(d) q^(n/d).
     """
+    if not (isinstance(q, Integral) and isinstance(n, Integral)):
+        raise ValueError(f"need integers q and n, got q = {q!r}, n = {n!r}")
     if q < 2 or n < 1:
         raise ValueError("need q >= 2 and n >= 1")
     total = sum(mobius(d) * q ** (n // d) for d in divisors(n))
@@ -53,8 +57,9 @@ def irreducible_count(q: int, n: int) -> int:
 
 
 def prime_power_base(q: int) -> int | None:
-    """Return the prime p if q = p^e for some e >= 1, else None."""
-    if q < 2:
+    """Return the prime p if q = p^e for some e >= 1, else None (also for a
+    q that is not an integer)."""
+    if not isinstance(q, Integral) or q < 2:
         return None
     m, p = q, 2
     while p * p <= m:

@@ -1,11 +1,14 @@
 """Exact finite-support distributions for the four model families.
 
 Every model is computed exactly and exposed as a plain mass function:
-the float Bernoulli fold as a product tree of pairwise convolutions; one
-numpy-row h_n recursion in both modes (object rows of Fractions when
-rational); integer recursions for the F_q counts (object rows,
-np.convolve) and the rational Bernoulli fold, whose Fraction masses are
-formed once at the end; and a numpy sieve for omega.  The families are
+the float Bernoulli fold as a product tree of pairwise convolutions; the
+weighted-permutation h_n(w Theta) from the powers of one series,
+[w^j] h_n = [t^n] G^j / j! with G(t) = sum_k theta_k t^k / k, by
+np.convolve in both modes (object rows of integers when rational);
+integer recursions for the F_q counts (object rows, np.convolve) and the
+rational Bernoulli fold, whose Fraction masses are formed once at the
+end, as are those of the rational h_n; and a numpy sieve for omega.  The
+families are
 
   bernoulli_sum        X = sum of independent Be(p_i)
   weighted_perm        number of cycles under cycle-weighted permutation
@@ -31,6 +34,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -74,6 +78,9 @@ RATIONAL_FOLD_BUDGET = 10 ** 7
 _FOLD_BLOCK_BYTES = (2 * 33 * 33 * 8, 128 * 1024)
 #: largest N the omega sieve accepts, at about 2 bytes per integer
 OMEGA_SIEVE_BUDGET = 10 ** 8
+#: integers per block of the omega sieve's large primes: one mask of all
+#: n_max integers would raise its peak memory by n_max bytes
+_OMEGA_BLOCK = 1 << 16
 
 
 def _mass_array(masses) -> np.ndarray:
@@ -264,33 +271,35 @@ def bernoulli_sum_pmf(weights, rational: bool = False):
 def _homogeneous_polynomials(theta_seq, n, rational):
     """h_n(w Theta) as its row of coefficients in w.
 
-    Newton-type recursion m h_m = sum_{k=1}^m (w theta_k) h_{m-k}; each term
-    shifts the lower polynomial by one power of w.  h_0..h_n are the rows of
-    one array, of Fractions (object dtype) when rational and of floats
-    otherwise.  h_{m-k} has degree m - k, so only the triangle of terms
-    below that degree is multiplied and summed (masked ufuncs): the zero
-    products past it would cost as much again in Fractions.  Each entry's
-    terms are added in the order k = 1..m (a reduction over the outer axis,
-    one row at a time, not a pairwise sum), so the float mode gives the
-    same bits as adding the terms one at a time.
+    The generating series is sum_m h_m(w Theta) t^m = exp(w G(t)) with
+    G(t) = sum_k theta_k t^k / k, so [w^j] h_n = [t^n] G^j / j!.  Each power
+    of G is the previous one times G, one np.convolve per step, kept from
+    t^j, where G^j starts, to t^n.  The float mode divides by j at each
+    step; the rational mode runs the same loop on the integers C = d G, d the
+    common denominator of the theta_k / k, and forms the Fractions
+    [t^n] C^j / (j! d^j) only at the end, as the rational Bernoulli fold does.
     """
     if not all(0 < t < math.inf for t in theta_seq):
         raise ValueError("cycle weights theta_k must be finite and positive")
-    theta = [Fraction(t) if rational else float(t) for t in theta_seq]
-    if len(theta) < n:
+    if len(theta_seq) < n:
         raise ValueError(f"need theta_1..theta_{n}")
-    one = Fraction(1) if rational else 1.0
-    hs = np.zeros((n + 1, n + 1), dtype=object if rational else float)
-    hs[0, 0] = one
-    th = np.array(theta[:n], dtype=hs.dtype).reshape(-1, 1)
-    live = np.tri(n, dtype=bool)[::-1]  # live[i, c] is i + c <= n - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses inf and nan
-        for m in range(1, n + 1):
-            # row k-1 is theta_k h_{m-k}, which is zero past column m-k
-            rows, mask = hs[m - 1::-1, :m], live[n - m:, :m]
-            terms = np.multiply(th[:m], rows, out=np.zeros_like(rows), where=mask)
-            hs[m, 1:m + 1] = np.add.reduce(terms, axis=0, where=mask, initial=0) * (one / m)
-    return hs[n]
+    if rational:
+        g = [Fraction(t) / k for k, t in enumerate(theta_seq[:n], 1)]
+        d = math.lcm(*(c.denominator for c in g))
+        g = np.array([c.numerator * (d // c.denominator) for c in g], dtype=object)
+    else:
+        g = np.array(theta_seq[:n], dtype=float) / np.arange(1, n + 1)
+    power = np.zeros(n + 1, dtype=g.dtype)
+    power[0] = 1  # G^0, from t^0 to t^n
+    tops = [power[-1]]
+    for j in range(1, n + 1):
+        power = np.convolve(power[:n - j + 1], g[:n - j + 1])[:n - j + 1]
+        if not rational:
+            power /= j
+        tops.append(power[-1])
+    if rational:
+        tops = [Fraction(c, math.factorial(j) * d ** j) for j, c in enumerate(tops)]
+    return np.array(tops, dtype=g.dtype)
 
 
 def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
@@ -382,18 +391,21 @@ def omega_values(n_max: int) -> np.ndarray:
     """omega(k) for k = 0..n_max (index 0 unused; omega(1) = 0).
 
     Each prime p <= sqrt(n_max) marks its multiples with one slice update.
-    A larger prime has fewer than sqrt(n_max) multiples j p, so those are
-    marked one multiplier j at a time, for all primes p <= n_max // j at once.
+    Every composite k <= n_max has such a prime factor, so the larger primes
+    are the k > sqrt(n_max) still at 0 after that pass.  A larger prime has
+    fewer than sqrt(n_max) multiples j p, so those are marked one multiplier
+    j at a time, for all larger primes p <= n_max // j of a block at once.
+    The blocks go in increasing order: a multiple j p with j >= 2 is
+    composite, so marking one never hides a prime of a later block.
     """
     counts = np.zeros(n_max + 1, dtype=np.uint8)
-    root = int(n_max ** 0.5)
-    primes = primes_up_to(n_max)
-    split = np.searchsorted(primes, root, side="right")
-    for p in primes[:split]:
+    root = math.isqrt(n_max)
+    for p in primes_up_to(root):
         counts[p::p] += 1
-    for j in range(1, n_max // (root + 1) + 1):
-        big = primes[split:np.searchsorted(primes, n_max // j, side="right")]
-        counts[j * big] += 1
+    for lo in range(root + 1, n_max + 1, _OMEGA_BLOCK):
+        big = np.flatnonzero(counts[lo:lo + _OMEGA_BLOCK] == 0) + lo
+        for j in range(1, n_max // lo + 1):
+            counts[j * big[:np.searchsorted(big, n_max // j, side="right")]] += 1
     return counts
 
 
@@ -444,6 +456,8 @@ def gamma_theta(theta: float) -> float:
 
 def r_q(q: int, tolerance: float = 1e-12) -> float:
     """R_q = sum_{k>=2} mu(k)/k * log(1/(1 - q^(1-k))); terms decay like q^(1-k)."""
+    if not isinstance(q, Integral):
+        raise ValueError(f"q must be an integer, got {q!r}")
     if q < 2:
         raise ValueError("q must be >= 2")
     if not 0.0 < tolerance < math.inf:

@@ -138,23 +138,7 @@ def reference_bernoulli_fold_float(weights):
 
 
 def reference_homogeneous_polynomials(theta_seq, n):
-    """Float h_m(w Theta), m = 0..n, by the loop m h_m = sum_k (w theta_k) h_{m-k}."""
-    theta = [float(t) for t in theta_seq]
-    hs = [[1.0]]
-    for m in range(1, n + 1):
-        coeffs = [0.0] * (m + 1)
-        for k in range(1, m + 1):
-            tk = theta[k - 1]
-            lower = hs[m - k]
-            for j, c in enumerate(lower):
-                coeffs[j + 1] += tk * c
-        inv = 1.0 / m
-        hs.append([c * inv for c in coeffs])
-    return hs
-
-
-def reference_rational_homogeneous_polynomials(theta_seq, n):
-    """Fraction h_n(w Theta) by the same loop on Fractions."""
+    """Fraction h_n(w Theta) by the loop m h_m = sum_k (w theta_k) h_{m-k}."""
     theta = [Fraction(t) for t in theta_seq]
     hs = [[Fraction(1)]]
     for m in range(1, n + 1):
@@ -169,22 +153,15 @@ def reference_rational_homogeneous_polynomials(theta_seq, n):
     return hs[n]
 
 
-def _reference_h_n(theta_seq, n, rational):
-    if rational:
-        return reference_rational_homogeneous_polynomials(theta_seq, n)
-    return reference_homogeneous_polynomials(theta_seq, n)[n]
-
-
-def reference_weighted_perm_cycle_pmf(theta_seq, n, rational=False):
+def reference_weighted_perm_cycle_pmf(theta_seq, n):
     from modpoisson.models import Pmf
-    coeffs = _reference_h_n(theta_seq, n, rational)
-    norm = sum(coeffs[1:], coeffs[0])
+    coeffs = reference_homogeneous_polynomials(theta_seq, n)
+    norm = sum(coeffs)
     return Pmf.from_masses(0, [c / norm for c in coeffs])
 
 
-def reference_weighted_perm_normalization(theta_seq, n, rational=False):
-    coeffs = _reference_h_n(theta_seq, n, rational)
-    return sum(coeffs[1:], coeffs[0])
+def reference_weighted_perm_normalization(theta_seq, n):
+    return sum(reference_homogeneous_polynomials(theta_seq, n))
 
 
 def reference_fq_factor_pmf(q, n, rational=False):

@@ -251,7 +251,13 @@ def test_model_laws_refuse_arguments_outside_their_domain(law, args, message):
 
 @pytest.mark.parametrize("guarded, args, message", [
     (gauss_irreducible_count, (1, 3), "need q >= 2 and n >= 1"),
+    (gauss_irreducible_count, (2.5, 3), "need integers q and n, got q = 2.5, n = 3"),
+    (gauss_irreducible_count, (4.0, 2), "need integers q and n, got q = 4.0, n = 2"),
     (r_q, (1,), "q must be >= 2"),
+    (r_q, (math.inf,), "q must be an integer, got inf"),
+    (r_q, (2.5,), "q must be an integer, got 2.5"),
+    (fq_factor_pmf, (2.5, 3), "q must be a prime power >= 2"),
+    (Alphabet, ("fq_limit", (), 0.0, 2.5), "fq_limit needs a prime power q >= 2"),
     (chen_stein_bound, ([0.0, 0.0],), "chen_stein_bound needs lam > 0"),
     (two_step_bound, (-1.0, 0.0, 1.0), "two_step_bound needs nonnegative inputs"),
     (SignedMeasure, (-1, [1.0]), "offset must be >= 0"),
@@ -269,10 +275,12 @@ def test_model_laws_refuse_arguments_outside_their_domain(law, args, message):
     (elementary_from_power, (power_sums(Alphabet.harmonic(), 3), 2),
      "power sums must be finite; use virtual_residue_coeffs for infinite alphabets (p_1 -> 0)"),
     (power_from_elementary, ([1.0], 2), "need e_0..e_kmax"),
-], ids=["gauss_q1", "r_q_1", "chen_stein_zero_rate", "two_step_negative", "measure_offset",
-        "charlier_lam0", "charlier_s_negative", "charlier_step2", "hermite", "hermite_explicit",
-        "hermite_multiplication", "cramer_degree0", "unknown_suite", "zeta_s_below_2",
-        "prime_zeta_s_below_2", "elementary_from_infinite", "power_from_short_elementary"])
+], ids=["gauss_q1", "gauss_q_fraction", "gauss_q_float", "r_q_1", "r_q_inf", "r_q_fraction",
+        "fq_q_fraction", "fq_limit_q_fraction", "chen_stein_zero_rate", "two_step_negative",
+        "measure_offset", "charlier_lam0", "charlier_s_negative", "charlier_step2", "hermite",
+        "hermite_explicit", "hermite_multiplication", "cramer_degree0", "unknown_suite",
+        "zeta_s_below_2", "prime_zeta_s_below_2", "elementary_from_infinite",
+        "power_from_short_elementary"])
 def test_public_guards_refuse_inputs_outside_their_domain(guarded, args, message):
     with pytest.raises(ValueError) as refused:
         guarded(*args)
