@@ -15,7 +15,10 @@ and at order 3 for lambda = 10^5 with b = (0, -0.5, 0.3).  The
 weighted-permutation kernels are weighted_perm_cycle_pmf in the float mode
 at n = 250 (the size of perfbench's `pmf-weighted-perm` op) and 400, on
 theta_k uniform in [0.5, 2], and in the rational mode at n = 60, on the
-dyadic theta_k = (1 + 7k mod 13) / 8.
+dyadic theta_k = (1 + 7k mod 13) / 8.  The omega law is omega_pmf at
+N = 3 * 10^6; it also gets the growth of peak RSS over one call in a
+fresh interpreter, after the package's import, as a `modpoisson` process
+would see it.
 Weights are seeded, so every run times the same inputs.
 
 The special-function kernels run cold, as in a fresh `modpoisson`
@@ -38,6 +41,8 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -46,7 +51,7 @@ import numpy as np
 
 from modpoisson.io import mass_csv_lines
 from modpoisson.metrics import total_variation, verify_bounds
-from modpoisson.models import (ModelSpec, bernoulli_sum_pmf, gamma_theta,
+from modpoisson.models import (ModelSpec, bernoulli_sum_pmf, gamma_theta, omega_pmf,
                                weighted_perm_cycle_pmf)
 from modpoisson.schemes import poisson_pmf, scheme_measures
 from modpoisson.symfunc import Alphabet, ResidueCoeffs, power_sums, residue_coeffs, zeta
@@ -65,6 +70,24 @@ def cold(fn):
         zeta.cache_clear()
         return fn(*args)
     return run
+
+
+#: the kernel measured in a fresh interpreter: its peak RSS growth, in KB
+FRESH_RSS_CODE = """\
+import resource
+from modpoisson.models import omega_pmf
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+omega_pmf(3 * 10 ** 6)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def fresh_peak_rss_mb():
+    """Peak RSS growth of omega_pmf(3 * 10^6) in a fresh interpreter, in MB
+    (ru_maxrss counts KB on Linux)."""
+    done = subprocess.run([sys.executable, "-c", FRESH_RSS_CODE],
+                          capture_output=True, text=True, check=True)
+    return int(done.stdout) / 1024.0
 
 
 def zeta_values(ks, a):
@@ -102,6 +125,7 @@ def kernel_jobs(fold_sizes, verify_weights):
         jobs[f"weighted_perm_{n}"] = (weighted_perm_cycle_pmf, (thetas[:n], n))
     dyadic = [Fraction(1 + 7 * k % 13, 8) for k in range(1, 61)]
     jobs["weighted_perm_rational_60"] = (weighted_perm_cycle_pmf, (dyadic, 60, True))
+    jobs["omega_pmf_3e6"] = (omega_pmf, (3 * 10 ** 6,))
     return jobs
 
 
@@ -117,6 +141,7 @@ def main():
     if args.repeat < 1 or args.verify_weights < 1:
         ap.error("--repeat and --verify-weights must be >= 1")
 
+    peak_rss_mb = fresh_peak_rss_mb()
     jobs = kernel_jobs([int(n) for n in args.fold_sizes.split(",")], args.verify_weights)
     for fn, fn_args in jobs.values():  # warm caches and lazy set-up
         fn(*fn_args)
@@ -126,15 +151,18 @@ def main():
             best[name] = min(best[name], *(timed(fn, *fn_args) for _ in range(3)))
     for name, best_s in best.items():
         print(f"{name:>28}  {best_s * 1e3:9.3f} ms")
+    print(f"{'omega_pmf_3e6 peak RSS':>28}  {peak_rss_mb:9.3f} MB (fresh process)")
 
     out = Path(args.out)
     results = json.loads(out.read_text()) if out.exists() else {}
+    kernels = {name: {"best_s": best_s} for name, best_s in best.items()}
+    kernels["omega_pmf_3e6"]["peak_rss_mb"] = peak_rss_mb
     results[args.label] = {
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "repeat": args.repeat,
-        "kernels": {name: {"best_s": best_s} for name, best_s in best.items()},
+        "kernels": kernels,
     }
     out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 

@@ -1,10 +1,45 @@
-"""Small exact number-theory helpers shared across modules."""
+"""Small helpers shared across modules: exact number theory, and the
+bases of the immutable records."""
 
 from __future__ import annotations
 
 from numbers import Integral
 
 import numpy as np
+
+
+class Frozen:
+    """Base of the immutable records.
+
+    A subclass names its fields in __slots__ and sets each one once, in
+    __init__, through object.__setattr__; later assignment or deletion
+    raises AttributeError.  Records compare by identity.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Value(Frozen):
+    """A Frozen record that compares and hashes by its fields, in slot order."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def mobius(n: int) -> int:

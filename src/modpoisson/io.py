@@ -5,11 +5,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import fields
 
 import numpy as np
 
-from .metrics import CSV_HEADER
+from .metrics import BoundReport, CSV_HEADER
 
 CSV_MASS_HEADER = "k,mass"
 
@@ -63,14 +62,14 @@ def mass_json_obj(measure) -> dict:
 
 
 def report_csv_lines(reports) -> list:
-    return [CSV_HEADER] + [",".join(fmt17(getattr(rep, f.name)) for f in fields(rep))
+    return [CSV_HEADER] + [",".join(fmt17(getattr(rep, field)) for field in BoundReport.FIELDS)
                            for rep in reports]
 
 
 def report_json_obj(rep) -> dict:
     """The row keyed by the CSV header's columns; an infinite slack is "inf"."""
-    obj = {col: getattr(rep, f.name)
-           for col, f in zip(CSV_HEADER.split(","), fields(rep))}
+    obj = {col: getattr(rep, field)
+           for col, field in zip(CSV_HEADER.split(","), BoundReport.FIELDS)}
     if obj["slack"] is not None and not math.isfinite(obj["slack"]):
         obj["slack"] = "inf"
     return obj

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
 
 from . import schemes, symfunc
+from ._arith import Frozen
 from .models import ModelSpec, model_lambda
 
 __all__ = [
@@ -144,21 +144,18 @@ def two_step_bound(psi_diff_sup: float, psi_prime_diff_sup: float, lam: float) -
 
 # --- verification reports -----------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Frozen):
     """One (model, r, bound) verification row."""
 
-    model: str
-    family: str
-    n: int
-    r: int
-    lam: float
-    sigma2: float
-    tv: float
-    bound: float
-    name: str
-    holds: bool
-    slack: float
+    #: the fields, in the report's column order
+    FIELDS = ("model", "family", "n", "r", "lam", "sigma2", "tv", "bound", "name",
+              "holds", "slack")
+    __slots__ = FIELDS
+
+    def __init__(self, model, family, n, r, lam, sigma2, tv, bound, name, holds, slack):
+        for field, value in zip(BoundReport.FIELDS, (model, family, n, r, lam, sigma2, tv,
+                                                     bound, name, holds, slack)):
+            object.__setattr__(self, field, value)
 
     @classmethod
     def build(cls, spec, r, lam, sigma2, tv, bound, name):
@@ -172,8 +169,7 @@ class BoundReport:
 
 
 #: the report columns, in BoundReport's field order
-CSV_HEADER = ",".join("lambda" if f.name == "lam" else f.name
-                      for f in fields(BoundReport))
+CSV_HEADER = ",".join("lambda" if field == "lam" else field for field in BoundReport.FIELDS)
 
 KNOWN_BOUNDS = ("theorem-a", "theorem-b", "corollary", "theorem-c",
                 "chen-stein", "lecam")

@@ -31,14 +31,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Integral
 
 import numpy as np
 
-from ._arith import (EVEN_BERNOULLI, divisors, irreducible_count, mobius, prime_power_base,
+from ._arith import (EVEN_BERNOULLI, Frozen, divisors, irreducible_count, mobius, prime_power_base,
                      primes_up_to)
 from .symfunc import Alphabet, ToleranceError, zeta
 
@@ -69,6 +67,12 @@ _UNDERFLOW = 1e-320
 #: largest (len + 1) x total denominator bits the rational Bernoulli fold
 #: accepts: about 1 s on a 2-CPU x86-64 VM, reached by 400 float weights
 RATIONAL_FOLD_BUDGET = 10 ** 7
+#: largest n^3 of the weighted-permutation h_n series, in the float and in
+#: the rational mode: about 0.7 s at n = 2154 and 0.7-1.3 s at n = 125 on a
+#: 2-CPU x86-64 VM (the rational integers grow with n, so that mode's cost
+#: grows faster than n^3)
+HN_SERIES_BUDGET = 10 ** 10
+RATIONAL_HN_SERIES_BUDGET = 2 * 10 ** 6
 #: bounds on the scratch block of the float Bernoulli fold, which is twice
 #: the factors' bytes within them; the lower one holds one pair of the last,
 #: 33-wide level.  Folds of at most 544 weights get the lower one: a fixed
@@ -76,10 +80,10 @@ RATIONAL_FOLD_BUDGET = 10 ** 7
 #: weights and more get the upper one: a fixed 32 KB block made folds of
 #: 2000-10^5 weights 10-25% slower.
 _FOLD_BLOCK_BYTES = (2 * 33 * 33 * 8, 128 * 1024)
-#: largest N the omega sieve accepts, at about 2 bytes per integer
+#: largest N the omega sieve accepts, at about 1 byte per integer
 OMEGA_SIEVE_BUDGET = 10 ** 8
-#: integers per block of the omega sieve's large primes: one mask of all
-#: n_max integers would raise its peak memory by n_max bytes
+#: integers per block of the omega sieve's large primes and of its count:
+#: one mask of all n_max integers would raise its peak memory by n_max bytes
 _OMEGA_BLOCK = 1 << 16
 
 
@@ -93,8 +97,7 @@ def _mass_array(masses) -> np.ndarray:
     return masses
 
 
-@dataclass(frozen=True, eq=False)
-class SignedMeasure:
+class SignedMeasure(Frozen):
     """Real-valued mass function with unit total on a contiguous integer window.
 
     masses[j] is the mass of offset + j, in a read-only 1-D array whose dtype
@@ -104,12 +107,11 @@ class SignedMeasure:
     inside that).  total is that sum.  Measures compare by identity.
     """
 
-    offset: int
-    masses: np.ndarray
-    total: object = field(init=False)
+    __slots__ = ("offset", "masses", "total")
 
-    def __post_init__(self):
-        object.__setattr__(self, "masses", _mass_array(self.masses))
+    def __init__(self, offset, masses):
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "masses", _mass_array(masses))
         self._check()
 
     def _check(self):
@@ -175,6 +177,8 @@ class SignedMeasure:
 
 class Pmf(SignedMeasure):
     """A SignedMeasure with nonnegative masses: a probability mass function."""
+
+    __slots__ = ()
 
     def _check(self):
         super()._check()
@@ -268,6 +272,15 @@ def bernoulli_sum_pmf(weights, rational: bool = False):
 
 # --- weighted permutations ---------------------------------------------------
 
+def _check_series_budget(n, rational):
+    """Refuse an h_n series whose n^3 work is past its mode's budget."""
+    mode, budget = (("rational", RATIONAL_HN_SERIES_BUDGET) if rational
+                    else ("float", HN_SERIES_BUDGET))
+    if n ** 3 > budget:
+        raise ValueError(f"{mode} weighted-permutation series at n = {n}: n^3 = {n ** 3} "
+                         f"exceeds the budget {budget}")
+
+
 def _homogeneous_polynomials(theta_seq, n, rational):
     """h_n(w Theta) as its row of coefficients in w.
 
@@ -278,7 +291,10 @@ def _homogeneous_polynomials(theta_seq, n, rational):
     step; the rational mode runs the same loop on the integers C = d G, d the
     common denominator of the theta_k / k, and forms the Fractions
     [t^n] C^j / (j! d^j) only at the end, as the rational Bernoulli fold does.
+    Sizes past HN_SERIES_BUDGET (RATIONAL_HN_SERIES_BUDGET) of n^3 are
+    refused.
     """
+    _check_series_budget(n, rational)
     if not all(0 < t < math.inf for t in theta_seq):
         raise ValueError("cycle weights theta_k must be finite and positive")
     if len(theta_seq) < n:
@@ -413,16 +429,18 @@ def omega_pmf(n_max: int) -> Pmf:
     """Distribution of the number of distinct prime divisors of a uniform
     integer in {1..n_max}, by sieve.
 
-    Memory is about 2 bytes per integer: the uint8 omega array plus one
-    boolean mask at a time while counting each value of omega.
+    Memory is about 1 byte per integer, the uint8 omega array: each value
+    of omega is counted one block of integers at a time.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > OMEGA_SIEVE_BUDGET:
         raise ValueError(f"n_max={n_max} exceeds the sieve memory budget {OMEGA_SIEVE_BUDGET}")
-    values = omega_values(n_max)[1:]
-    counts = np.array([np.count_nonzero(values == k) for k in range(int(values.max()) + 1)])
-    return Pmf.from_masses(0, counts / float(n_max))
+    values = omega_values(n_max)
+    blocks = range(1, n_max + 1, _OMEGA_BLOCK)
+    counts = [sum(np.count_nonzero(values[lo:lo + _OMEGA_BLOCK] == k) for lo in blocks)
+              for k in range(int(values.max()) + 1)]
+    return Pmf.from_masses(0, np.array(counts) / float(n_max))
 
 
 # --- mod-Poisson parameters ---------------------------------------------------
@@ -502,8 +520,7 @@ def _cycle_rate(family, theta, n, big_k=0.0):
     return rate
 
 
-@dataclass(frozen=True, eq=False)
-class ModelSpec:
+class ModelSpec(Frozen):
     """One model family plus its size parameter, CLI- and report-friendly.
 
     Each constructor below is the one definition of its family: it checks
@@ -517,18 +534,16 @@ class ModelSpec:
     such as the cycle weights, that no field holds.
     """
 
-    family: str
-    label: str
-    n: int
-    law: Callable = field(repr=False)
-    rate: Callable = field(repr=False)
-    alphabet: Callable = field(repr=False)
-    tail: Callable | None = field(default=None, repr=False)
+    __slots__ = ("family", "label", "n", "law", "rate", "alphabet", "tail")
+
+    def __init__(self, family, label, n, law, rate, alphabet, tail=None):
+        for name, value in zip(ModelSpec.__slots__,
+                               (family, label, n, law, rate, alphabet, tail)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def bernoulli(cls, weights):
-        alphabet = Alphabet.finite(weights)
-        weights = alphabet.weights
+        weights = Alphabet.finite(weights).weights
 
         def rate(tolerance):
             if not weights:
@@ -536,7 +551,7 @@ class ModelSpec:
             return math.fsum(weights)
         return cls("bernoulli_sum", f"bernoulli_sum(n={len(weights)})", len(weights),
                    lambda rational: bernoulli_sum_pmf(weights, rational=rational),
-                   rate, lambda tolerance: replace(alphabet, tolerance=tolerance))
+                   rate, lambda tolerance: Alphabet("finite", weights, tolerance=tolerance))
 
     @classmethod
     def ewens(cls, theta, n):
@@ -562,9 +577,12 @@ class ModelSpec:
             raise ValueError("cycle weights theta_k must be finite and positive")
         theta = theta_seq[-1]
         big_k = math.fsum((t - theta) / k for k, t in enumerate(theta_seq, 1))
-        weights = theta_seq + (theta,) * (n - len(theta_seq))
-        return cls("weighted_perm", f"weighted_perm(n={n})", n,
-                   lambda rational: weighted_perm_cycle_pmf(weights, n, rational=rational),
+
+        def law(rational):
+            _check_series_budget(n, rational)  # before the n weights are built
+            weights = theta_seq + (theta,) * (n - len(theta_seq))
+            return weighted_perm_cycle_pmf(weights, n, rational=rational)
+        return cls("weighted_perm", f"weighted_perm(n={n})", n, law,
                    _cycle_rate("weighted_perm", theta, n, big_k),
                    lambda tolerance: Alphabet.ewens_limit(theta, tolerance))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,18 +22,23 @@ __all__ = ["SUITE_NAMES", "SuiteResult", "run_suite", "residue_error",
            "harmonic_residue_error", "random_bernoulli_instances",
            "fq_factor_histogram_by_enumeration"]
 
-@dataclass
+
 class SuiteResult:
-    suite: str
-    passed: bool = True
-    checks: int = 0
-    failures: list = field(default_factory=list)
-    seed: int = None
-    instances: int = None
-    details: dict = field(default_factory=dict)
+    """The pass/fail summary of one suite run; `expect` counts its checks."""
+
+    __slots__ = ("suite", "passed", "checks", "failures", "seed", "instances", "details")
+
+    def __init__(self, suite, seed=None, instances=None):
+        self.suite = suite
+        self.passed = True
+        self.checks = 0
+        self.failures = []
+        self.seed = seed
+        self.instances = instances
+        self.details = {}
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in SuiteResult.__slots__}
 
     def expect(self, ok: bool, message: str, *args):
         """Count one check; a failed one fails the suite (first 50 messages kept).

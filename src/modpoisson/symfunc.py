@@ -23,13 +23,12 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
-from ._arith import (EVEN_BERNOULLI, irreducible_count, mobius, prime_power_base,
+from ._arith import (EVEN_BERNOULLI, Value, irreducible_count, mobius, prime_power_base,
                      primes_up_to)
 
 __all__ = [
@@ -54,17 +53,16 @@ ALPHABET_KINDS = ("finite", "ewens_limit", "omega_limit", "fq_limit")
 _MIN_TOLERANCE = 1e-13
 
 #: radius of the omega residue product: against a 40-digit product its
-#: relative error is 1.4e-14 at |z| = 1.25 and 3.7e-12, past the default
-#: tolerance, at |z| = 1.5
-OMEGA_RESIDUE_RADIUS = 1.25
+#: relative error is 9.8e-15 at |z| = 2 and 1.6e-11, past the default
+#: tolerance, at |z| = 3
+OMEGA_RESIDUE_RADIUS = 2.0
 
 
 class ToleranceError(ValueError):
     """A requested tail tolerance cannot be met with the configured cutoffs."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Value):
     """A weight alphabet: finite list or one of the named infinite families.
 
     kinds:
@@ -75,29 +73,26 @@ class Alphabet:
       fq_limit     harmonic together with {q^-deg(P), P monic irreducible}
     """
 
-    kind: str
-    weights: tuple = ()
-    theta: float = 0.0
-    q: int = 0
-    tolerance: float = 1e-12
+    __slots__ = ("kind", "weights", "theta", "q", "tolerance")
 
-    def __post_init__(self):
-        if self.kind not in ALPHABET_KINDS:
-            raise ValueError(f"unknown alphabet kind {self.kind!r}")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance:g}")
-        if self.kind == "finite":
-            weights = np.asarray(self.weights)
-            bad = np.flatnonzero(~((weights >= 0.0) & (weights <= 1.0)))
+    def __init__(self, kind, weights=(), theta=0.0, q=0, tolerance=1e-12):
+        if kind not in ALPHABET_KINDS:
+            raise ValueError(f"unknown alphabet kind {kind!r}")
+        if not 0.0 < tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {tolerance:g}")
+        if kind == "finite":
+            array = np.asarray(weights)
+            bad = np.flatnonzero(~((array >= 0.0) & (array <= 1.0)))
             if bad.size:
-                raise ValueError("finite weights must lie in [0, 1], "
-                                 f"got {self.weights[bad[0]]}")
-        elif self.kind == "ewens_limit":
-            if not 0.0 < self.theta < math.inf:
-                raise ValueError(f"ewens_limit needs a finite theta > 0, got {self.theta:g}")
-        elif self.kind == "fq_limit":
-            if prime_power_base(self.q) is None:
+                raise ValueError(f"finite weights must lie in [0, 1], got {weights[bad[0]]}")
+        elif kind == "ewens_limit":
+            if not 0.0 < theta < math.inf:
+                raise ValueError(f"ewens_limit needs a finite theta > 0, got {theta:g}")
+        elif kind == "fq_limit":
+            if prime_power_base(q) is None:
                 raise ValueError("fq_limit needs a prime power q >= 2")
+        for name, value in zip(Alphabet.__slots__, (kind, weights, theta, q, tolerance)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def finite(cls, weights, tolerance=1e-12):
@@ -121,19 +116,19 @@ class Alphabet:
         return cls("fq_limit", q=int(q), tolerance=tolerance)
 
 
-@dataclass(frozen=True)
-class PowerSums:
+class PowerSums(Value):
     """Values p_1..p_K of the Newton power sums of some alphabet.
 
     For the infinite kinds p_1 diverges and is stored as +inf; only the
     virtual specialization (p_1 := 0) is ever consumed downstream.
     """
 
-    values: tuple
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if len(self.values) < 2:
+    def __init__(self, values):
+        if len(values) < 2:
             raise ValueError("power sums must extend at least to k = 2")
+        object.__setattr__(self, "values", values)
 
     @property
     def kmax(self) -> int:
@@ -145,8 +140,7 @@ class PowerSums:
         return self.values[1]
 
 
-@dataclass(frozen=True)
-class ResidueCoeffs:
+class ResidueCoeffs(Value):
     """Poisson rate plus residue expansion coefficients b_1..b_r.
 
     Virtual-alphabet constructors always emit b_1 = 0; a nonzero b_1 is
@@ -154,12 +148,13 @@ class ResidueCoeffs:
     change the higher coefficients).
     """
 
-    lam: float
-    b: tuple = ()
+    __slots__ = ("lam", "b")
 
-    def __post_init__(self):
-        if not self.lam > 0.0:
+    def __init__(self, lam, b=()):
+        if not lam > 0.0:
             raise ValueError("lam must be positive")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "b", b)
 
     @property
     def order(self) -> int:

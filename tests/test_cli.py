@@ -372,6 +372,11 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
      "rational mode"),
     (["pmf", "--model", "bernoulli", "--weights", FLOAT_WEIGHTS_500, "--rational"],
      "budget 10000000"),
+    (["pmf", "--model", "weighted-perm", "--theta-seq", "1", "--n", "10000000"],
+     "error: float weighted-permutation series at n = 10000000: n^3 = "
+     "1000000000000000000000 exceeds the budget 10000000000"),
+    (["pmf", "--model", "weighted-perm", "--theta-seq", "1", "--n", "126", "--rational"],
+     "exceeds the budget 2000000"),
     (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
       "--bound", "theorem-c", "--eps-n", "nan"], "eps_n"),
     (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
@@ -407,7 +412,8 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
     (["pmf", "--model", "fq", "--n", "3"], "error: fq model needs --q and --n"),
     (["pmf", "--model", "omega"], "error: omega model needs --N"),
 ], ids=["ewens_theta_nan", "ewens_theta_inf", "theta_seq_inf", "theta_seq_nan_rational",
-        "h_n_overflow", "rational_fold_over_budget", "eps_n_nan", "eps_n_negative",
+        "h_n_overflow", "rational_fold_over_budget", "h_n_over_budget",
+        "rational_h_n_over_budget", "eps_n_nan", "eps_n_negative",
         "eps_n_negative_separate", "theta_minus_inf_separate", "rho_nan", "rho_inf",
         "tail_rn_nan", "tail_rn_negative", "fq_tolerance_inf", "omega_tolerance_inf",
         "bernoulli_tolerance_negative", "bernoulli_weight_above_1_empty_range",
@@ -430,7 +436,7 @@ def test_memory_error_is_one_error_line(monkeypatch, capsys):
         raise MemoryError("Unable to allocate 728. TiB")
     monkeypatch.setattr("modpoisson.models.weighted_perm_cycle_pmf", out_of_memory)
     code, out, err = run_cli(["pmf", "--model", "weighted-perm", "--theta-seq", "1",
-                              "--n", "10000000"], capsys)
+                              "--n", "3"], capsys)
     assert (code, out) == (1, "")
     assert err.splitlines() == ["error: Unable to allocate 728. TiB"]
 

@@ -304,6 +304,27 @@ def test_float_fold_of_1e5_weights_takes_under_0_4_s():
     assert elapsed < 0.4, f"took {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize("big_n", [1, 2, models._OMEGA_BLOCK, models._OMEGA_BLOCK + 1,
+                                   2 * models._OMEGA_BLOCK + 7])
+def test_omega_pmf_block_counts_equal_whole_array_mask_counts(big_n):
+    values = omega_values(big_n)[1:]  # the per-value masks the block counts replaced
+    counts = np.array([np.count_nonzero(values == k) for k in range(int(values.max()) + 1)])
+    assert_same(omega_pmf(big_n), Pmf.from_masses(0, counts / float(big_n)))
+
+
+def test_omega_pmf_counts_within_the_peak_of_its_sieve():
+    peaks = []
+    for kernel in (omega_values, omega_pmf):
+        kernel(1000)  # warm-up: first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            kernel(10 ** 6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + models._OMEGA_BLOCK
+
+
 def test_omega_pmf_peak_memory_is_about_two_bytes_per_integer():
     omega_pmf(1000)  # warm-up: first-call allocations are not the sieve's
     tracemalloc.start()

@@ -12,12 +12,24 @@ conversion, or wraps a measure's `.masses` in `np.asarray` or `np.array`.
 
 Only the command touches the garbage collector (it freezes the heap at
 exit); the library leaves collection to its caller.
+
+The records are plain slot classes: importing the command compiles no
+generated code, so `dataclasses` stays unimported.  Every record but the
+mutable SuiteResult refuses assignment and deletion after construction.
 """
 
 import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from modpoisson.metrics import BoundReport
+from modpoisson.models import ModelSpec, Pmf, SignedMeasure
+from modpoisson.symfunc import Alphabet, PowerSums, ResidueCoeffs
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "modpoisson"
 LAYERS = ("metrics.py", "schemes.py", "suites.py", "cli.py", "io.py")
@@ -120,6 +132,52 @@ def _gc_references(tree):
         if "gc" in names:
             found.append(node.lineno)
     return found
+
+
+def test_importing_the_command_leaves_dataclasses_unimported():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", "import sys, numpy, modpoisson.cli; "
+                           "print('dataclasses' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+IMMUTABLE_RECORDS = {
+    "Alphabet": Alphabet.finite([0.25, 0.5]),
+    "PowerSums": PowerSums((1.0, 0.5)),
+    "ResidueCoeffs": ResidueCoeffs(2.0, (0.0, -0.125)),
+    "SignedMeasure": SignedMeasure(0, (-0.25, 1.25)),
+    "Pmf": Pmf(1, (Fraction(1, 4), Fraction(3, 4))),
+    "ModelSpec": ModelSpec.ewens(1.5, 20),
+    "BoundReport": BoundReport("m", "f", 3, 1, 2.0, 0.5, 0.1, 0.2, "theorem-b", True, 2.0),
+}
+
+
+@pytest.mark.parametrize("record", IMMUTABLE_RECORDS.values(), ids=IMMUTABLE_RECORDS)
+def test_record_fields_refuse_assignment_and_deletion(record):
+    fields = [name for cls in type(record).__mro__ for name in getattr(cls, "__slots__", ())]
+    assert fields
+    for name in fields:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_alphabets_compare_and_hash_by_value():
+    a, b = Alphabet.finite([0.25, 0.5]), Alphabet("finite", (0.25, 0.5))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert {Alphabet.harmonic(1e-9): "h"}[Alphabet.ewens_limit(1, 1e-9)] == "h"
+    for other in (Alphabet.finite([0.25, 0.5], 1e-9), Alphabet.finite([0.5, 0.25]),
+                  Alphabet.harmonic()):
+        assert a != other
+    assert Alphabet.fq_limit(2) != Alphabet.fq_limit(3)
+    assert a != (0.25, 0.5) and a != "finite"
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"])

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpoisson.models import (EULER_GAMMA, OMEGA_SIEVE_BUDGET, ModelSpec, Pmf,
+from modpoisson.models import (EULER_GAMMA, HN_SERIES_BUDGET, OMEGA_SIEVE_BUDGET,
+                               RATIONAL_HN_SERIES_BUDGET, ModelSpec, Pmf,
                                bernoulli_sum_pmf, empirical_residue, ewens_cycle_pmf,
                                fq_factor_pmf, gamma_theta,
                                gauss_irreducible_count, model_lambda,
@@ -291,6 +292,18 @@ def test_omega_memory_budget():
     # refused before the sieve allocates anything
     with pytest.raises(ValueError, match="sieve memory budget"):
         omega_pmf(OMEGA_SIEVE_BUDGET + 1)
+
+
+@pytest.mark.parametrize("rational, budget", [(False, HN_SERIES_BUDGET),
+                                              (True, RATIONAL_HN_SERIES_BUDGET)])
+def test_weighted_perm_series_budget(rational, budget):
+    n = round(budget ** (1 / 3))
+    n += n ** 3 <= budget  # the least n past the budget
+    # refused before the n weights are read (the law) or built (the spec)
+    for refused in (lambda: weighted_perm_cycle_pmf([1.0], n, rational),
+                    lambda: ModelSpec.weighted_perm([1.0], n).pmf(rational)):
+        with pytest.raises(ValueError, match=f"exceeds the budget {budget}$"):
+            refused()
 
 
 # --- rates and residues ----------------------------------------------------------------

@@ -164,7 +164,7 @@ PRIME_TAILS = [mpmath.primezeta(k) - mpmath.fsum(mpmath.mpf(p) ** -k for p in PR
 def _omega_residue(z):
     """The harmonic part times the primes p <= 2000 literally and the other
     primes by their log-series sum_k (-1)^(k-1) (P(k) - sum_{p<=2000} p^-k) z^k/k,
-    whose terms fall below 1e-40 by k = 16 for |z| <= 1.25."""
+    whose terms fall below 1e-40 by k = 16 for |z| <= 2."""
     z = mpmath.mpc(z)
     acc = _harmonic_log_residue(z) + mpmath.fsum(mpmath.log1p(z / p) - z / p
                                                  for p in PRIMES_2000)
@@ -183,7 +183,7 @@ def test_fq_residue_product_against_mpmath(q):
 
 
 def test_omega_residue_product_against_mpmath_up_to_its_radius():
-    grid = _residue_grid((0.3, 0.5, 1.0, 1.2, OMEGA_RESIDUE_RADIUS))
+    grid = _residue_grid((0.3, 0.5, 1.0, 1.2, 1.25, 1.5, OMEGA_RESIDUE_RADIUS))
     alphabet = Alphabet.omega_limit()
     worst = max(_rel(residue_product_eval(alphabet, z), _omega_residue(z)) for z in grid)
     assert worst <= alphabet.tolerance

@@ -49,5 +49,9 @@ def test_bench_kernels_adds_its_label_and_keeps_the_others(tmp_path):
                             "scheme_r3_1e5", "tv_40", "mass_csv_40",
                             "gamma_theta_cold", "zeta_k2to6_cold", "power_sums_ewens_6_cold",
                             "power_sums_omega_6_cold", "weighted_perm_250",
-                            "weighted_perm_400", "weighted_perm_rational_60"}
-    assert all(set(k) == {"best_s"} and k["best_s"] > 0.0 for k in kernels.values())
+                            "weighted_perm_400", "weighted_perm_rational_60",
+                            "omega_pmf_3e6"}
+    assert all(k["best_s"] > 0.0 for k in kernels.values())
+    assert {name: set(k) for name, k in kernels.items() if set(k) != {"best_s"}} == {
+        "omega_pmf_3e6": {"best_s", "peak_rss_mb"}}
+    assert kernels["omega_pmf_3e6"]["peak_rss_mb"] > 0.0
