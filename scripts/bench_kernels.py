@@ -15,10 +15,15 @@ and at order 3 for lambda = 10^5 with b = (0, -0.5, 0.3).  The
 weighted-permutation kernels are weighted_perm_cycle_pmf in the float mode
 at n = 250 (the size of perfbench's `pmf-weighted-perm` op) and 400, on
 theta_k uniform in [0.5, 2], and in the rational mode at n = 60, on the
-dyadic theta_k = (1 + 7k mod 13) / 8.  The omega law is omega_pmf at
-N = 3 * 10^6; it also gets the growth of peak RSS over one call in a
+dyadic theta_k = (1 + 7k mod 13) / 8.
+
+The fixed-size kernels also get the growth of peak RSS over one call in a
 fresh interpreter, after the package's import, as a `modpoisson` process
-would see it.
+would see it: fq_factor_pmf at (q, n) = (2, 40) and (2, 60); the rational
+Bernoulli fold of the 400 weights theta/(theta + i), theta = 33/32, of a
+rational Ewens law; weighted_perm_cycle_pmf in the float mode at n = 800;
+residue_product_eval of Alphabet.omega_limit() at z = 2i, cold; and
+omega_pmf at N = 3 * 10^6.
 Weights are seeded, so every run times the same inputs.
 
 The special-function kernels run cold, as in a fresh `modpoisson`
@@ -51,10 +56,11 @@ import numpy as np
 
 from modpoisson.io import mass_csv_lines
 from modpoisson.metrics import total_variation, verify_bounds
-from modpoisson.models import (ModelSpec, bernoulli_sum_pmf, gamma_theta, omega_pmf,
-                               weighted_perm_cycle_pmf)
+from modpoisson.models import (ModelSpec, bernoulli_sum_pmf, fq_factor_pmf, gamma_theta,
+                               omega_pmf, weighted_perm_cycle_pmf)
 from modpoisson.schemes import poisson_pmf, scheme_measures
-from modpoisson.symfunc import Alphabet, ResidueCoeffs, power_sums, residue_coeffs, zeta
+from modpoisson.symfunc import (Alphabet, ResidueCoeffs, power_sums, residue_coeffs,
+                                residue_product_eval, zeta)
 
 
 def timed(fn, *args):
@@ -72,20 +78,23 @@ def cold(fn):
     return run
 
 
-#: the kernel measured in a fresh interpreter: its peak RSS growth, in KB
+#: one fixed-size kernel's call in a fresh interpreter: its peak RSS growth, in KB
 FRESH_RSS_CODE = """\
-import resource
-from modpoisson.models import omega_pmf
+import resource, sys
+sys.path.insert(0, {folder!r})
+from bench_kernels import fixed_jobs
+fn, args = fixed_jobs()[{name!r}]()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-omega_pmf(3 * 10 ** 6)
+fn(*args)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
 
-def fresh_peak_rss_mb():
-    """Peak RSS growth of omega_pmf(3 * 10^6) in a fresh interpreter, in MB
-    (ru_maxrss counts KB on Linux)."""
-    done = subprocess.run([sys.executable, "-c", FRESH_RSS_CODE],
+def fresh_peak_rss_mb(name):
+    """Peak RSS growth of one call of the fixed-size kernel name in a fresh
+    interpreter, in MB (ru_maxrss counts KB on Linux)."""
+    code = FRESH_RSS_CODE.format(folder=str(Path(__file__).resolve().parent), name=name)
+    done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     return int(done.stdout) / 1024.0
 
@@ -93,6 +102,22 @@ def fresh_peak_rss_mb():
 def zeta_values(ks, a):
     """zeta(k, a) for each k in ks."""
     return [zeta(k, a) for k in ks]
+
+
+def fixed_jobs():
+    """name -> builder of (fn, args) of each fixed-size kernel."""
+    theta = Fraction(33, 32)
+    return {
+        "fq_factor_2_40": lambda: (fq_factor_pmf, (2, 40)),
+        "fq_factor_2_60": lambda: (fq_factor_pmf, (2, 60)),
+        "fold_rational_400": lambda: (bernoulli_sum_pmf,
+                                      ([theta / (theta + i) for i in range(1, 401)], True)),
+        "weighted_perm_800": lambda: (weighted_perm_cycle_pmf, (
+            np.random.default_rng(250).uniform(0.5, 2.0, 800).tolist(), 800)),
+        "residue_product_omega_2j_cold": lambda: (cold(residue_product_eval),
+                                                  (Alphabet.omega_limit(), 2j)),
+        "omega_pmf_3e6": lambda: (omega_pmf, (3 * 10 ** 6,)),
+    }
 
 
 def kernel_jobs(fold_sizes, verify_weights):
@@ -125,7 +150,7 @@ def kernel_jobs(fold_sizes, verify_weights):
         jobs[f"weighted_perm_{n}"] = (weighted_perm_cycle_pmf, (thetas[:n], n))
     dyadic = [Fraction(1 + 7 * k % 13, 8) for k in range(1, 61)]
     jobs["weighted_perm_rational_60"] = (weighted_perm_cycle_pmf, (dyadic, 60, True))
-    jobs["omega_pmf_3e6"] = (omega_pmf, (3 * 10 ** 6,))
+    jobs.update((name, build()) for name, build in fixed_jobs().items())
     return jobs
 
 
@@ -141,7 +166,7 @@ def main():
     if args.repeat < 1 or args.verify_weights < 1:
         ap.error("--repeat and --verify-weights must be >= 1")
 
-    peak_rss_mb = fresh_peak_rss_mb()
+    peak_rss_mb = {name: fresh_peak_rss_mb(name) for name in fixed_jobs()}
     jobs = kernel_jobs([int(n) for n in args.fold_sizes.split(",")], args.verify_weights)
     for fn, fn_args in jobs.values():  # warm caches and lazy set-up
         fn(*fn_args)
@@ -150,13 +175,15 @@ def main():
         for name, (fn, fn_args) in jobs.items():
             best[name] = min(best[name], *(timed(fn, *fn_args) for _ in range(3)))
     for name, best_s in best.items():
-        print(f"{name:>28}  {best_s * 1e3:9.3f} ms")
-    print(f"{'omega_pmf_3e6 peak RSS':>28}  {peak_rss_mb:9.3f} MB (fresh process)")
+        print(f"{name:>30}  {best_s * 1e3:9.3f} ms")
+    for name, growth in peak_rss_mb.items():
+        print(f"{name:>30}  {growth:9.3f} MB peak RSS growth (fresh process)")
 
     out = Path(args.out)
     results = json.loads(out.read_text()) if out.exists() else {}
     kernels = {name: {"best_s": best_s} for name, best_s in best.items()}
-    kernels["omega_pmf_3e6"]["peak_rss_mb"] = peak_rss_mb
+    for name, growth in peak_rss_mb.items():
+        kernels[name]["peak_rss_mb"] = growth
     results[args.label] = {
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "python": platform.python_version(),

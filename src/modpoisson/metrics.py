@@ -16,7 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from . import schemes, symfunc
-from ._arith import Frozen
+from ._arith import Frozen, check_tolerance
 from .models import ModelSpec, model_lambda
 
 __all__ = [
@@ -185,10 +185,11 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     Every family uses the derived scheme of its limiting alphabet, which
     for Bernoulli sums is the finite alphabet of their weights.  chen-stein
     and lecam always refer to the order-0 scheme, emit a single row each
-    and read their weights from that alphabet, so they apply only to a
-    nonempty finite one (an infinite kind holds none); the corollary takes
-    tail_rn, else the spec's default tail, else has no bound.  Rows with
-    failing preconditions are emitted with holds = None instead of raising.
+    and read that alphabet (chen-stein its weights, lecam its sigma^2 =
+    sum p_i^2), so they apply only to a nonempty finite one (an infinite
+    kind holds no weights); the corollary takes tail_rn, else the spec's
+    default tail, else has no bound.  Rows with failing preconditions are
+    emitted with holds = None instead of raising.
     The per-r rows come first, then the order-0 ones, each group in the
     order of `which`; r_list, a sequence of orders, is read only when some
     per-r name is asked for.
@@ -211,6 +212,7 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
 
     pmf = spec.pmf()
     lam = model_lambda(spec, tolerance)
+    check_tolerance(tolerance)  # a finite alphabet reads none, yet it is refused
     alphabet = spec.alphabet(tolerance)
     orders = sorted({r for _, r in rows})
     ps = symfunc.power_sums(alphabet, max(2, orders[-1]))
@@ -231,7 +233,7 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     }
     if alphabet.weights:
         bounds["chen-stein"] = lambda r: chen_stein_bound(alphabet.weights)
-        bounds["lecam"] = lambda r: lecam_bound(alphabet.weights)
+        bounds["lecam"] = lambda r: sigma2  # sum p_i^2, as lecam_bound(alphabet.weights)
     reports = []
     for name, r in rows:
         bound = None

@@ -36,8 +36,8 @@ from numbers import Integral
 
 import numpy as np
 
-from ._arith import (EVEN_BERNOULLI, Frozen, divisors, irreducible_count, mobius, prime_power_base,
-                     primes_up_to)
+from ._arith import (EVEN_BERNOULLI, Frozen, check_tolerance, divisors, irreducible_count, mobius,
+                     prime_power_base, primes_up_to)
 from .symfunc import Alphabet, ToleranceError, zeta
 
 __all__ = [
@@ -67,12 +67,13 @@ _UNDERFLOW = 1e-320
 #: largest (len + 1) x total denominator bits the rational Bernoulli fold
 #: accepts: about 1 s on a 2-CPU x86-64 VM, reached by 400 float weights
 RATIONAL_FOLD_BUDGET = 10 ** 7
-#: largest n^3 of the weighted-permutation h_n series, in the float and in
-#: the rational mode: about 0.7 s at n = 2154 and 0.7-1.3 s at n = 125 on a
-#: 2-CPU x86-64 VM (the rational integers grow with n, so that mode's cost
-#: grows faster than n^3)
+#: largest work of the weighted-permutation h_n series on a 2-CPU x86-64
+#: VM: n^3 in the float mode (0.7 s at n = 2154) and n^3 x bits(d)^2 in the
+#: rational one, whose integers grow with the bits of d, the common
+#: denominator of the theta_k / k (0.9 s for dyadic weights at n = 125, 175
+#: bits, and 0.4 s for theta_1 = 1e-300 at n = 40, 1097 bits)
 HN_SERIES_BUDGET = 10 ** 10
-RATIONAL_HN_SERIES_BUDGET = 2 * 10 ** 6
+RATIONAL_HN_SERIES_BUDGET = 10 ** 11
 #: bounds on the scratch block of the float Bernoulli fold, which is twice
 #: the factors' bytes within them; the lower one holds one pair of the last,
 #: 33-wide level.  Folds of at most 544 weights get the lower one: a fixed
@@ -141,13 +142,7 @@ class SignedMeasure(Frozen):
             lo += 1
         while hi - 1 > lo and abs(masses.item(hi - 1)) <= floor:
             hi -= 1
-        # the slice is already normalized: fill the fields without __init__,
-        # which would normalize it again
-        measure = object.__new__(cls)
-        object.__setattr__(measure, "offset", offset + lo)
-        object.__setattr__(measure, "masses", masses[lo:hi])
-        measure._check()
-        return measure
+        return cls(offset + lo, masses[lo:hi])
 
     def _sum(self, terms):
         return sum(terms, Fraction(0)) if self._exact else math.fsum(terms)
@@ -272,13 +267,29 @@ def bernoulli_sum_pmf(weights, rational: bool = False):
 
 # --- weighted permutations ---------------------------------------------------
 
-def _check_series_budget(n, rational):
-    """Refuse an h_n series whose n^3 work is past its mode's budget."""
+def _check_series(theta_seq, n, rational):
+    """Refuse an h_n series whose work is past its mode's budget, or a cycle
+    weight that is not finite and positive; return the common denominator d
+    of the theta_k / k, weights past theta_seq repeating its last one (1 in
+    the float mode).  As bits(d) >= 1, a size past the budget of n^3 alone
+    is refused before any weight is read."""
     mode, budget = (("rational", RATIONAL_HN_SERIES_BUDGET) if rational
                     else ("float", HN_SERIES_BUDGET))
     if n ** 3 > budget:
         raise ValueError(f"{mode} weighted-permutation series at n = {n}: n^3 = {n ** 3} "
                          f"exceeds the budget {budget}")
+    if not all(0 < t < math.inf for t in theta_seq):
+        raise ValueError("cycle weights theta_k must be finite and positive")
+    if not rational:
+        return 1
+    weights = [Fraction(t) for t in theta_seq[:n]]
+    weights += weights[-1:] * (n - len(weights))
+    d = math.lcm(*((t / k).denominator for k, t in enumerate(weights, 1)))
+    cost = n ** 3 * d.bit_length() ** 2
+    if cost > budget:
+        raise ValueError(f"rational weighted-permutation series at n = {n}: n^3 x "
+                         f"(denominator bits)^2 = {cost} exceeds the budget {budget}")
+    return d
 
 
 def _homogeneous_polynomials(theta_seq, n, rational):
@@ -291,17 +302,14 @@ def _homogeneous_polynomials(theta_seq, n, rational):
     step; the rational mode runs the same loop on the integers C = d G, d the
     common denominator of the theta_k / k, and forms the Fractions
     [t^n] C^j / (j! d^j) only at the end, as the rational Bernoulli fold does.
-    Sizes past HN_SERIES_BUDGET (RATIONAL_HN_SERIES_BUDGET) of n^3 are
-    refused.
+    Work past HN_SERIES_BUDGET of n^3 (RATIONAL_HN_SERIES_BUDGET of
+    n^3 x bits(d)^2) is refused.
     """
-    _check_series_budget(n, rational)
-    if not all(0 < t < math.inf for t in theta_seq):
-        raise ValueError("cycle weights theta_k must be finite and positive")
+    d = _check_series(theta_seq, n, rational)
     if len(theta_seq) < n:
         raise ValueError(f"need theta_1..theta_{n}")
     if rational:
         g = [Fraction(t) / k for k, t in enumerate(theta_seq[:n], 1)]
-        d = math.lcm(*(c.denominator for c in g))
         g = np.array([c.numerator * (d // c.denominator) for c in g], dtype=object)
     else:
         g = np.array(theta_seq[:n], dtype=float) / np.arange(1, n + 1)
@@ -478,8 +486,7 @@ def r_q(q: int, tolerance: float = 1e-12) -> float:
         raise ValueError(f"q must be an integer, got {q!r}")
     if q < 2:
         raise ValueError("q must be >= 2")
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance:g}")
+    check_tolerance(tolerance)
     total = 0.0
     for k in range(2, 2000):
         x = float(q) ** (1 - k)
@@ -527,8 +534,8 @@ class ModelSpec(Frozen):
     the parameters and binds the exact law (rational -> measure), the
     mod-Poisson rate (tolerance -> lam) and the limiting alphabet
     (tolerance -> Alphabet).  A Bernoulli sum's weights are those of its
-    finite alphabet, built and checked once, which its law folds and its
-    rate sums; Ewens also binds the corollary's default tail r_n (no
+    finite alphabet, built and checked once and returned at every
+    tolerance, which its law folds and its rate sums; Ewens also binds the corollary's default tail r_n (no
     argument -> float).  The label is comma-free, so it stays a single CSV
     field.  Specs compare by identity: the bound law carries parameters,
     such as the cycle weights, that no field holds.
@@ -543,7 +550,8 @@ class ModelSpec(Frozen):
 
     @classmethod
     def bernoulli(cls, weights):
-        weights = Alphabet.finite(weights).weights
+        alphabet = Alphabet.finite(weights)
+        weights = alphabet.weights
 
         def rate(tolerance):
             if not weights:
@@ -551,7 +559,7 @@ class ModelSpec(Frozen):
             return math.fsum(weights)
         return cls("bernoulli_sum", f"bernoulli_sum(n={len(weights)})", len(weights),
                    lambda rational: bernoulli_sum_pmf(weights, rational=rational),
-                   rate, lambda tolerance: Alphabet("finite", weights, tolerance=tolerance))
+                   rate, lambda tolerance: alphabet)
 
     @classmethod
     def ewens(cls, theta, n):
@@ -579,7 +587,7 @@ class ModelSpec(Frozen):
         big_k = math.fsum((t - theta) / k for k, t in enumerate(theta_seq, 1))
 
         def law(rational):
-            _check_series_budget(n, rational)  # before the n weights are built
+            _check_series(theta_seq, n, rational)  # before the n weights are built
             weights = theta_seq + (theta,) * (n - len(theta_seq))
             return weighted_perm_cycle_pmf(weights, n, rational=rational)
         return cls("weighted_perm", f"weighted_perm(n={n})", n, law,

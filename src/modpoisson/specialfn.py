@@ -14,6 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 
+from ._arith import EVEN_BERNOULLI
+
 __all__ = [
     "hermite",
     "hermite_explicit",
@@ -95,8 +97,8 @@ def cramer_bound_margin(m: int, z) -> float:
 # --- complex log gamma --------------------------------------------------------
 
 #: B_2k / (2k (2k-1)), k = 1..8: the Stirling series coefficients (DLMF 5.11.1)
-_STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
-                    1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0)
+_STIRLING_COEFFS = tuple(num / (2 * k * (2 * k - 1) * den)
+                         for k, (num, den) in enumerate(EVEN_BERNOULLI[:8], 1))
 #: the series is summed at |w| >= 7, where its 9th term is below 1e-15
 _STIRLING_MIN_MODULUS = 7.0
 

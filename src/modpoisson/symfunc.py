@@ -28,8 +28,8 @@ from itertools import repeat
 
 import numpy as np
 
-from ._arith import (EVEN_BERNOULLI, Value, irreducible_count, mobius, prime_power_base,
-                     primes_up_to)
+from ._arith import (EVEN_BERNOULLI, Value, check_tolerance, irreducible_count, mobius,
+                     prime_power_base, primes_up_to)
 
 __all__ = [
     "Alphabet",
@@ -78,8 +78,7 @@ class Alphabet(Value):
     def __init__(self, kind, weights=(), theta=0.0, q=0, tolerance=1e-12):
         if kind not in ALPHABET_KINDS:
             raise ValueError(f"unknown alphabet kind {kind!r}")
-        if not 0.0 < tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {tolerance:g}")
+        check_tolerance(tolerance)
         if kind == "finite":
             array = np.asarray(weights)
             bad = np.flatnonzero(~((array >= 0.0) & (array <= 1.0)))
@@ -224,6 +223,34 @@ def zeta(s: float, a: float = 1.0) -> float:
             u = s / x
             slope = u if j < n else 1.0 + u / 2.0 + u * (s + 1) / (12.0 * x)
             terms.append(-e * x ** -s * slope)
+    return math.fsum(terms)
+
+
+#: log of the largest a^s for which theta^s (theta <= a) stays finite and
+#: the terms of zeta(s, a) stay in the normal float range
+_LOG_FLOAT_RANGE = 708.0
+
+
+def _scaled_zeta(s: float, a: float, theta: float) -> float:
+    """theta^s zeta(s, a) = sum_{j>=0} (theta/(a+j))^s, for 1 <= a and theta <= a.
+
+    Where s log a passes _LOG_FLOAT_RANGE, the sum can be finite (about
+    theta/(s-1) for a near theta) although theta^s or the terms of zeta are
+    not: there each term of zeta's Euler-Maclaurin sum is formed from
+    (theta/x)^s, at most 1.  Elsewhere it is the product theta^s zeta(s, a).
+    """
+    if s * math.log(a) < _LOG_FLOAT_RANGE:
+        return theta ** s * zeta(s, a)
+    n = max(10, math.ceil(s + 10.0 - a))
+    t = a + n
+    ratio = (theta / t) ** s
+    terms = [(theta / (a + j)) ** s for j in range(n)]
+    terms += [t * ratio / (s - 1), 0.5 * ratio]
+    rising = s * ratio / t
+    inv_t2 = 1.0 / (t * t)
+    for k, coeff in enumerate(_EULER_MACLAURIN_COEFFS, 1):
+        terms.append(coeff * rising)
+        rising *= (s + 2 * k - 1) * (s + 2 * k) * inv_t2
     return math.fsum(terms)
 
 
@@ -381,7 +408,8 @@ def _split(alphabet: Alphabet, az: float = 0.0):
     tail weight at most 1/(2 az).  The tail power sums are
 
       ewens_limit:  theta^k hurwitz_zeta(k, theta + n0), or
-                    1 + theta^k hurwitz_zeta(k, theta + 1) when n0 = 0
+                    1 + theta^k hurwitz_zeta(k, theta + 1) when n0 = 0,
+                    by `_scaled_zeta` (finite up to theta = 1e308)
       omega_limit:  zeta(k, 1 + n0) + prime_zeta(k) - sum_{p <= n0} p^-k
       fq_limit:     zeta(k, 1 + n0) + sum_{m > m0} I_q(m) q^(-k m)
 
@@ -405,9 +433,9 @@ def _split(alphabet: Alphabet, az: float = 0.0):
             raise ToleranceError(f"divergent tail request: |z| = {az:g} is too large")
     head = [(th / (th + n - 1.0), 1) for n in range(1, n0 + 1)]
     if n0:
-        ewens_tail = lambda k: th ** k * zeta(k, th + n0)
+        ewens_tail = lambda k: _scaled_zeta(k, th + n0, th)
     else:  # the atom 1 apart: theta^-k, the first term of zeta(k, theta), overflows
-        ewens_tail = lambda k: 1.0 + th ** k * zeta(k, th + 1.0)
+        ewens_tail = lambda k: 1.0 + _scaled_zeta(k, th + 1.0, th)
     if alphabet.kind == "ewens_limit":
         return head, ewens_tail
     if alphabet.kind == "omega_limit":

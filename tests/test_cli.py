@@ -165,6 +165,17 @@ def test_scheme_ewens_alphabet_at_tiny_theta_is_the_atom_one(r, capsys):
                                         "--r", r], capsys)
 
 
+def test_scheme_ewens_alphabet_at_huge_theta_ends_with_one_error_line(capsys):
+    # p_2 is about theta, finite though theta^2 is not; b_2 = -p_2/2 = -5e159
+    # takes the masses' float total far from 1, which is refused
+    code, out, err = run_cli(["scheme", "--alphabet", "ewens", "--theta", "1e160",
+                              "--r", "2", "--lambda", "3"], capsys)
+    assert (code, out) == (1, "")
+    *warned, last = err.splitlines()
+    assert [line.split(",")[0] for line in warned] == ["warning: eta = 3.808e+80 >= 1"]
+    assert last.startswith("error: masses sum to ") and last.endswith(", not 1")
+
+
 @pytest.mark.parametrize("args, message", [
     (["--alphabet", "harmonic", "--r", "-1"], "r must be >= 0"),
     (["--weights", "0.1,0.2", "--r", "-1"], "r must be >= 0"),
@@ -375,8 +386,10 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
     (["pmf", "--model", "weighted-perm", "--theta-seq", "1", "--n", "10000000"],
      "error: float weighted-permutation series at n = 10000000: n^3 = "
      "1000000000000000000000 exceeds the budget 10000000000"),
-    (["pmf", "--model", "weighted-perm", "--theta-seq", "1", "--n", "126", "--rational"],
-     "exceeds the budget 2000000"),
+    # theta_1 = 1e-300 is a Fraction over 2^1049, and the series' integers grow with it
+    (["pmf", "--model", "weighted-perm", "--theta-seq", "1e-300,1", "--n", "60", "--rational"],
+     "error: rational weighted-permutation series at n = 60: n^3 x (denominator bits)^2 = "
+     "274834944000 exceeds the budget 100000000000"),
     (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
       "--bound", "theorem-c", "--eps-n", "nan"], "eps_n"),
     (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",

@@ -306,6 +306,20 @@ def test_weighted_perm_series_budget(rational, budget):
             refused()
 
 
+def test_rational_series_budget_counts_denominator_bits():
+    # theta_1 = 1e-300 puts 1128 bits in the common denominator of the
+    # theta_k / k at n = 60; these dyadic weights put 175 bits at n = 125
+    dyadic = [Fraction(1 + 7 * k % 13, 8) for k in range(1, 126)]
+    assert weighted_perm_cycle_pmf(dyadic, 125, rational=True).total == 1
+    assert ModelSpec.weighted_perm([1e-300, 1.0], 40).pmf(rational=True).total == 1
+    message = (r"^rational weighted-permutation series at n = 60: n\^3 x \(denominator "
+               rf"bits\)\^2 = 274834944000 exceeds the budget {RATIONAL_HN_SERIES_BUDGET}$")
+    for refused in (lambda: weighted_perm_cycle_pmf([1e-300] + [1.0] * 59, 60, True),
+                    lambda: ModelSpec.weighted_perm([1e-300, 1.0], 60).pmf(rational=True)):
+        with pytest.raises(ValueError, match=message):
+            refused()
+
+
 # --- rates and residues ----------------------------------------------------------------
 
 def test_model_lambda_bernoulli_is_weight_sum():
@@ -485,7 +499,10 @@ def test_modelspec_binds_what_each_family_offers():
         assert ModelSpec.ewens(theta, n).tail() == theta * theta * zeta(2, theta + n)
     assert ModelSpec.weighted_perm([0.5, 2.0, 1.5], 3).alphabet(1e-9) == \
         Alphabet.ewens_limit(1.5, 1e-9)
-    assert ModelSpec.bernoulli([0.25, 0.5]).alphabet(1e-12).weights == (0.25, 0.5)
+    bernoulli = ModelSpec.bernoulli([0.25, 0.5])
+    assert bernoulli.alphabet(1e-12).weights == (0.25, 0.5)
+    # the finite alphabet reads no tolerance: one object, built and checked once
+    assert all(bernoulli.alphabet(t) is bernoulli.alphabet(1e-12) for t in (1e-3, 1e-9, 1.0))
     for spec in (ModelSpec.ewens(1.0, 5), ModelSpec.fq_poly(2, 4), ModelSpec.omega(10)):
         assert spec.alphabet(1e-12).weights == ()
     assert ModelSpec.fq_poly(2, 4).tail is None
@@ -518,6 +535,14 @@ def test_exact_total_is_checked_exactly():
     with pytest.raises(ValueError):
         SignedMeasure(0, short)
     assert Pmf(0, (Fraction(1, 2), Fraction(1, 2))).total == Fraction(1)
+
+
+def test_pmf_refuses_a_negative_mass_that_trimming_keeps():
+    # from_masses trims the zero edges only, and builds the measure from the rest
+    for masses in ((0.0, -0.25, 1.25, 0.0), (Fraction(0), Fraction(-1, 4), Fraction(5, 4))):
+        assert SignedMeasure.from_masses(0, masses).offset == 1
+        with pytest.raises(ValueError, match="^negative mass in a Pmf$"):
+            Pmf.from_masses(0, masses)
 
 
 def test_exact_masses_keep_tiny_edges_that_float_trims():

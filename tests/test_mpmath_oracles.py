@@ -119,9 +119,10 @@ def test_infinite_power_sums_against_mpmath(alphabet, oracle):
     assert worst <= alphabet.tolerance
 
 
-@pytest.mark.parametrize("theta", [1e-300, 1e-12, 1e-3, 40.0])
+@pytest.mark.parametrize("theta", [1e-300, 1e-12, 1e-3, 40.0, 1e20, 1e100, 1e160, 1e300])
 def test_ewens_power_sums_against_mpmath_down_to_tiny_theta(theta):
-    # p_k = sum_{j>=0} (theta/(theta+j))^k tends to 1 as theta -> 0
+    # p_k = sum_{j>=0} (theta/(theta+j))^k tends to 1 as theta -> 0, and is
+    # about theta/(k-1) for a huge theta, whose theta^k overflows
     values = power_sums(Alphabet.ewens_limit(theta), 8).values
     with mpmath.workdps(60):
         th = mpmath.mpf(theta)

@@ -50,8 +50,13 @@ def test_bench_kernels_adds_its_label_and_keeps_the_others(tmp_path):
                             "gamma_theta_cold", "zeta_k2to6_cold", "power_sums_ewens_6_cold",
                             "power_sums_omega_6_cold", "weighted_perm_250",
                             "weighted_perm_400", "weighted_perm_rational_60",
+                            "fq_factor_2_40", "fq_factor_2_60", "fold_rational_400",
+                            "weighted_perm_800", "residue_product_omega_2j_cold",
                             "omega_pmf_3e6"}
     assert all(k["best_s"] > 0.0 for k in kernels.values())
+    fresh = {"fq_factor_2_40", "fq_factor_2_60", "fold_rational_400", "weighted_perm_800",
+             "residue_product_omega_2j_cold", "omega_pmf_3e6"}
     assert {name: set(k) for name, k in kernels.items() if set(k) != {"best_s"}} == {
-        "omega_pmf_3e6": {"best_s", "peak_rss_mb"}}
+        name: {"best_s", "peak_rss_mb"} for name in fresh}
+    assert all(kernels[name]["peak_rss_mb"] >= 0.0 for name in fresh)
     assert kernels["omega_pmf_3e6"]["peak_rss_mb"] > 0.0

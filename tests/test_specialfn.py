@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from modpoisson.specialfn import (complex_log_gamma, cramer_bound_margin,
+from modpoisson.specialfn import (_STIRLING_COEFFS, complex_log_gamma, cramer_bound_margin,
                                   gamma_ratio_margin, hermite,
                                   hermite_explicit, hermite_multiplication)
 
@@ -93,6 +93,13 @@ def test_cramer_margins_nonnegative():
 
 
 # --- complex log gamma --------------------------------------------------------------
+
+def test_stirling_coefficients_are_the_series_literals():
+    # B_2k / (2k (2k-1)), k = 1..8 (DLMF 5.11.1), written out as fractions
+    assert _STIRLING_COEFFS == (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+                                1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0,
+                                -3617.0 / 122400.0)
+
 
 def test_log_gamma_integers():
     assert abs(complex_log_gamma(1.0)) < 1e-10  # Gamma(2) = 1
