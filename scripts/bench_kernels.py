@@ -17,11 +17,13 @@ at n = 250 (the size of perfbench's `pmf-weighted-perm` op) and 400, on
 theta_k uniform in [0.5, 2], and in the rational mode at n = 60, on the
 dyadic theta_k = (1 + 7k mod 13) / 8.
 
-The fixed-size kernels also get the growth of peak RSS over one call in a
-fresh interpreter, after the package's import, as a `modpoisson` process
-would see it: fq_factor_pmf at (q, n) = (2, 40) and (2, 60); the rational
-Bernoulli fold of the 400 weights theta/(theta + i), theta = 33/32, of a
-rational Ewens law; weighted_perm_cycle_pmf in the float mode at n = 800;
+The fixed-size kernels also get two peaks of one call in a fresh
+interpreter, after the package's import: the growth of peak RSS, as a
+`modpoisson` process would see it (0.0 when the call stays under the
+import's high-water mark: nothing was detected), and the tracemalloc peak
+of the call's own allocations.  They are fq_factor_pmf at (q, n) = (2, 40)
+and (2, 60); the rational Bernoulli fold of the 400 weights
+theta/(theta + i), theta = 33/32, of a rational Ewens law; weighted_perm_cycle_pmf in the float mode at n = 800;
 residue_product_eval of Alphabet.omega_limit() at z = 2i, cold; and
 omega_pmf at N = 3 * 10^6.
 Weights are seeded, so every run times the same inputs.
@@ -78,25 +80,33 @@ def cold(fn):
     return run
 
 
-#: one fixed-size kernel's call in a fresh interpreter: its peak RSS growth, in KB
-FRESH_RSS_CODE = """\
-import resource, sys
+#: one fixed-size kernel's call in a fresh interpreter: its peak RSS growth
+#: (ru_maxrss counts KB on Linux), or with traced its tracemalloc peak, in MB
+FRESH_PEAK_CODE = """\
+import resource, sys, tracemalloc
 sys.path.insert(0, {folder!r})
 from bench_kernels import fixed_jobs
 fn, args = fixed_jobs()[{name!r}]()
+if {traced}:
+    tracemalloc.start()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 fn(*args)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(tracemalloc.get_traced_memory()[1] / 2 ** 20 if {traced}
+      else (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 """
 
 
-def fresh_peak_rss_mb(name):
-    """Peak RSS growth of one call of the fixed-size kernel name in a fresh
-    interpreter, in MB (ru_maxrss counts KB on Linux)."""
-    code = FRESH_RSS_CODE.format(folder=str(Path(__file__).resolve().parent), name=name)
+def fresh_peak_mb(name, traced):
+    """Peak memory of one call of the fixed-size kernel name in a fresh
+    interpreter, in MB: the growth of peak RSS, which stays 0 while the call
+    fits under the import's high-water mark, or with traced the peak of the
+    allocations tracemalloc sees during the call (Python objects and numpy
+    buffers)."""
+    code = FRESH_PEAK_CODE.format(folder=str(Path(__file__).resolve().parent), name=name,
+                                  traced=traced)
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
-    return int(done.stdout) / 1024.0
+    return float(done.stdout)
 
 
 def zeta_values(ks, a):
@@ -166,7 +176,8 @@ def main():
     if args.repeat < 1 or args.verify_weights < 1:
         ap.error("--repeat and --verify-weights must be >= 1")
 
-    peak_rss_mb = {name: fresh_peak_rss_mb(name) for name in fixed_jobs()}
+    peaks = {name: {"peak_rss_mb": fresh_peak_mb(name, False),
+                    "peak_traced_mb": fresh_peak_mb(name, True)} for name in fixed_jobs()}
     jobs = kernel_jobs([int(n) for n in args.fold_sizes.split(",")], args.verify_weights)
     for fn, fn_args in jobs.values():  # warm caches and lazy set-up
         fn(*fn_args)
@@ -176,14 +187,15 @@ def main():
             best[name] = min(best[name], *(timed(fn, *fn_args) for _ in range(3)))
     for name, best_s in best.items():
         print(f"{name:>30}  {best_s * 1e3:9.3f} ms")
-    for name, growth in peak_rss_mb.items():
-        print(f"{name:>30}  {growth:9.3f} MB peak RSS growth (fresh process)")
+    for name, peak in peaks.items():
+        print(f"{name:>30}  {peak['peak_rss_mb']:9.3f} MB peak RSS growth, "
+              f"{peak['peak_traced_mb']:9.3f} MB traced peak (fresh process)")
 
     out = Path(args.out)
     results = json.loads(out.read_text()) if out.exists() else {}
     kernels = {name: {"best_s": best_s} for name, best_s in best.items()}
-    for name, growth in peak_rss_mb.items():
-        kernels[name]["peak_rss_mb"] = growth
+    for name, peak in peaks.items():
+        kernels[name].update(peak)
     results[args.label] = {
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "python": platform.python_version(),

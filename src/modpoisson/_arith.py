@@ -3,7 +3,6 @@ bases of the immutable records."""
 
 from __future__ import annotations
 
-import math
 from numbers import Integral
 
 import numpy as np
@@ -58,12 +57,6 @@ def mobius(n: int) -> int:
     if m > 1:
         result = -result
     return result
-
-
-def check_tolerance(tolerance):
-    """Refuse a tail tolerance that is not finite and positive."""
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance:g}")
 
 
 #: the Bernoulli numbers B_2, B_4, ..., B_24 as (numerator, denominator)

@@ -16,7 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from . import schemes, symfunc
-from ._arith import Frozen, check_tolerance
+from ._arith import Frozen
 from .models import ModelSpec, model_lambda
 
 __all__ = [
@@ -212,7 +212,8 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
 
     pmf = spec.pmf()
     lam = model_lambda(spec, tolerance)
-    check_tolerance(tolerance)  # a finite alphabet reads none, yet it is refused
+    if not 0.0 < tolerance < math.inf:  # a finite alphabet reads none, yet it is refused
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance:g}")
     alphabet = spec.alphabet(tolerance)
     orders = sorted({r for _, r in rows})
     ps = symfunc.power_sums(alphabet, max(2, orders[-1]))

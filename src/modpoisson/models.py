@@ -36,8 +36,8 @@ from numbers import Integral
 
 import numpy as np
 
-from ._arith import (EVEN_BERNOULLI, Frozen, check_tolerance, divisors, irreducible_count, mobius,
-                     prime_power_base, primes_up_to)
+from ._arith import (EVEN_BERNOULLI, Frozen, divisors, irreducible_count, mobius, prime_power_base,
+                     primes_up_to)
 from .symfunc import Alphabet, ToleranceError, zeta
 
 __all__ = [
@@ -68,10 +68,11 @@ _UNDERFLOW = 1e-320
 #: accepts: about 1 s on a 2-CPU x86-64 VM, reached by 400 float weights
 RATIONAL_FOLD_BUDGET = 10 ** 7
 #: largest work of the weighted-permutation h_n series on a 2-CPU x86-64
-#: VM: n^3 in the float mode (0.7 s at n = 2154) and n^3 x bits(d)^2 in the
-#: rational one, whose integers grow with the bits of d, the common
-#: denominator of the theta_k / k (0.9 s for dyadic weights at n = 125, 175
-#: bits, and 0.4 s for theta_1 = 1e-300 at n = 40, 1097 bits)
+#: VM: n^3 in the float mode (0.7 s at n = 2154) and n^3 x max(bits(d), n)^2
+#: in the rational one, whose integers grow with n and with the bits of d,
+#: the common denominator of the theta_k / k (0.9 s for dyadic weights at
+#: n = 125, 175 bits; 0.4 s for theta_1 = 1e-300 at n = 40, 1097 bits; 0.1 s
+#: for theta_k = k at n = 158, the largest n with d = 1 it accepts)
 HN_SERIES_BUDGET = 10 ** 10
 RATIONAL_HN_SERIES_BUDGET = 10 ** 11
 #: bounds on the scratch block of the float Bernoulli fold, which is twice
@@ -267,29 +268,22 @@ def bernoulli_sum_pmf(weights, rational: bool = False):
 
 # --- weighted permutations ---------------------------------------------------
 
-def _check_series(theta_seq, n, rational):
-    """Refuse an h_n series whose work is past its mode's budget, or a cycle
-    weight that is not finite and positive; return the common denominator d
-    of the theta_k / k, weights past theta_seq repeating its last one (1 in
-    the float mode).  As bits(d) >= 1, a size past the budget of n^3 alone
-    is refused before any weight is read."""
-    mode, budget = (("rational", RATIONAL_HN_SERIES_BUDGET) if rational
-                    else ("float", HN_SERIES_BUDGET))
-    if n ** 3 > budget:
-        raise ValueError(f"{mode} weighted-permutation series at n = {n}: n^3 = {n ** 3} "
-                         f"exceeds the budget {budget}")
-    if not all(0 < t < math.inf for t in theta_seq):
-        raise ValueError("cycle weights theta_k must be finite and positive")
-    if not rational:
-        return 1
-    weights = [Fraction(t) for t in theta_seq[:n]]
-    weights += weights[-1:] * (n - len(weights))
-    d = math.lcm(*((t / k).denominator for k, t in enumerate(weights, 1)))
-    cost = n ** 3 * d.bit_length() ** 2
-    if cost > budget:
-        raise ValueError(f"rational weighted-permutation series at n = {n}: n^3 x "
-                         f"(denominator bits)^2 = {cost} exceeds the budget {budget}")
-    return d
+def _check_series_budget(n, rational, bits=0):
+    """Refuse an h_n series whose work is past its mode's budget.
+
+    The rational mode's integers have about max(bits, n) bits, bits those of
+    d, the common denominator of the theta_k / k; bits = 0, before d is
+    known, checks the least such work, n^5, before any weight is read.
+    """
+    if rational:
+        cost = n ** 3 * max(bits, n) ** 2
+        if cost > RATIONAL_HN_SERIES_BUDGET:
+            raise ValueError(f"rational weighted-permutation series at n = {n}: n^3 x "
+                             f"max(bits(d), n)^2 = {cost} exceeds the budget "
+                             f"{RATIONAL_HN_SERIES_BUDGET}")
+    elif n ** 3 > HN_SERIES_BUDGET:
+        raise ValueError(f"float weighted-permutation series at n = {n}: n^3 = {n ** 3} "
+                         f"exceeds the budget {HN_SERIES_BUDGET}")
 
 
 def _homogeneous_polynomials(theta_seq, n, rational):
@@ -303,13 +297,17 @@ def _homogeneous_polynomials(theta_seq, n, rational):
     common denominator of the theta_k / k, and forms the Fractions
     [t^n] C^j / (j! d^j) only at the end, as the rational Bernoulli fold does.
     Work past HN_SERIES_BUDGET of n^3 (RATIONAL_HN_SERIES_BUDGET of
-    n^3 x bits(d)^2) is refused.
+    n^3 x max(bits(d), n)^2) is refused.
     """
-    d = _check_series(theta_seq, n, rational)
+    _check_series_budget(n, rational)
+    if not all(0 < t < math.inf for t in theta_seq):
+        raise ValueError("cycle weights theta_k must be finite and positive")
     if len(theta_seq) < n:
         raise ValueError(f"need theta_1..theta_{n}")
     if rational:
         g = [Fraction(t) / k for k, t in enumerate(theta_seq[:n], 1)]
+        d = math.lcm(*(c.denominator for c in g))
+        _check_series_budget(n, rational, d.bit_length())
         g = np.array([c.numerator * (d // c.denominator) for c in g], dtype=object)
     else:
         g = np.array(theta_seq[:n], dtype=float) / np.arange(1, n + 1)
@@ -486,7 +484,8 @@ def r_q(q: int, tolerance: float = 1e-12) -> float:
         raise ValueError(f"q must be an integer, got {q!r}")
     if q < 2:
         raise ValueError("q must be >= 2")
-    check_tolerance(tolerance)
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance:g}")
     total = 0.0
     for k in range(2, 2000):
         x = float(q) ** (1 - k)
@@ -535,8 +534,8 @@ class ModelSpec(Frozen):
     mod-Poisson rate (tolerance -> lam) and the limiting alphabet
     (tolerance -> Alphabet).  A Bernoulli sum's weights are those of its
     finite alphabet, built and checked once and returned at every
-    tolerance, which its law folds and its rate sums; Ewens also binds the corollary's default tail r_n (no
-    argument -> float).  The label is comma-free, so it stays a single CSV
+    tolerance, which its law folds and its rate sums; Ewens also binds the
+    corollary's default tail r_n (no argument -> float).  The label is comma-free, so it stays a single CSV
     field.  Specs compare by identity: the bound law carries parameters,
     such as the cycle weights, that no field holds.
     """
@@ -587,7 +586,7 @@ class ModelSpec(Frozen):
         big_k = math.fsum((t - theta) / k for k, t in enumerate(theta_seq, 1))
 
         def law(rational):
-            _check_series(theta_seq, n, rational)  # before the n weights are built
+            _check_series_budget(n, rational)  # before the n weights are built
             weights = theta_seq + (theta,) * (n - len(theta_seq))
             return weighted_perm_cycle_pmf(weights, n, rational=rational)
         return cls("weighted_perm", f"weighted_perm(n={n})", n, law,

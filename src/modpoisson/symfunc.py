@@ -28,8 +28,8 @@ from itertools import repeat
 
 import numpy as np
 
-from ._arith import (EVEN_BERNOULLI, Value, check_tolerance, irreducible_count, mobius,
-                     prime_power_base, primes_up_to)
+from ._arith import (EVEN_BERNOULLI, Value, irreducible_count, mobius, prime_power_base,
+                     primes_up_to)
 
 __all__ = [
     "Alphabet",
@@ -78,7 +78,8 @@ class Alphabet(Value):
     def __init__(self, kind, weights=(), theta=0.0, q=0, tolerance=1e-12):
         if kind not in ALPHABET_KINDS:
             raise ValueError(f"unknown alphabet kind {kind!r}")
-        check_tolerance(tolerance)
+        if not 0.0 < tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {tolerance:g}")
         if kind == "finite":
             array = np.asarray(weights)
             bad = np.flatnonzero(~((array >= 0.0) & (array <= 1.0)))
@@ -204,12 +205,18 @@ def zeta(s: float, a: float = 1.0) -> float:
     """
     if s < 2:
         raise ValueError("zeta tail scheme needs s >= 2")
+    return _euler_maclaurin(s, a, pow)
+
+
+def _euler_maclaurin(s: float, a: float, power) -> float:
+    """zeta's summation of sum_{j>=0} c (a+j)^-s, power(x, e) being c x^e
+    for one fixed c (c = 1 with power = pow)."""
     n = max(10, math.ceil(s + 10.0 - a))
     xs = list(map(operator.add, repeat(a), range(n + 1)))
     t = xs[n]
-    terms = list(map(pow, xs[:n], repeat(-s)))
-    terms += [t ** (1 - s) / (s - 1), 0.5 * t ** (-s)]
-    rising = s * t ** (-s - 1)  # s (s+1) ... (s+2k-2) t^(-s-2k+1) at k = 1
+    terms = list(map(power, xs[:n], repeat(-s)))
+    terms += [power(t, 1 - s) / (s - 1), 0.5 * power(t, -s)]
+    rising = s * power(t, -s - 1)  # s (s+1) ... (s+2k-2) t^(-s-2k+1) at k = 1
     inv_t2 = 1.0 / (t * t)
     for k, coeff in enumerate(_EULER_MACLAURIN_COEFFS, 1):
         terms.append(coeff * rising)
@@ -222,7 +229,7 @@ def zeta(s: float, a: float = 1.0) -> float:
         if e:
             u = s / x
             slope = u if j < n else 1.0 + u / 2.0 + u * (s + 1) / (12.0 * x)
-            terms.append(-e * x ** -s * slope)
+            terms.append(-e * power(x, -s) * slope)
     return math.fsum(terms)
 
 
@@ -232,26 +239,18 @@ _LOG_FLOAT_RANGE = 708.0
 
 
 def _scaled_zeta(s: float, a: float, theta: float) -> float:
-    """theta^s zeta(s, a) = sum_{j>=0} (theta/(a+j))^s, for 1 <= a and theta <= a.
+    """theta^s zeta(s, a) = sum_{j>=0} (theta/(a+j))^s, for 1 <= a, theta <= a
+    and an integer s.
 
     Where s log a passes _LOG_FLOAT_RANGE, the sum can be finite (about
     theta/(s-1) for a near theta) although theta^s or the terms of zeta are
-    not: there each term of zeta's Euler-Maclaurin sum is formed from
-    (theta/x)^s, at most 1.  Elsewhere it is the product theta^s zeta(s, a).
+    not: there zeta's summation forms theta^s x^e as (theta/x)^s x^(e+s),
+    whose first factor is at most 1.  Elsewhere it is the product
+    theta^s zeta(s, a).
     """
     if s * math.log(a) < _LOG_FLOAT_RANGE:
         return theta ** s * zeta(s, a)
-    n = max(10, math.ceil(s + 10.0 - a))
-    t = a + n
-    ratio = (theta / t) ** s
-    terms = [(theta / (a + j)) ** s for j in range(n)]
-    terms += [t * ratio / (s - 1), 0.5 * ratio]
-    rising = s * ratio / t
-    inv_t2 = 1.0 / (t * t)
-    for k, coeff in enumerate(_EULER_MACLAURIN_COEFFS, 1):
-        terms.append(coeff * rising)
-        rising *= (s + 2 * k - 1) * (s + 2 * k) * inv_t2
-    return math.fsum(terms)
+    return _euler_maclaurin(s, a, lambda x, e: (theta / x) ** s * x ** (e + s))
 
 
 def prime_zeta(s: float, tol: float = 1e-15) -> float:

@@ -388,7 +388,7 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
      "1000000000000000000000 exceeds the budget 10000000000"),
     # theta_1 = 1e-300 is a Fraction over 2^1049, and the series' integers grow with it
     (["pmf", "--model", "weighted-perm", "--theta-seq", "1e-300,1", "--n", "60", "--rational"],
-     "error: rational weighted-permutation series at n = 60: n^3 x (denominator bits)^2 = "
+     "error: rational weighted-permutation series at n = 60: n^3 x max(bits(d), n)^2 = "
      "274834944000 exceeds the budget 100000000000"),
     (["compare", "--model", "bernoulli", "--weights", IN_REGIME, "--r", "1:2",
       "--bound", "theorem-c", "--eps-n", "nan"], "eps_n"),

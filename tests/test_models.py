@@ -297,8 +297,9 @@ def test_omega_memory_budget():
 @pytest.mark.parametrize("rational, budget", [(False, HN_SERIES_BUDGET),
                                               (True, RATIONAL_HN_SERIES_BUDGET)])
 def test_weighted_perm_series_budget(rational, budget):
-    n = round(budget ** (1 / 3))
-    n += n ** 3 <= budget  # the least n past the budget
+    power = 5 if rational else 3  # a rational series' work is at least n^5
+    n = round(budget ** (1 / power))
+    n += n ** power <= budget  # the least n past the budget
     # refused before the n weights are read (the law) or built (the spec)
     for refused in (lambda: weighted_perm_cycle_pmf([1.0], n, rational),
                     lambda: ModelSpec.weighted_perm([1.0], n).pmf(rational)):
@@ -306,16 +307,21 @@ def test_weighted_perm_series_budget(rational, budget):
             refused()
 
 
-def test_rational_series_budget_counts_denominator_bits():
+def test_rational_series_budget_counts_integer_bits():
     # theta_1 = 1e-300 puts 1128 bits in the common denominator of the
-    # theta_k / k at n = 60; these dyadic weights put 175 bits at n = 125
+    # theta_k / k at n = 60; these dyadic weights put 175 bits at n = 125;
+    # integer weights put none, and their integers have about n bits
     dyadic = [Fraction(1 + 7 * k % 13, 8) for k in range(1, 126)]
     assert weighted_perm_cycle_pmf(dyadic, 125, rational=True).total == 1
     assert ModelSpec.weighted_perm([1e-300, 1.0], 40).pmf(rational=True).total == 1
-    message = (r"^rational weighted-permutation series at n = 60: n\^3 x \(denominator "
-               rf"bits\)\^2 = 274834944000 exceeds the budget {RATIONAL_HN_SERIES_BUDGET}$")
-    for refused in (lambda: weighted_perm_cycle_pmf([1e-300] + [1.0] * 59, 60, True),
-                    lambda: ModelSpec.weighted_perm([1e-300, 1.0], 60).pmf(rational=True)):
+    assert weighted_perm_cycle_pmf(range(1, 159), 158, rational=True).total == 1
+    for n, bits, refused in (
+            (60, 1128, lambda: weighted_perm_cycle_pmf([1e-300] + [1.0] * 59, 60, True)),
+            (60, 1128, lambda: ModelSpec.weighted_perm([1e-300, 1.0], 60).pmf(rational=True)),
+            (159, 159, lambda: weighted_perm_cycle_pmf(range(1, 160), 159, rational=True)),
+            (1000, 1000, lambda: weighted_perm_cycle_pmf(range(1, 1001), 1000, rational=True))):
+        message = (rf"^rational weighted-permutation series at n = {n}: n\^3 x max\(bits\(d\), "
+                   rf"n\)\^2 = {n ** 3 * bits ** 2} exceeds the budget {RATIONAL_HN_SERIES_BUDGET}$")
         with pytest.raises(ValueError, match=message):
             refused()
 

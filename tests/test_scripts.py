@@ -57,6 +57,7 @@ def test_bench_kernels_adds_its_label_and_keeps_the_others(tmp_path):
     fresh = {"fq_factor_2_40", "fq_factor_2_60", "fold_rational_400", "weighted_perm_800",
              "residue_product_omega_2j_cold", "omega_pmf_3e6"}
     assert {name: set(k) for name, k in kernels.items() if set(k) != {"best_s"}} == {
-        name: {"best_s", "peak_rss_mb"} for name in fresh}
+        name: {"best_s", "peak_rss_mb", "peak_traced_mb"} for name in fresh}
     assert all(kernels[name]["peak_rss_mb"] >= 0.0 for name in fresh)
     assert kernels["omega_pmf_3e6"]["peak_rss_mb"] > 0.0
+    assert all(kernels[name]["peak_traced_mb"] > 0.0 for name in fresh)
