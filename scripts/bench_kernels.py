@@ -23,7 +23,8 @@ interpreter, after the package's import: the growth of peak RSS, as a
 import's high-water mark: nothing was detected), and the tracemalloc peak
 of the call's own allocations.  They are fq_factor_pmf at (q, n) = (2, 40)
 and (2, 60); the rational Bernoulli fold of the 400 weights
-theta/(theta + i), theta = 33/32, of a rational Ewens law; weighted_perm_cycle_pmf in the float mode at n = 800;
+theta/(theta + i), theta = 33/32, of a rational Ewens law;
+weighted_perm_cycle_pmf in the float mode at n = 800;
 residue_product_eval of Alphabet.omega_limit() at z = 2i, cold; and
 omega_pmf at N = 3 * 10^6.
 Weights are seeded, so every run times the same inputs.

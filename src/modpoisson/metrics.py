@@ -185,11 +185,10 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     Every family uses the derived scheme of its limiting alphabet, which
     for Bernoulli sums is the finite alphabet of their weights.  chen-stein
     and lecam always refer to the order-0 scheme, emit a single row each
-    and read that alphabet (chen-stein its weights, lecam its sigma^2 =
-    sum p_i^2), so they apply only to a nonempty finite one (an infinite
-    kind holds no weights); the corollary takes tail_rn, else the spec's
-    default tail, else has no bound.  Rows with failing preconditions are
-    emitted with holds = None instead of raising.
+    and read their weights from that alphabet, so they apply only to a
+    nonempty finite one (an infinite kind holds none); the corollary takes
+    tail_rn, else the spec's default tail, else has no bound.  Rows with
+    failing preconditions are emitted with holds = None instead of raising.
     The per-r rows come first, then the order-0 ones, each group in the
     order of `which`; r_list, a sequence of orders, is read only when some
     per-r name is asked for.

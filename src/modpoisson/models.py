@@ -533,11 +533,11 @@ class ModelSpec(Frozen):
     the parameters and binds the exact law (rational -> measure), the
     mod-Poisson rate (tolerance -> lam) and the limiting alphabet
     (tolerance -> Alphabet).  A Bernoulli sum's weights are those of its
-    finite alphabet, built and checked once and returned at every
-    tolerance, which its law folds and its rate sums; Ewens also binds the
-    corollary's default tail r_n (no argument -> float).  The label is comma-free, so it stays a single CSV
-    field.  Specs compare by identity: the bound law carries parameters,
-    such as the cycle weights, that no field holds.
+    finite alphabet, built and checked once for every tolerance, which its
+    law folds and its rate sums; Ewens also binds the corollary's default
+    tail r_n (no argument -> float).  The label is comma-free, so it stays
+    a single CSV field.  Specs compare by identity: the bound law carries
+    parameters, such as the cycle weights, that no field holds.
     """
 
     __slots__ = ("family", "label", "n", "law", "rate", "alphabet", "tail")

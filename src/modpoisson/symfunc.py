@@ -221,11 +221,13 @@ def _euler_maclaurin(s: float, a: float, power) -> float:
     for k, coeff in enumerate(_EULER_MACLAURIN_COEFFS, 1):
         terms.append(coeff * rising)
         rising *= (s + 2 * k - 1) * (s + 2 * k) * inv_t2
-    # a + j rounds once it leaves the binade of a; its exact residual
-    # e = a - (x - j) enters to first order, through the derivative
-    # -s x^(-s-1) of a term and -s zeta(s+1, t) of the tail
+    # a + j rounds once it leaves the binade of a, and at any j once
+    # a > 2^53; its exact residual e (Knuth's TwoSum) enters to first
+    # order, through the derivative -s x^(-s-1) of a term and
+    # -s zeta(s+1, t) of the tail
     for j, x in enumerate(xs):
-        e = a - (x - j)
+        b = x - a
+        e = (a - (x - b)) + (j - b)
         if e:
             u = s / x
             slope = u if j < n else 1.0 + u / 2.0 + u * (s + 1) / (12.0 * x)

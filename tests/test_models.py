@@ -321,7 +321,8 @@ def test_rational_series_budget_counts_integer_bits():
             (159, 159, lambda: weighted_perm_cycle_pmf(range(1, 160), 159, rational=True)),
             (1000, 1000, lambda: weighted_perm_cycle_pmf(range(1, 1001), 1000, rational=True))):
         message = (rf"^rational weighted-permutation series at n = {n}: n\^3 x max\(bits\(d\), "
-                   rf"n\)\^2 = {n ** 3 * bits ** 2} exceeds the budget {RATIONAL_HN_SERIES_BUDGET}$")
+                   rf"n\)\^2 = {n ** 3 * bits ** 2} exceeds the budget "
+                   rf"{RATIONAL_HN_SERIES_BUDGET}$")
         with pytest.raises(ValueError, match=message):
             refused()
 

@@ -92,6 +92,14 @@ def test_hurwitz_zeta_against_independent_reference_over_a():
     assert worst <= 1e-15
 
 
+def test_hurwitz_zeta_past_2_53_against_independent_reference():
+    # past 2^53, a + j rounds at every j below the spacing of a, and only a
+    # TwoSum gives its exact residual; s stops where a^-s leaves the range
+    worst = max(_rel(zeta(s, a), _hurwitz_reference(s, a))
+                for a in (9.1e15, 2.7148547265657924e16, 1e17) for s in range(2, 19))
+    assert worst <= 1e-15
+
+
 def test_prime_zeta_against_mpmath():
     worst = max(_rel(prime_zeta(s), mpmath.primezeta(s)) for s in range(2, 61))
     assert worst <= 1e-15
