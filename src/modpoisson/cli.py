@@ -13,6 +13,7 @@ import argparse
 import atexit
 import gc
 import json
+import math
 import re
 import sys
 
@@ -189,6 +190,8 @@ def _named_alphabet(args) -> Alphabet:
 
 
 def _scheme_coeffs(args) -> ResidueCoeffs:
+    if not 0.0 < args.tolerance < math.inf:  # --weights and --b read none, yet it is refused
+        raise ValueError(f"tolerance must be finite and positive, got {args.tolerance:g}")
     weights = _collect_weights(args)
     if args.alphabet or weights is not None:
         if args.r is None:

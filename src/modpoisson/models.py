@@ -49,7 +49,6 @@ __all__ = [
     "weighted_perm_cycle_pmf",
     "weighted_perm_normalization",
     "ewens_cycle_pmf",
-    "gauss_irreducible_count",
     "fq_factor_pmf",
     "omega_values",
     "omega_pmf",
@@ -82,6 +81,12 @@ RATIONAL_HN_SERIES_BUDGET = 10 ** 11
 #: weights and more get the upper one: a fixed 32 KB block made folds of
 #: 2000-10^5 weights 10-25% slower.
 _FOLD_BLOCK_BYTES = (2 * 33 * 33 * 8, 128 * 1024)
+#: largest work of the F_q factor recursion: n^4 x b x max(b, 10^4), b = n x
+#: bits(q), at least the bits of q^n.  Its n^4 / 24 products of integers of up
+#: to b bits cost about linear in b below 10^4 bits and quadratic past it; the
+#: largest accepted sizes take 0.4-1.1 s on a 2-CPU x86-64 VM (q = 2 runs to
+#: n = 137, q = 2^64 to n = 68, q = 2^1000 to n = 31)
+FQ_RECURSION_BUDGET = 10 ** 15
 #: largest N the omega sieve accepts, at about 1 byte per integer
 OMEGA_SIEVE_BUDGET = 10 ** 8
 #: integers per block of the omega sieve's large primes and of its count:
@@ -300,17 +305,19 @@ def _homogeneous_polynomials(theta_seq, n, rational):
     n^3 x max(bits(d), n)^2) is refused.
     """
     _check_series_budget(n, rational)
+    if len(theta_seq) == 0:
+        raise ValueError("need at least theta_1")
     if not all(0 < t < math.inf for t in theta_seq):
         raise ValueError("cycle weights theta_k must be finite and positive")
-    if len(theta_seq) < n:
-        raise ValueError(f"need theta_1..theta_{n}")
+    thetas = list(theta_seq[:n])
+    thetas += thetas[-1:] * (n - len(thetas))
     if rational:
-        g = [Fraction(t) / k for k, t in enumerate(theta_seq[:n], 1)]
+        g = [Fraction(t) / k for k, t in enumerate(thetas, 1)]
         d = math.lcm(*(c.denominator for c in g))
         _check_series_budget(n, rational, d.bit_length())
         g = np.array([c.numerator * (d // c.denominator) for c in g], dtype=object)
     else:
-        g = np.array(theta_seq[:n], dtype=float) / np.arange(1, n + 1)
+        g = np.array(thetas, dtype=float) / np.arange(1, n + 1)
     power = np.zeros(n + 1, dtype=g.dtype)
     power[0] = 1  # G^0, from t^0 to t^n
     tops = [power[-1]]
@@ -327,7 +334,8 @@ def _homogeneous_polynomials(theta_seq, n, rational):
 def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
     """Cycle-count distribution under the weight prod_k theta_k^{m_k}.
 
-    pmf(j) = [w^j] h_n(w Theta) / h_n(Theta).
+    pmf(j) = [w^j] h_n(w Theta) / h_n(Theta); the weights theta_k past the
+    given theta_seq repeat its last one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -363,10 +371,6 @@ def ewens_cycle_pmf(theta, n: int, rational: bool = False):
 
 # --- polynomials over finite fields ------------------------------------------
 
-#: exact count of monic irreducible degree-n polynomials over F_q
-gauss_irreducible_count = irreducible_count
-
-
 def _one_minus_power_poly(k):
     """1 - (1-w)^k as an object row of Python int coefficients in w."""
     return np.array([0] + [(-1) ** (j + 1) * math.comb(k, j) for j in range(1, k + 1)],
@@ -382,12 +386,17 @@ def fq_factor_pmf(q: int, n: int, rational: bool = False):
     by np.convolve: f_m(w) counts the monic degree-m polynomials by number
     of distinct factors, so the division by m is exact (and checked).
     Checks the count identity f_n(1) = q^n and only then forms the rational
-    masses f_n / q^n.
+    masses f_n / q^n.  Work past FQ_RECURSION_BUDGET is refused first.
     """
     if prime_power_base(q) is None:
         raise ValueError("q must be a prime power >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
+    bits = n * int(q).bit_length()
+    cost = n ** 4 * bits * max(bits, 10 ** 4)
+    if cost > FQ_RECURSION_BUDGET:
+        raise ValueError(f"F_q factor recursion at q = {q}, n = {n}: n^4 x b x max(b, 10^4) = "
+                         f"{cost} exceeds the budget {FQ_RECURSION_BUDGET}, b = n x bits(q)")
     ls = [None]
     for m in range(1, n + 1):
         lm = np.zeros(m + 1, dtype=object)
@@ -584,12 +593,8 @@ class ModelSpec(Frozen):
             raise ValueError("cycle weights theta_k must be finite and positive")
         theta = theta_seq[-1]
         big_k = math.fsum((t - theta) / k for k, t in enumerate(theta_seq, 1))
-
-        def law(rational):
-            _check_series_budget(n, rational)  # before the n weights are built
-            weights = theta_seq + (theta,) * (n - len(theta_seq))
-            return weighted_perm_cycle_pmf(weights, n, rational=rational)
-        return cls("weighted_perm", f"weighted_perm(n={n})", n, law,
+        return cls("weighted_perm", f"weighted_perm(n={n})", n,
+                   lambda rational: weighted_perm_cycle_pmf(theta_seq, n, rational=rational),
                    _cycle_rate("weighted_perm", theta, n, big_k),
                    lambda tolerance: Alphabet.ewens_limit(theta, tolerance))
 

@@ -28,8 +28,8 @@ import numpy as np
 from .models import Pmf, SignedMeasure
 from .symfunc import Alphabet, ResidueCoeffs, residue_coeffs
 
-__all__ = ["SignedMeasure", "poisson_pmf", "scheme_measure", "scheme_measures",
-           "charlier_delta", "derived_scheme", "rectify_positive", "expect_via_scheme"]
+__all__ = ["poisson_pmf", "scheme_measure", "scheme_measures", "charlier_delta",
+           "derived_scheme", "rectify_positive", "expect_via_scheme"]
 
 #: Poisson masses are kept until they drop below this ...
 _POINTWISE_CUTOFF = 1e-18

@@ -300,7 +300,8 @@ def elementary_from_power(ps: PowerSums, rmax: int):
     k e_k = sum_i (-1)^(i-1) p_i e_(k-i).
 
     The recursion is the O(r^2) form of the partition-sum change of basis
-    encoded by E(z) = exp(-P(-z)).
+    encoded by E(z) = exp(-P(-z)).  An e_k past the float range, b_k of a
+    virtual specialization, raises OverflowError.
     """
     if rmax > ps.kmax:
         raise ValueError(f"rmax={rmax} exceeds available power sums (kmax={ps.kmax})")
@@ -311,7 +312,12 @@ def elementary_from_power(ps: PowerSums, rmax: int):
     signed = [-v if i % 2 else v for i, v in enumerate(p)]  # p_1, -p_2, p_3, ...
     e = [1.0]
     for k in range(1, rmax + 1):
-        e.append(math.fsum(map(operator.mul, signed[:k], reversed(e))) / k)
+        try:  # fsum refuses an overflowing sum and terms of +inf and -inf
+            e.append(math.fsum(map(operator.mul, signed[:k], reversed(e))) / k)
+        except (OverflowError, ValueError):
+            e.append(math.inf)
+        if not math.isfinite(e[k]):
+            raise OverflowError(f"residue coefficient b_{k} = e_{k} overflows the float range")
     return e
 
 

@@ -371,6 +371,8 @@ def test_compare_jsonl_matches_schema(capsys):
 IN_REGIME = ",".join(["0.01"] * 60)
 # 500 float weights: the rational fold's (n + 1) x denominator bits ~ 1.5e7
 FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
+# stands for a weights file that the test writes
+WEIGHTS_FILE = "<weights.csv>"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -386,6 +388,9 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
     (["pmf", "--model", "weighted-perm", "--theta-seq", "1", "--n", "10000000"],
      "error: float weighted-permutation series at n = 10000000: n^3 = "
      "1000000000000000000000 exceeds the budget 10000000000"),
+    (["pmf", "--model", "fq", "--q", "2", "--n", "1000"],
+     "error: F_q factor recursion at q = 2, n = 1000: n^4 x b x max(b, 10^4) = "
+     "20000000000000000000 exceeds the budget 1000000000000000, b = n x bits(q)"),
     # theta_1 = 1e-300 is a Fraction over 2^1049, and the series' integers grow with it
     (["pmf", "--model", "weighted-perm", "--theta-seq", "1e-300,1", "--n", "60", "--rational"],
      "error: rational weighted-permutation series at n = 60: n^3 x max(bits(d), n)^2 = "
@@ -412,6 +417,17 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
       "--tolerance", "inf"], "tolerance must be finite"),
     (["compare", "--model", "bernoulli", "--weights", "0.1,0.2", "--r", "1",
       "--tolerance", "-1"], "error: tolerance must be finite and positive, got -1"),
+    (["scheme", "--weights", "0.1,0.2", "--r", "2", "--lambda", "3", "--tolerance", "-1"],
+     "error: tolerance must be finite and positive, got -1"),
+    (["scheme", "--weights-file", WEIGHTS_FILE, "--r", "2", "--lambda", "3",
+      "--tolerance", "inf"], "error: tolerance must be finite and positive, got inf"),
+    (["scheme", "--b", "0,-0.1", "--lambda", "3", "--tolerance", "nan"],
+     "error: tolerance must be finite and positive, got nan"),
+    (["scheme", "--b2", "-0.1", "--lambda", "3", "--tolerance", "0"],
+     "error: tolerance must be finite and positive, got 0"),
+    # p_2 is about 1e300, so b_4 = p_2^2/8 - p_4/4 is past the float range
+    (["scheme", "--alphabet", "ewens", "--theta", "1e300", "--r", "8", "--lambda", "3"],
+     "error: residue coefficient b_4 = e_4 overflows the float range"),
     # the spec checks its weights even when the range is empty
     (["compare", "--model", "bernoulli", "--weights", "1.5", "--r", "4:3"],
      "error: finite weights must lie in [0, 1], got 1.5"),
@@ -426,14 +442,19 @@ FLOAT_WEIGHTS_500 = ",".join(repr(0.01 + i * 1e-5) for i in range(500))
     (["pmf", "--model", "omega"], "error: omega model needs --N"),
 ], ids=["ewens_theta_nan", "ewens_theta_inf", "theta_seq_inf", "theta_seq_nan_rational",
         "h_n_overflow", "rational_fold_over_budget", "h_n_over_budget",
-        "rational_h_n_over_budget", "eps_n_nan", "eps_n_negative",
+        "fq_over_budget", "rational_h_n_over_budget", "eps_n_nan", "eps_n_negative",
         "eps_n_negative_separate", "theta_minus_inf_separate", "rho_nan", "rho_inf",
         "tail_rn_nan", "tail_rn_negative", "fq_tolerance_inf", "omega_tolerance_inf",
-        "bernoulli_tolerance_negative", "bernoulli_weight_above_1_empty_range",
+        "bernoulli_tolerance_negative", "scheme_weights_tolerance_negative",
+        "scheme_weights_file_tolerance_inf", "scheme_b_tolerance_nan", "scheme_b2_tolerance_0",
+        "ewens_alphabet_b4_overflow", "bernoulli_weight_above_1_empty_range",
         "bernoulli_weight_nan", "bernoulli_no_weights", "bernoulli_empty_weights_rate",
         "weighted_perm_no_theta_seq",
         "fq_no_q", "omega_no_n"])
-def test_out_of_domain_parameters_are_one_error_line(args, message, capsys):
+def test_out_of_domain_parameters_are_one_error_line(args, message, tmp_path, capsys):
+    weights = tmp_path / "w.csv"
+    weights.write_text("0.1\n0.2\n")
+    args = [str(weights) if arg == WEIGHTS_FILE else arg for arg in args]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(args, capsys)

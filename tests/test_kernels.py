@@ -325,6 +325,20 @@ def test_omega_pmf_counts_within_the_peak_of_its_sieve():
     assert peaks[1] <= peaks[0] + models._OMEGA_BLOCK
 
 
+@pytest.mark.parametrize("rational", [False, True])
+def test_weighted_perm_spec_past_its_budget_is_refused_before_any_weight_is_built(rational):
+    # 10^7 padded weights would take 80 MB; the kernel's first check comes before them
+    spec = ModelSpec.weighted_perm([1.0], 10 ** 7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            spec.pmf(rational)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_omega_pmf_peak_memory_is_about_two_bytes_per_integer():
     omega_pmf(1000)  # warm-up: first-call allocations are not the sieve's
     tracemalloc.start()

@@ -10,6 +10,10 @@ Masses have one representation, the measure's read-only array.  No module
 builds a measure from a `.tolist()`, `tuple(...)` or `list(...)`
 conversion, or wraps a measure's `.masses` in `np.asarray` or `np.array`.
 
+Each library object has one public name: a module lists in `__all__`
+only the classes and functions it defines, and the package root binds
+none of them.
+
 Only the command touches the garbage collector (it freezes the heap at
 exit); the library leaves collection to its caller.
 
@@ -19,6 +23,7 @@ mutable SuiteResult refuses assignment and deletion after construction.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -27,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+import modpoisson
 from modpoisson.metrics import BoundReport
 from modpoisson.models import ModelSpec, Pmf, SignedMeasure
 from modpoisson.symfunc import Alphabet, PowerSums, ResidueCoeffs
@@ -190,3 +196,20 @@ def test_the_guard_sees_each_gc_reference():
     tree = ast.parse("import gc\nfrom gc import freeze\ngc.disable()\n"
                      "import gcd\nx.gc = 1\n")
     assert _gc_references(tree) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__.py"])
+def test_module_exports_only_what_it_defines(module):
+    mod = importlib.import_module(f"modpoisson.{module[:-3]}")
+    foreign = [name for name in getattr(mod, "__all__", ())
+               if callable(value := getattr(mod, name))
+               and getattr(value, "__module__", mod.__name__) != mod.__name__]
+    assert foreign == []
+
+
+def test_package_root_binds_only_its_version_and_submodules():
+    submodules = {module[:-3] for module in MODULES if module != "__init__.py"}
+    for name in submodules:
+        importlib.import_module(f"modpoisson.{name}")
+    assert {name for name in vars(modpoisson) if not name.startswith("__")} == submodules
+    assert isinstance(modpoisson.__version__, str)

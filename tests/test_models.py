@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpoisson.models import (EULER_GAMMA, HN_SERIES_BUDGET, OMEGA_SIEVE_BUDGET,
-                               RATIONAL_HN_SERIES_BUDGET, ModelSpec, Pmf,
-                               bernoulli_sum_pmf, empirical_residue, ewens_cycle_pmf,
-                               fq_factor_pmf, gamma_theta,
-                               gauss_irreducible_count, model_lambda,
-                               omega_pmf, omega_values, r_q,
-                               weighted_perm_cycle_pmf,
+from modpoisson.models import (EULER_GAMMA, FQ_RECURSION_BUDGET, HN_SERIES_BUDGET,
+                               OMEGA_SIEVE_BUDGET, RATIONAL_HN_SERIES_BUDGET, ModelSpec,
+                               Pmf, SignedMeasure, bernoulli_sum_pmf, empirical_residue,
+                               ewens_cycle_pmf, fq_factor_pmf, gamma_theta, model_lambda,
+                               omega_pmf, omega_values, r_q, weighted_perm_cycle_pmf,
                                weighted_perm_normalization)
+from modpoisson._arith import irreducible_count
 from modpoisson.metrics import chen_stein_bound, two_step_bound
-from modpoisson.schemes import SignedMeasure, charlier_delta, poisson_pmf, rectify_positive
+from modpoisson.schemes import charlier_delta, poisson_pmf, rectify_positive
 from modpoisson.specialfn import (cramer_bound_margin, hermite, hermite_explicit,
                                   hermite_multiplication)
 from modpoisson.suites import fq_factor_histogram_by_enumeration, residue_error, run_suite
@@ -99,6 +98,18 @@ def test_weighted_perm_rejects_nonpositive_weight():
         weighted_perm_cycle_pmf([1.0, 0.0], 2)
 
 
+@pytest.mark.parametrize("prefix, n", [([2.0, 1.0], 7), ([0.3, 3.0, 0.5, 1.7, 0.8], 40),
+                                       ([1.5], 12), ([1.0, 2.0, 0.5], 2)])
+def test_weighted_perm_weights_past_the_prefix_repeat_its_last_one(prefix, n):
+    padded = (prefix + prefix[-1:] * n)[:n]
+    got, want = weighted_perm_cycle_pmf(prefix, n), weighted_perm_cycle_pmf(padded, n)
+    assert got.offset == want.offset and got.masses.tobytes() == want.masses.tobytes()
+    got = weighted_perm_cycle_pmf(prefix, n, rational=True)
+    want = weighted_perm_cycle_pmf(padded, n, rational=True)
+    assert got.offset == want.offset and got.masses.tolist() == want.masses.tolist()
+    assert got.masses.dtype == object
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_weighted_perm_matches_exhaustive_enumeration(n):
     rng = np.random.default_rng(100 + n)
@@ -157,9 +168,9 @@ def test_feller_identity_up_to_n_200():
 # --- F_q polynomials ----------------------------------------------------------------
 
 def test_gauss_counts_small_cases():
-    assert gauss_irreducible_count(2, 1) == 2
-    assert gauss_irreducible_count(2, 2) == 1
-    assert gauss_irreducible_count(2, 4) == 3
+    assert irreducible_count(2, 1) == 2
+    assert irreducible_count(2, 2) == 1
+    assert irreducible_count(2, 4) == 3
 
 
 def test_gauss_counts_match_enumeration():
@@ -168,12 +179,12 @@ def test_gauss_counts_match_enumeration():
         # irreducibles of degree n are exactly the polys with one distinct
         # factor that are not proper powers of a lower-degree irreducible
         irreducible = hist[1] - sum(
-            gauss_irreducible_count(q, d) for d in range(1, n) if n % d == 0)
-        assert irreducible == gauss_irreducible_count(q, n)
+            irreducible_count(q, d) for d in range(1, n) if n % d == 0)
+        assert irreducible == irreducible_count(q, n)
 
 
 def test_gauss_counts_are_big_integers():
-    assert gauss_irreducible_count(2, 128) > 2 ** 120 // 128
+    assert irreducible_count(2, 128) > 2 ** 120 // 128
 
 
 def test_fq_linear_polynomials_are_irreducible():
@@ -228,7 +239,7 @@ def test_omega_120():
 
 
 @pytest.mark.parametrize("law, args, message", [
-    (weighted_perm_cycle_pmf, ([1.0, 2.0], 3), "need theta_1..theta_3"),
+    (weighted_perm_cycle_pmf, ([], 3), "need at least theta_1"),
     (weighted_perm_cycle_pmf, ([1.0], 0), "n must be >= 1"),
     (ewens_cycle_pmf, (1.0, 0), "n must be >= 1"),
     (ewens_cycle_pmf, (0.0, 3), "theta must be positive"),
@@ -241,7 +252,7 @@ def test_omega_120():
     (gamma_theta, (math.nan,), "theta must be positive and finite, got nan"),
     (fq_factor_pmf, (2, 0), "n must be >= 1"),
     (omega_pmf, (0,), "n_max must be >= 1"),
-], ids=["weighted_perm_short_theta", "weighted_perm_n0", "ewens_n0", "ewens_theta0",
+], ids=["weighted_perm_empty_theta", "weighted_perm_n0", "ewens_n0", "ewens_theta0",
         "ewens_theta_negative", "ewens_theta_inf", "ewens_theta_nan",
         "ewens_theta_inf_rational", "ewens_theta_nan_rational", "gamma_theta_inf",
         "gamma_theta_nan", "fq_n0", "omega_n0"])
@@ -251,9 +262,9 @@ def test_model_laws_refuse_arguments_outside_their_domain(law, args, message):
 
 
 @pytest.mark.parametrize("guarded, args, message", [
-    (gauss_irreducible_count, (1, 3), "need q >= 2 and n >= 1"),
-    (gauss_irreducible_count, (2.5, 3), "need integers q and n, got q = 2.5, n = 3"),
-    (gauss_irreducible_count, (4.0, 2), "need integers q and n, got q = 4.0, n = 2"),
+    (irreducible_count, (1, 3), "need q >= 2 and n >= 1"),
+    (irreducible_count, (2.5, 3), "need integers q and n, got q = 2.5, n = 3"),
+    (irreducible_count, (4.0, 2), "need integers q and n, got q = 4.0, n = 2"),
     (r_q, (1,), "q must be >= 2"),
     (r_q, (math.inf,), "q must be an integer, got inf"),
     (r_q, (2.5,), "q must be an integer, got 2.5"),
@@ -292,6 +303,19 @@ def test_omega_memory_budget():
     # refused before the sieve allocates anything
     with pytest.raises(ValueError, match="sieve memory budget"):
         omega_pmf(OMEGA_SIEVE_BUDGET + 1)
+
+
+def test_fq_recursion_budget():
+    # q = 2 runs to n = 137 in about 0.6 s; past the budget nothing is built
+    for q, n in ((2, 138), (2 ** 1000, 32), (7, 10 ** 6)):
+        bits = n * q.bit_length()
+        message = (rf"^F_q factor recursion at q = {q}, n = {n}: n\^4 x b x max\(b, 10\^4\) = "
+                   rf"{n ** 4 * bits * max(bits, 10 ** 4)} exceeds the budget "
+                   rf"{FQ_RECURSION_BUDGET}, b = n x bits\(q\)$")
+        for refused in (lambda: fq_factor_pmf(q, n, rational=True),
+                        lambda: ModelSpec.fq_poly(q, n).pmf()):
+            with pytest.raises(ValueError, match=message):
+                refused()
 
 
 @pytest.mark.parametrize("rational, budget", [(False, HN_SERIES_BUDGET),
@@ -447,7 +471,6 @@ def _fq_pgf_scalar(q, n, w):
     """E[w^(D_n)] by a scaled scalar recursion, independent of the
     coefficient-polynomial route: g_m = f_m(w)/q^m with
     m g_m = sum_k (L_k(w)/q^k) g_(m-k); every factor stays bounded."""
-    from modpoisson._arith import irreducible_count
     lvals = []
     for k in range(1, n + 1):
         acc = 0.0 + 0.0j

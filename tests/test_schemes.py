@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from modpoisson import schemes
 from modpoisson.metrics import total_variation
-from modpoisson.schemes import (SignedMeasure, charlier_delta, derived_scheme,
-                                expect_via_scheme, poisson_pmf,
-                                rectify_positive, scheme_measure,
+from modpoisson.models import SignedMeasure
+from modpoisson.schemes import (charlier_delta, derived_scheme, expect_via_scheme,
+                                poisson_pmf, rectify_positive, scheme_measure,
                                 scheme_measures)
 from modpoisson.symfunc import (Alphabet, ResidueCoeffs, residue_coeffs,
                                 residue_series_eval)

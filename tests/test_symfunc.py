@@ -137,6 +137,17 @@ def test_elementary_requires_enough_power_sums():
         elementary_from_power(PowerSums((1.0, 1.0)), 3)
 
 
+@pytest.mark.parametrize("values, k", [
+    ((0.0, 1e300, 0.0, 0.0), 4),     # p_2^2 / 8 overflows, as for Ewens at theta = 1e300
+    ((1e154, -1.7e308), 2),          # finite terms whose sum overflows
+    ((1e150, 0.5e300, 0.0), 3),      # terms of +inf and -inf
+], ids=["inf_term", "sum_overflow", "inf_minus_inf"])
+def test_elementary_names_the_first_coefficient_past_the_float_range(values, k):
+    with pytest.raises(OverflowError) as refused:
+        elementary_from_power(PowerSums(values), len(values))
+    assert str(refused.value) == f"residue coefficient b_{k} = e_{k} overflows the float range"
+
+
 @settings(deadline=None)
 @given(weight_lists)
 def test_newton_round_trip(weights):
