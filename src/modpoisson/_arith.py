@@ -91,9 +91,17 @@ def irreducible_count(q: int, n: int) -> int:
     return total // n
 
 
+#: the last trial divisor of `prime_power_base`: about 10 ms of divisions
+PRIME_POWER_TRIAL_BOUND = 2 ** 16
+
+
 def prime_power_base(q: int) -> int | None:
     """Return the prime p if q = p^e for some e >= 1, else None (also for a
-    q that is not an integer)."""
+    q that is not an integer).
+
+    Trial division stops at PRIME_POWER_TRIAL_BOUND, so a q from its square
+    on with no prime factor below it is refused with ValueError.
+    """
     if not isinstance(q, Integral) or q < 2:
         return None
     m, p = q, 2
@@ -102,6 +110,9 @@ def prime_power_base(q: int) -> int | None:
             while m % p == 0:
                 m //= p
             return p if m == 1 else None
+        if p == PRIME_POWER_TRIAL_BOUND:
+            raise ValueError(f"q = {q} has no prime factor below {p}; the prime-power test "
+                             f"decides such a q only below {p}^2 = {p * p}")
         p += 1
     return m  # q itself is prime
 

@@ -40,8 +40,9 @@ def _parse_float_list(text):
 def _parse_r_range(text):
     """'2' -> [2]; '0:4' -> [0, 1, 2, 3, 4]; '4:3' -> [] (empty sweep)."""
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = map(int, text.split(":", 1))
+        symfunc.check_order(hi)  # before the list of orders is built
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 
@@ -50,16 +51,43 @@ def _add_output_flags(p):
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
 
 
+def _dest(flag):
+    """argparse's own dest of a long flag: '--weights-file' -> 'weights_file'."""
+    return flag[2:].replace("-", "_")
+
+
+#: --model families but bernoulli (it reads one of two weight sources): constructor, flags
+_MODELS = {"ewens": (ModelSpec.ewens, ("--theta", "--n")),
+           "weighted-perm": (lambda seq, n: ModelSpec.weighted_perm(_parse_float_list(seq), n),
+                             ("--theta-seq", "--n")),
+           "fq": (ModelSpec.fq_poly, ("--q", "--n")),
+           "omega": (ModelSpec.omega, ("--N",))}
+
+#: --alphabet names: constructor, and the flags whose values precede the tolerance
+_ALPHABETS = {"harmonic": (Alphabet.harmonic, ()),
+              "omega": (Alphabet.omega_limit, ()),
+              "ewens": (Alphabet.ewens_limit, ("--theta",)),
+              "fq": (Alphabet.fq_limit, ("--q",))}
+
+
+def _from_table(table, name, what, args, *rest):
+    """table[name]'s constructor called with the values of its flags, then rest."""
+    make, flags = table[name]
+    values = [getattr(args, _dest(flag)) for flag in flags]
+    if None in values:
+        raise ValueError(f"{name} {what} needs {' and '.join(flags)}")
+    return make(*values, *rest)
+
+
 def _add_model_flags(p):
-    p.add_argument("--model", required=True,
-                   choices=("bernoulli", "ewens", "weighted-perm", "fq", "omega"))
+    p.add_argument("--model", required=True, choices=("bernoulli", *_MODELS))
     p.add_argument("--weights", help="comma-separated Bernoulli probabilities")
     p.add_argument("--weights-file", help="CSV file, one probability per line")
     p.add_argument("--theta", type=float)
     p.add_argument("--theta-seq", help="comma-separated cycle weights")
     p.add_argument("--n", type=int)
     p.add_argument("--q", type=int)
-    p.add_argument("--N", dest="big_n", type=int)
+    p.add_argument("--N", type=int)
 
 
 def _build_parser():
@@ -81,7 +109,7 @@ def _build_parser():
     p_scheme.add_argument("--b2", type=float, help="shorthand for b = (0, b2)")
     p_scheme.add_argument("--weights")
     p_scheme.add_argument("--weights-file")
-    p_scheme.add_argument("--alphabet", choices=("harmonic", "omega", "ewens", "fq"))
+    p_scheme.add_argument("--alphabet", choices=_ALPHABETS)
     p_scheme.add_argument("--theta", type=float)
     p_scheme.add_argument("--q", type=int)
     p_scheme.add_argument("--positive", action="store_true",
@@ -112,37 +140,22 @@ def _build_parser():
 
 
 def _model_from_args(args) -> ModelSpec:
-    if args.model == "bernoulli":
-        weights = _collect_weights(args)
-        if weights is None:
-            raise ValueError("bernoulli model needs --weights or --weights-file")
-        return ModelSpec.bernoulli(weights)
-    if args.model == "ewens":
-        if args.theta is None or args.n is None:
-            raise ValueError("ewens model needs --theta and --n")
-        return ModelSpec.ewens(args.theta, args.n)
-    if args.model == "weighted-perm":
-        if not args.theta_seq or args.n is None:
-            raise ValueError("weighted-perm model needs --theta-seq and --n")
-        return ModelSpec.weighted_perm(_parse_float_list(args.theta_seq), args.n)
-    if args.model == "fq":
-        if args.q is None or args.n is None:
-            raise ValueError("fq model needs --q and --n")
-        return ModelSpec.fq_poly(args.q, args.n)
-    if args.big_n is None:
-        raise ValueError("omega model needs --N")
-    return ModelSpec.omega(args.big_n)
+    if args.model != "bernoulli":
+        return _from_table(_MODELS, args.model, "model", args)
+    weights = _collect_weights(args)
+    if weights is None:
+        raise ValueError("bernoulli model needs --weights or --weights-file")
+    return ModelSpec.bernoulli(weights)
 
 
 #: the flags that each give a whole Bernoulli law or scheme: at most one per call
-_SOURCES = (("alphabet", "--alphabet"), ("weights", "--weights"),
-            ("weights_file", "--weights-file"), ("b", "--b"), ("b2", "--b2"))
+_SOURCES = ("--alphabet", "--weights", "--weights-file", "--b", "--b2")
 
 
 def _collect_weights(args):
     """The weights of --weights or --weights-file, or None; two sources of a
     law or of scheme coefficients are refused, never silently dropped."""
-    given = [flag for dest, flag in _SOURCES if getattr(args, dest, None) is not None]
+    given = [flag for flag in _SOURCES if getattr(args, _dest(flag), None) is not None]
     if len(given) > 1:
         raise ValueError(f"pass one of {given[0]} and {given[1]}, not both")
     if args.weights:
@@ -174,21 +187,6 @@ def _cmd_pmf(args) -> int:
     return 0
 
 
-def _named_alphabet(args) -> Alphabet:
-    tol = args.tolerance
-    if args.alphabet == "harmonic":
-        return Alphabet.harmonic(tol)
-    if args.alphabet == "omega":
-        return Alphabet.omega_limit(tol)
-    if args.alphabet == "ewens":
-        if args.theta is None:
-            raise ValueError("ewens alphabet needs --theta")
-        return Alphabet.ewens_limit(args.theta, tol)
-    if args.q is None:
-        raise ValueError("fq alphabet needs --q")
-    return Alphabet.fq_limit(args.q, tol)
-
-
 def _scheme_coeffs(args) -> ResidueCoeffs:
     if not 0.0 < args.tolerance < math.inf:  # --weights and --b read none, yet it is refused
         raise ValueError(f"tolerance must be finite and positive, got {args.tolerance:g}")
@@ -197,7 +195,8 @@ def _scheme_coeffs(args) -> ResidueCoeffs:
         if args.r is None:
             flag = "--alphabet" if args.alphabet else "--weights"
             raise ValueError(f"{flag} needs an explicit --r")
-        alphabet = _named_alphabet(args) if args.alphabet else Alphabet.finite(weights)
+        alphabet = (_from_table(_ALPHABETS, args.alphabet, "alphabet", args, args.tolerance)
+                    if args.alphabet else Alphabet.finite(weights))
         return symfunc.residue_coeffs(alphabet, args.r, args.lam)
     b = []
     if args.b:
@@ -207,6 +206,7 @@ def _scheme_coeffs(args) -> ResidueCoeffs:
     r = len(b) if args.r is None else args.r
     if r < 0:
         raise ValueError("r must be >= 0")
+    symfunc.check_order(r)
     b = (b + [0.0] * r)[:r]
     return ResidueCoeffs(args.lam, tuple(b))
 

@@ -216,7 +216,7 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     alphabet = spec.alphabet(tolerance)
     orders = sorted({r for _, r in rows})
     ps = symfunc.power_sums(alphabet, max(2, orders[-1]))
-    sigma2 = ps.sigma2
+    sigma2 = ps[1]
     rc = symfunc.virtual_residue_coeffs(ps, orders[-1], lam)
     tvs = {r: total_variation(pmf, nu)
            for r, nu in zip(orders, schemes.scheme_measures(rc, orders))}

@@ -331,6 +331,16 @@ def _homogeneous_polynomials(theta_seq, n, rational):
     return np.array(tops, dtype=g.dtype)
 
 
+def _normalization(coeffs):
+    """h_n(Theta), the sum of its coefficients [w^j] h_n(w Theta); a float sum
+    of 0 or inf is refused."""
+    norm = sum(coeffs.tolist())
+    if not 0 < norm < math.inf:
+        raise ValueError(f"h_n(Theta) = {norm} is outside the float range; "
+                         "use the rational mode")
+    return norm
+
+
 def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
     """Cycle-count distribution under the weight prod_k theta_k^{m_k}.
 
@@ -340,16 +350,12 @@ def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
     if n < 1:
         raise ValueError("n must be >= 1")
     coeffs = _homogeneous_polynomials(theta_seq, n, rational)
-    norm = sum(coeffs.tolist())
-    if not 0 < norm < math.inf:
-        raise ValueError(f"h_n(Theta) = {norm} is outside the float range; "
-                         "use the rational mode")
-    return Pmf.from_masses(0, coeffs / norm)
+    return Pmf.from_masses(0, coeffs / _normalization(coeffs))
 
 
 def weighted_perm_normalization(theta_seq, n: int, rational: bool = False):
     """h_n(Theta), the partition function of the weighted measure."""
-    return sum(_homogeneous_polynomials(theta_seq, n, rational).tolist())
+    return _normalization(_homogeneous_polynomials(theta_seq, n, rational))
 
 
 def ewens_cycle_pmf(theta, n: int, rational: bool = False):

@@ -33,9 +33,9 @@ from ._arith import (EVEN_BERNOULLI, Value, irreducible_count, mobius, prime_pow
 
 __all__ = [
     "Alphabet",
-    "PowerSums",
     "ResidueCoeffs",
     "ToleranceError",
+    "check_order",
     "power_sums",
     "elementary_from_power",
     "power_from_elementary",
@@ -56,6 +56,12 @@ _MIN_TOLERANCE = 1e-13
 #: relative error is 9.8e-15 at |z| = 2 and 1.6e-11, past the default
 #: tolerance, at |z| = 3
 OMEGA_RESIDUE_RADIUS = 2.0
+
+
+#: the highest scheme order: its zeta terms, Newton recursion and scheme window
+#: grow as r^2; on a 2-CPU VM each coefficient source of `scheme`, and
+#: `compare` over orders 0..r, end within 0.5 s at r = 1000 (1.0 s at 2000)
+MAX_ORDER = 1000
 
 
 class ToleranceError(ValueError):
@@ -116,30 +122,6 @@ class Alphabet(Value):
         return cls("fq_limit", q=int(q), tolerance=tolerance)
 
 
-class PowerSums(Value):
-    """Values p_1..p_K of the Newton power sums of some alphabet.
-
-    For the infinite kinds p_1 diverges and is stored as +inf; only the
-    virtual specialization (p_1 := 0) is ever consumed downstream.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        if len(values) < 2:
-            raise ValueError("power sums must extend at least to k = 2")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def kmax(self) -> int:
-        return len(self.values)
-
-    @property
-    def sigma2(self) -> float:
-        """Second power sum, the sigma^2 of the alphabet."""
-        return self.values[1]
-
-
 class ResidueCoeffs(Value):
     """Poisson rate plus residue expansion coefficients b_1..b_r.
 
@@ -161,26 +143,37 @@ class ResidueCoeffs(Value):
         return len(self.b)
 
 
-def power_sums(alphabet: Alphabet, kmax: int) -> PowerSums:
-    """p_1..p_kmax of any alphabet.
+def check_order(r: int) -> None:
+    """Refuse an order r past MAX_ORDER before any of its work is done."""
+    if r > MAX_ORDER:
+        raise ValueError(f"scheme order r = {r} exceeds the budget {MAX_ORDER}; "
+                         "its work grows as r^2")
+
+
+def power_sums(alphabet: Alphabet, kmax: int) -> tuple:
+    """The tuple p_1..p_kmax of any alphabet's power sums, kmax >= 2; p_2 is
+    the alphabet's sigma^2.
 
     A finite alphabet's are compensated sums p_k = sum_i a_i^k.  An infinite
     kind's are the tail of `_split` with an empty head (for theta = 1, the
     harmonic alphabet, p_k = zeta(k)); p_1 diverges for all of them and is
-    reported as +inf.
+    reported as +inf: only the virtual specialization (p_1 := 0) is consumed.
     """
+    if kmax < 2:
+        raise ValueError("power sums must extend at least to k = 2")
+    check_order(kmax)
     if alphabet.kind == "finite":
         if not alphabet.weights:
             raise ValueError("empty weight list")
-        return PowerSums(tuple(math.fsum(map(pow, alphabet.weights, repeat(k)))
-                               for k in range(1, kmax + 1)))
+        return tuple(math.fsum(map(pow, alphabet.weights, repeat(k)))
+                     for k in range(1, kmax + 1))
     if alphabet.tolerance < _MIN_TOLERANCE:
         raise ToleranceError(
             f"tolerance {alphabet.tolerance:g} is below the double-precision "
             f"floor {_MIN_TOLERANCE:g} of the tail-corrected series"
         )
     tail_power = _split(alphabet)[1]
-    return PowerSums((math.inf,) + tuple(tail_power(k) for k in range(2, kmax + 1)))
+    return (math.inf,) + tuple(tail_power(k) for k in range(2, kmax + 1))
 
 
 #: B_2k / (2k)!, k = 1..12: the Euler-Maclaurin coefficients of `zeta`
@@ -295,17 +288,17 @@ def _fq_degree_series(q: int, k: int, tol: float, first: int = 1) -> float:
     raise ToleranceError(f"fq power-sum series (q={q}, k={k}) did not reach {tol:g}")
 
 
-def elementary_from_power(ps: PowerSums, rmax: int):
-    """Elementary symmetric values e_0..e_rmax by the Newton recursion
-    k e_k = sum_i (-1)^(i-1) p_i e_(k-i).
+def elementary_from_power(ps, rmax: int):
+    """Elementary symmetric values e_0..e_rmax from the power sums p_1, p_2, ...
+    by the Newton recursion k e_k = sum_i (-1)^(i-1) p_i e_(k-i).
 
     The recursion is the O(r^2) form of the partition-sum change of basis
     encoded by E(z) = exp(-P(-z)).  An e_k past the float range, b_k of a
     virtual specialization, raises OverflowError.
     """
-    if rmax > ps.kmax:
-        raise ValueError(f"rmax={rmax} exceeds available power sums (kmax={ps.kmax})")
-    p = ps.values[:rmax]
+    if rmax > len(ps):
+        raise ValueError(f"rmax={rmax} exceeds available power sums (kmax={len(ps)})")
+    p = ps[:rmax]
     if any(not math.isfinite(v) for v in p):
         raise ValueError("power sums must be finite; use virtual_residue_coeffs "
                          "for infinite alphabets (p_1 -> 0)")
@@ -332,13 +325,14 @@ def power_from_elementary(e, kmax: int):
     return p
 
 
-def virtual_residue_coeffs(ps: PowerSums, rmax: int, lam: float) -> ResidueCoeffs:
-    """Residue coefficients b_s = e_s(A') of the specialization with p_1 = 0.
+def virtual_residue_coeffs(ps, rmax: int, lam: float) -> ResidueCoeffs:
+    """Residue coefficients b_s = e_s(A') of the specialization with p_1 = 0
+    of the power sums ps.
 
     b_1 = 0 by construction; b_2 = -p_2/2, b_3 = p_3/3,
     b_4 = p_2^2/8 - p_4/4, and so on through the Newton recursion.
     """
-    e = elementary_from_power(PowerSums((0.0,) + tuple(ps.values[1:])), rmax)
+    e = elementary_from_power((0.0, *ps[1:]), rmax)
     return ResidueCoeffs(lam=float(lam), b=tuple(e[1:]))
 
 
@@ -349,6 +343,7 @@ def residue_coeffs(alphabet: Alphabet, r: int, lam: float) -> ResidueCoeffs:
     """
     if r < 0:
         raise ValueError("r must be >= 0")
+    check_order(r)
     if r == 0 or (alphabet.kind == "finite" and not alphabet.weights):
         return ResidueCoeffs(lam, (0.0,) * r)
     return virtual_residue_coeffs(power_sums(alphabet, max(2, r)), r, lam)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from modpoisson import cli
 from modpoisson.cli import main
 from modpoisson.suites import SUITE_NAMES
 
@@ -440,6 +442,27 @@ WEIGHTS_FILE = "<weights.csv>"
      "error: weighted-perm model needs --theta-seq and --n"),
     (["pmf", "--model", "fq", "--n", "3"], "error: fq model needs --q and --n"),
     (["pmf", "--model", "omega"], "error: omega model needs --N"),
+    (["pmf", "--model", "ewens", "--n", "3"], "error: ewens model needs --theta and --n"),
+    (["scheme", "--alphabet", "fq", "--r", "2", "--lambda", "3"], "error: fq alphabet needs --q"),
+    # an empty --theta-seq is a sequence, and the spec refuses it
+    (["pmf", "--model", "weighted-perm", "--theta-seq=", "--n", "3"],
+     "error: weighted_perm needs n >= 1 and at least theta_1"),
+    # orders past the budget: power sums, the --b/--b2 padding, an empty
+    # alphabet's zeros and the list of a compare range are never built
+    (["scheme", "--alphabet", "harmonic", "--lambda", "3", "--r", "100000"],
+     "error: scheme order r = 100000 exceeds the budget 1000; its work grows as r^2"),
+    (["scheme", "--alphabet", "omega", "--lambda", "3", "--r", "1001"],
+     "error: scheme order r = 1001 exceeds the budget 1000; its work grows as r^2"),
+    (["scheme", "--b2", "-0.1", "--lambda", "3", "--r", "20000"],
+     "error: scheme order r = 20000 exceeds the budget 1000; its work grows as r^2"),
+    (["scheme", "--b", "0,-0.1", "--lambda", "3", "--r", "1001"],
+     "error: scheme order r = 1001 exceeds the budget 1000; its work grows as r^2"),
+    (["scheme", "--weights", ",", "--lambda", "3", "--r", "1000000"],
+     "error: scheme order r = 1000000 exceeds the budget 1000; its work grows as r^2"),
+    (["compare", "--model", "ewens", "--theta", "1", "--n", "50", "--r", "0:100000"],
+     "error: scheme order r = 100000 exceeds the budget 1000; its work grows as r^2"),
+    (["compare", "--model", "ewens", "--theta", "1", "--n", "50", "--r", "1001"],
+     "error: scheme order r = 1001 exceeds the budget 1000; its work grows as r^2"),
 ], ids=["ewens_theta_nan", "ewens_theta_inf", "theta_seq_inf", "theta_seq_nan_rational",
         "h_n_overflow", "rational_fold_over_budget", "h_n_over_budget",
         "fq_over_budget", "rational_h_n_over_budget", "eps_n_nan", "eps_n_negative",
@@ -450,7 +473,11 @@ WEIGHTS_FILE = "<weights.csv>"
         "ewens_alphabet_b4_overflow", "bernoulli_weight_above_1_empty_range",
         "bernoulli_weight_nan", "bernoulli_no_weights", "bernoulli_empty_weights_rate",
         "weighted_perm_no_theta_seq",
-        "fq_no_q", "omega_no_n"])
+        "fq_no_q", "omega_no_n", "ewens_no_theta", "fq_alphabet_no_q",
+        "weighted_perm_empty_theta_seq", "harmonic_order_past_budget",
+        "omega_order_one_past_budget", "b2_order_past_budget", "b_order_past_budget",
+        "empty_weights_order_past_budget", "compare_range_past_budget",
+        "compare_order_past_budget"])
 def test_out_of_domain_parameters_are_one_error_line(args, message, tmp_path, capsys):
     weights = tmp_path / "w.csv"
     weights.write_text("0.1\n0.2\n")
@@ -463,6 +490,47 @@ def test_out_of_domain_parameters_are_one_error_line(args, message, tmp_path, ca
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("args", [
+    ["scheme", "--alphabet", "fq", "--r", "2", "--lambda", "3"],
+    ["pmf", "--model", "fq", "--n", "2"],
+    ["compare", "--model", "fq", "--n", "2", "--r", "1"],
+], ids=["scheme_alphabet", "pmf", "compare"])
+def test_prime_power_test_of_a_large_q_ends_within_a_second(args, capsys):
+    # 2^61 - 1 is prime: trial division up to its square root takes minutes
+    def too_slow(signum, frame):
+        pytest.fail("the prime-power test of q = 2^61 - 1 ran past 1 s")
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, out, err = run_cli(args + ["--q", str(2 ** 61 - 1)], capsys)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (1, "")
+    assert err == ("error: q = 2305843009213693951 has no prime factor below 65536; the "
+                   "prime-power test decides such a q only below 65536^2 = 4294967296\n")
+
+
+def test_cli_choices_are_the_tables(capsys):
+    def choices(command, flag):
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        action = next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+        return tuple(action.choices)
+    assert choices("pmf", "--model") == choices("compare", "--model") == ("bernoulli", *cli._MODELS)
+    assert choices("scheme", "--alphabet") == tuple(cli._ALPHABETS)
+    # each entry's missing-flag message lists its own flags, whichever one is missing
+    for name, (_, flags) in cli._MODELS.items():
+        for given in [()] + [(flag,) for flag in flags[1:]]:
+            code, out, err = run_cli(["pmf", "--model", name] + [f"{f}=3" for f in given],
+                                     capsys)
+            assert (code, err) == (1, f"error: {name} model needs {' and '.join(flags)}\n")
+    for name, (_, flags) in cli._ALPHABETS.items():
+        if flags:
+            code, out, err = run_cli(["scheme", "--alphabet", name, "--r", "1",
+                                      "--lambda", "2"], capsys)
+            assert (code, err) == (1, f"error: {name} alphabet needs {' and '.join(flags)}\n")
 
 
 def test_memory_error_is_one_error_line(monkeypatch, capsys):

@@ -35,7 +35,7 @@ from modpoisson.models import (RATIONAL_FOLD_BUDGET, ModelSpec, Pmf, bernoulli_s
                                weighted_perm_normalization)
 from modpoisson.schemes import poisson_pmf, scheme_measures
 from modpoisson.suites import SuiteResult, random_bernoulli_instances
-from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet, PowerSums,
+from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet,
                                 elementary_from_power, power_sums,
                                 residue_coeffs, residue_product_eval)
 from oracles import (reference_bernoulli_fold_float, reference_bernoulli_rational_pmf,
@@ -402,7 +402,7 @@ Z_GRID = [radius * cmath.exp(1j * angle) for radius in (0.0, 0.3, 1.0, 2.5, 7.0,
 
 @pytest.mark.parametrize("alphabet", INFINITE_ALPHABETS.values(), ids=INFINITE_ALPHABETS)
 def test_infinite_power_sums_match_per_kind_formulas(alphabet):
-    got = power_sums(alphabet, 40).values
+    got = power_sums(alphabet, 40)
     assert got == reference_power_sums_infinite(alphabet, 40)
 
 
@@ -448,10 +448,10 @@ def _seeded_weight_sets():
 def test_map_power_and_newton_sums_match_the_generator_forms():
     for weights in _seeded_weight_sets():
         ps = power_sums(Alphabet.finite(weights), 30)
-        assert ps.values == _generator_power_sums(weights, 30)
-        signed = (0.0,) + ps.values[1:]  # the virtual alphabet too, whose p_1 is 0
-        for values in (ps.values, signed):
-            assert elementary_from_power(PowerSums(values), 30) == \
+        assert ps == _generator_power_sums(weights, 30)
+        signed = (0.0,) + ps[1:]  # the virtual alphabet too, whose p_1 is 0
+        for values in (ps, signed):
+            assert elementary_from_power(values, 30) == \
                 _generator_elementary(values, 30)
 
 

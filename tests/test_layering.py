@@ -35,7 +35,7 @@ import pytest
 import modpoisson
 from modpoisson.metrics import BoundReport
 from modpoisson.models import ModelSpec, Pmf, SignedMeasure
-from modpoisson.symfunc import Alphabet, PowerSums, ResidueCoeffs
+from modpoisson.symfunc import Alphabet, ResidueCoeffs
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "modpoisson"
 LAYERS = ("metrics.py", "schemes.py", "suites.py", "cli.py", "io.py")
@@ -151,7 +151,6 @@ def test_importing_the_command_leaves_dataclasses_unimported():
 
 IMMUTABLE_RECORDS = {
     "Alphabet": Alphabet.finite([0.25, 0.5]),
-    "PowerSums": PowerSums((1.0, 0.5)),
     "ResidueCoeffs": ResidueCoeffs(2.0, (0.0, -0.125)),
     "SignedMeasure": SignedMeasure(0, (-0.25, 1.25)),
     "Pmf": Pmf(1, (Fraction(1, 4), Fraction(3, 4))),

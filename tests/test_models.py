@@ -14,7 +14,7 @@ from modpoisson.models import (EULER_GAMMA, FQ_RECURSION_BUDGET, HN_SERIES_BUDGE
                                ewens_cycle_pmf, fq_factor_pmf, gamma_theta, model_lambda,
                                omega_pmf, omega_values, r_q, weighted_perm_cycle_pmf,
                                weighted_perm_normalization)
-from modpoisson._arith import irreducible_count
+from modpoisson._arith import PRIME_POWER_TRIAL_BOUND, irreducible_count, prime_power_base
 from modpoisson.metrics import chen_stein_bound, two_step_bound
 from modpoisson.schemes import charlier_delta, poisson_pmf, rectify_positive
 from modpoisson.specialfn import (cramer_bound_margin, hermite, hermite_explicit,
@@ -127,6 +127,17 @@ def test_weighted_perm_normalization_matches_ewens_closed_product():
             h = weighted_perm_normalization([theta] * n, n)
             closed = math.prod(1.0 + (theta - 1.0) / i for i in range(1, n + 1))
             assert h == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta_seq, norm", [([1e308, 1e308], "inf"), ([5e-324, 5e-324], "0.0")],
+                         ids=["overflow", "underflow"])
+def test_weighted_perm_normalization_refuses_what_the_pmf_refuses(theta_seq, norm):
+    message = f"h_n(Theta) = {norm} is outside the float range; use the rational mode"
+    for refused in (weighted_perm_normalization, weighted_perm_cycle_pmf):
+        with pytest.raises(ValueError) as caught:
+            refused(theta_seq, 2)
+        assert str(caught.value) == message
+    assert weighted_perm_normalization(theta_seq, 2, rational=True) > 0
 
 
 # --- Ewens measure ----------------------------------------------------------------
@@ -316,6 +327,22 @@ def test_fq_recursion_budget():
                         lambda: ModelSpec.fq_poly(q, n).pmf()):
             with pytest.raises(ValueError, match=message):
                 refused()
+
+
+def test_prime_power_test_decides_below_its_trial_bound():
+    bound = PRIME_POWER_TRIAL_BOUND
+    # 65521 is the largest prime below 2^16 and 4294967291 the largest below 2^32
+    for q, base in ((2, 2), (3, 3), (4, 2), (7, 7), (9, 3), (6, None), (2 ** 64, 2),
+                    (2 ** 1000, 2), (6 * 2 ** 1000, None), (65521 ** 2, 65521),
+                    (4294967291, 4294967291), (3 ** 40, 3), (2.0, None), (1, None)):
+        assert prime_power_base(q) == base
+    # 65537^2 is a prime power and 2^61 - 1 a prime, but neither has a factor below 2^16
+    for q in (65537 ** 2, 2 ** 61 - 1):
+        with pytest.raises(ValueError) as caught:
+            prime_power_base(q)
+        assert str(caught.value) == (f"q = {q} has no prime factor below {bound}; the "
+                                     f"prime-power test decides such a q only below "
+                                     f"{bound}^2 = {bound ** 2}")
 
 
 @pytest.mark.parametrize("rational, budget", [(False, HN_SERIES_BUDGET),

@@ -122,7 +122,7 @@ def _fq_side_sum(q, k):
       for q in (2, 3, 4, 9)],
 ])
 def test_infinite_power_sums_against_mpmath(alphabet, oracle):
-    values = power_sums(alphabet, 40).values
+    values = power_sums(alphabet, 40)
     worst = max(_rel(values[k - 1], oracle(k)) for k in range(2, 41))
     assert worst <= alphabet.tolerance
 
@@ -131,7 +131,7 @@ def test_infinite_power_sums_against_mpmath(alphabet, oracle):
 def test_ewens_power_sums_against_mpmath_down_to_tiny_theta(theta):
     # p_k = sum_{j>=0} (theta/(theta+j))^k tends to 1 as theta -> 0, and is
     # about theta/(k-1) for a huge theta, whose theta^k overflows
-    values = power_sums(Alphabet.ewens_limit(theta), 8).values
+    values = power_sums(Alphabet.ewens_limit(theta), 8)
     with mpmath.workdps(60):
         th = mpmath.mpf(theta)
         worst = max(_rel(values[k - 1], th ** k * mpmath.zeta(k, th)) for k in range(2, 9))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modpoisson._arith import EVEN_BERNOULLI
-from modpoisson.symfunc import (Alphabet, PowerSums, ResidueCoeffs,
+from modpoisson.symfunc import (MAX_ORDER, Alphabet, ResidueCoeffs,
                                 ToleranceError, elementary_from_power,
                                 power_from_elementary, power_sums, prime_zeta,
                                 residue_coeffs, residue_product_eval, residue_series_eval,
@@ -26,17 +26,17 @@ weight_lists = st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1,
 
 def test_power_sums_single_weight():
     ps = power_sums(Alphabet.finite([0.5]), 4)
-    assert ps.values == pytest.approx((0.5, 0.25, 0.125, 0.0625), abs=1e-15)
+    assert ps == pytest.approx((0.5, 0.25, 0.125, 0.0625), abs=1e-15)
 
 
 def test_power_sums_unit_weights():
-    assert power_sums(Alphabet.finite([1.0, 1.0, 1.0]), 2).values == (3.0, 3.0)
+    assert power_sums(Alphabet.finite([1.0, 1.0, 1.0]), 2) == (3.0, 3.0)
 
 
 def test_power_sums_partial_harmonic_approaches_zeta2():
     n = 1000
     ps = power_sums(Alphabet.finite([1.0 / i for i in range(1, n + 1)]), 2)
-    assert abs(ps.sigma2 - math.pi ** 2 / 6.0) < 1.0 / n
+    assert abs(ps[1] - math.pi ** 2 / 6.0) < 1.0 / n
 
 
 def test_power_sums_rejects_bad_input():
@@ -52,16 +52,16 @@ def test_harmonic_power_sums_match_independent_zeta():
     ps = power_sums(Alphabet.harmonic(), 4)
     # independent partial-sum + integral-tail evaluation of zeta(2)
     oracle = zeta_partial_with_tail(2, 100000)
-    assert abs(ps.sigma2 - oracle) < 1e-12
-    assert abs(ps.sigma2 - math.pi ** 2 / 6.0) < 1e-12
-    assert abs(ps.values[2] - zeta_partial_with_tail(3, 100000)) < 1e-12
+    assert abs(ps[1] - oracle) < 1e-12
+    assert abs(ps[1] - math.pi ** 2 / 6.0) < 1e-12
+    assert abs(ps[2] - zeta_partial_with_tail(3, 100000)) < 1e-12
 
 
 def test_ewens_limit_one_is_harmonic():
     pa = power_sums(Alphabet.ewens_limit(1.0), 12)
     pb = power_sums(Alphabet.harmonic(), 12)
     for k in range(2, 13):
-        assert abs(pa.values[k - 1] - pb.values[k - 1]) < 1e-13
+        assert abs(pa[k - 1] - pb[k - 1]) < 1e-13
 
 
 def test_omega_limit_adds_prime_zeta():
@@ -74,7 +74,7 @@ def test_omega_limit_adds_prime_zeta():
             sieve[p * p:: p] = False
     primes = np.nonzero(sieve)[0].astype(float)
     brute = float(np.sum(primes ** -2.0))
-    excess = ps.sigma2 - zeta_partial_with_tail(2, 100000)
+    excess = ps[1] - zeta_partial_with_tail(2, 100000)
     assert brute <= excess <= brute + 1.1e-6
     assert abs(excess - 0.4522474200410655) < 1e-9
 
@@ -83,11 +83,11 @@ def test_fq_limit_power_sums():
     ps = power_sums(Alphabet.fq_limit(2), 3)
     # the degree side dominates: I_2(1)=2 linear + I_2(2)=1 quadratic + ...
     head = 2 * 0.25 + 1 * 0.0625 + 2 * 4.0 ** -3 + 3 * 4.0 ** -4
-    excess = ps.sigma2 - zeta(2)
+    excess = ps[1] - zeta(2)
     assert excess > head
     # tail past degree 4 is below sum_{m>=5} 2^-m / m <= 2^-4 / 5
     assert excess < head + 2.0 ** -4 / 5.0
-    assert ps.values[2] > zeta(3)
+    assert ps[2] > zeta(3)
 
 
 def test_infinite_power_sums_reject_unreachable_tolerance():
@@ -113,28 +113,28 @@ def test_even_bernoulli_table_satisfies_the_bernoulli_recurrence():
 @given(weight_lists)
 def test_power_sums_non_increasing_for_unit_box_weights(weights):
     ps = power_sums(Alphabet.finite(weights), 8)
-    assert all(a >= b - 1e-15 for a, b in zip(ps.values, ps.values[1:]))
+    assert all(a >= b - 1e-15 for a, b in zip(ps, ps[1:]))
 
 
 # --- Newton identities --------------------------------------------------------
 
 def test_elementary_zero_alphabet():
-    assert elementary_from_power(PowerSums((0.0, 0.0)), 2) == [1.0, 0.0, 0.0]
+    assert elementary_from_power((0.0, 0.0), 2) == [1.0, 0.0, 0.0]
 
 
 def test_elementary_single_weight_kills_e2():
-    e = elementary_from_power(PowerSums((0.5, 0.25)), 2)
+    e = elementary_from_power((0.5, 0.25), 2)
     assert e == pytest.approx([1.0, 0.5, 0.0], abs=1e-15)
 
 
 def test_elementary_unit_weights_are_binomials():
-    e = elementary_from_power(PowerSums((3.0, 3.0, 3.0)), 3)
+    e = elementary_from_power((3.0, 3.0, 3.0), 3)
     assert e == pytest.approx([1.0, 3.0, 3.0, 1.0], abs=1e-12)
 
 
 def test_elementary_requires_enough_power_sums():
     with pytest.raises(ValueError):
-        elementary_from_power(PowerSums((1.0, 1.0)), 3)
+        elementary_from_power((1.0, 1.0), 3)
 
 
 @pytest.mark.parametrize("values, k", [
@@ -144,7 +144,7 @@ def test_elementary_requires_enough_power_sums():
 ], ids=["inf_term", "sum_overflow", "inf_minus_inf"])
 def test_elementary_names_the_first_coefficient_past_the_float_range(values, k):
     with pytest.raises(OverflowError) as refused:
-        elementary_from_power(PowerSums(values), len(values))
+        elementary_from_power(values, len(values))
     assert str(refused.value) == f"residue coefficient b_{k} = e_{k} overflows the float range"
 
 
@@ -157,7 +157,7 @@ def test_newton_round_trip(weights):
     back = power_from_elementary(e, kmax)
     scale = max(1.0, kmax * max(abs(v) for v in e))  # conditioning of the recursion
     for k in range(kmax):
-        assert abs(back[k] - ps.values[k]) <= 1e-12 * scale
+        assert abs(back[k] - ps[k]) <= 1e-12 * scale
 
 
 # --- virtual residue coefficients ----------------------------------------------
@@ -182,7 +182,7 @@ def test_virtual_coeffs_b1_is_exactly_zero(weights):
 
 
 def test_virtual_coeffs_empty_alphabet_residue_is_one():
-    rc = virtual_residue_coeffs(PowerSums((0.0, 0.0, 0.0, 0.0)), 4, 1.0)
+    rc = virtual_residue_coeffs((0.0, 0.0, 0.0, 0.0), 4, 1.0)
     assert all(b == 0.0 for b in rc.b)
 
 
@@ -192,7 +192,7 @@ def test_coefficient_decay_bound(weights):
     ps = power_sums(Alphabet.finite(weights), 30)
     rc = virtual_residue_coeffs(ps, 30, 1.0)
     for s in range(2, 31):
-        cap = (math.e * ps.sigma2 / s) ** (s / 2.0)
+        cap = (math.e * ps[1] / s) ** (s / 2.0)
         assert abs(rc.b[s - 1]) <= cap + 1e-12
 
 
@@ -204,6 +204,19 @@ def test_residue_coeffs_order_zero_empty_alphabet_and_negative_order():
     for alphabet in (Alphabet.finite([0.5]), Alphabet.omega_limit()):
         with pytest.raises(ValueError, match="r must be >= 0"):
             residue_coeffs(alphabet, -1, 2.0)
+
+
+def test_orders_past_the_budget_are_refused_before_any_work():
+    r = MAX_ORDER + 1
+    message = f"scheme order r = {r} exceeds the budget {MAX_ORDER}; its work grows as r^2"
+    # an empty alphabet's zeros and an unreachable tolerance are never reached
+    for refused in (lambda: power_sums(Alphabet.harmonic(1e-20), r),
+                    lambda: residue_coeffs(Alphabet.finite(()), r, 2.0),
+                    lambda: residue_coeffs(Alphabet.omega_limit(), r, 2.0)):
+        with pytest.raises(ValueError) as caught:
+            refused()
+        assert str(caught.value) == message
+    assert len(residue_coeffs(Alphabet.finite([0.5]), MAX_ORDER, 2.0).b) == MAX_ORDER
 
 
 @pytest.mark.parametrize("alphabet, chain", [
@@ -220,9 +233,9 @@ def test_residue_coeffs_match_the_explicit_chain(alphabet, chain):
 def test_power_sums_dispatch_on_the_alphabet_kind():
     # one power_sums serves both kinds: compensated sums of a finite
     # alphabet's weights, and the closed forms of an infinite kind with p_1 = inf
-    assert power_sums(Alphabet.finite([0.5, 0.25]), 3).values == tuple(
+    assert power_sums(Alphabet.finite([0.5, 0.25]), 3) == tuple(
         math.fsum((0.5 ** k, 0.25 ** k)) for k in (1, 2, 3))
-    assert (power_sums(Alphabet.ewens_limit(2.5), 4).values
+    assert (power_sums(Alphabet.ewens_limit(2.5), 4)
             == reference_power_sums_infinite(Alphabet.ewens_limit(2.5), 4))
     with pytest.raises(ValueError):
         power_sums(Alphabet.finite(()), 2)
