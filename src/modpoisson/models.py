@@ -331,14 +331,17 @@ def _homogeneous_polynomials(theta_seq, n, rational):
     return np.array(tops, dtype=g.dtype)
 
 
-def _normalization(coeffs):
-    """h_n(Theta), the sum of its coefficients [w^j] h_n(w Theta); a float sum
-    of 0 or inf is refused."""
+def _weighted_perm_series(theta_seq, n, rational):
+    """The coefficients [w^j] h_n(w Theta), j = 0..n, and their sum h_n(Theta),
+    for n >= 1; a float sum of 0 or inf is refused."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    coeffs = _homogeneous_polynomials(theta_seq, n, rational)
     norm = sum(coeffs.tolist())
     if not 0 < norm < math.inf:
         raise ValueError(f"h_n(Theta) = {norm} is outside the float range; "
                          "use the rational mode")
-    return norm
+    return coeffs, norm
 
 
 def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
@@ -347,15 +350,13 @@ def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
     pmf(j) = [w^j] h_n(w Theta) / h_n(Theta); the weights theta_k past the
     given theta_seq repeat its last one.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coeffs = _homogeneous_polynomials(theta_seq, n, rational)
-    return Pmf.from_masses(0, coeffs / _normalization(coeffs))
+    coeffs, norm = _weighted_perm_series(theta_seq, n, rational)
+    return Pmf.from_masses(0, coeffs / norm)
 
 
 def weighted_perm_normalization(theta_seq, n: int, rational: bool = False):
     """h_n(Theta), the partition function of the weighted measure."""
-    return _normalization(_homogeneous_polynomials(theta_seq, n, rational))
+    return _weighted_perm_series(theta_seq, n, rational)[1]
 
 
 def ewens_cycle_pmf(theta, n: int, rational: bool = False):

@@ -129,15 +129,19 @@ def test_weighted_perm_normalization_matches_ewens_closed_product():
             assert h == pytest.approx(closed, rel=1e-12)
 
 
-@pytest.mark.parametrize("theta_seq, norm", [([1e308, 1e308], "inf"), ([5e-324, 5e-324], "0.0")],
-                         ids=["overflow", "underflow"])
-def test_weighted_perm_normalization_refuses_what_the_pmf_refuses(theta_seq, norm):
-    message = f"h_n(Theta) = {norm} is outside the float range; use the rational mode"
+@pytest.mark.parametrize("theta_seq, n, message", [
+    ([1e308, 1e308], 2, "h_n(Theta) = inf is outside the float range; use the rational mode"),
+    ([5e-324, 5e-324], 2, "h_n(Theta) = 0.0 is outside the float range; use the rational mode"),
+    ([1.0], 0, "n must be >= 1"),
+    ([1.0], -1, "n must be >= 1"),
+], ids=["overflow", "underflow", "n0", "n_negative"])
+def test_weighted_perm_normalization_refuses_what_the_pmf_refuses(theta_seq, n, message):
     for refused in (weighted_perm_normalization, weighted_perm_cycle_pmf):
         with pytest.raises(ValueError) as caught:
-            refused(theta_seq, 2)
+            refused(theta_seq, n)
         assert str(caught.value) == message
-    assert weighted_perm_normalization(theta_seq, 2, rational=True) > 0
+    if n > 0:
+        assert weighted_perm_normalization(theta_seq, n, rational=True) > 0
 
 
 # --- Ewens measure ----------------------------------------------------------------
