@@ -39,11 +39,9 @@ def _parse_float_list(text):
 
 def _parse_r_range(text):
     """'2' -> [2]; '0:4' -> [0, 1, 2, 3, 4]; '4:3' -> [] (empty sweep)."""
-    if ":" in text:
-        lo, hi = map(int, text.split(":", 1))
-        symfunc.check_order(hi)  # before the list of orders is built
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo, hi = map(int, text.split(":", 1)) if ":" in text else (int(text),) * 2
+    symfunc.check_order(hi)  # before the list of orders or the model's pmf is built
+    return list(range(lo, hi + 1))
 
 
 def _add_output_flags(p):
