@@ -3,6 +3,7 @@ bases of the immutable records."""
 
 from __future__ import annotations
 
+import functools
 from numbers import Integral
 
 import numpy as np
@@ -104,6 +105,13 @@ def prime_power_base(q: int) -> int | None:
     """
     if not isinstance(q, Integral) or q < 2:
         return None
+    return _prime_power_base(int(q))
+
+
+@functools.lru_cache(maxsize=8)
+def _prime_power_base(q: int) -> int | None:
+    """`prime_power_base` of an int q >= 2, kept for the last few q: a
+    command's model, law and alphabet each test the same q."""
     m, p = q, 2
     while p * p <= m:
         if m % p == 0:

@@ -209,10 +209,11 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     if not rows:
         return []
 
+    # before the model's pmf; a finite alphabet reads none, yet it is refused
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance:g}")
     pmf = spec.pmf()
     lam = model_lambda(spec, tolerance)
-    if not 0.0 < tolerance < math.inf:  # a finite alphabet reads none, yet it is refused
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance:g}")
     alphabet = spec.alphabet(tolerance)
     orders = sorted({r for _, r in rows})
     ps = symfunc.power_sums(alphabet, max(2, orders[-1]))

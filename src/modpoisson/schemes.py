@@ -174,9 +174,11 @@ def scheme_measures(rc: ResidueCoeffs, orders) -> list:
                 c = np.append(c[:1], c[1:] - c[:-1])
             else:
                 c_prev, c = c, ((s + lam - k) * c - s * c_prev) / lam
-            total = total + (-1) ** (s + 1) * b * c
+            if b:  # a zero b_s adds nothing, not 0 * inf = nan once C_s overflows
+                total = total + (-1) ** (s + 1) * b * c
             if s + 1 in orders:
-                kept[s + 1] = total[:size + s + 1] * (1.0 if small else po[:size + s + 1])
+                # total is still the scalar 1 when every b so far is zero
+                kept[s + 1] = (total * (1.0 if small else po))[:size + s + 1]
         return [SignedMeasure(offset, kept[r]) for r in orders]
 
 

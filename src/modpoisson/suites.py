@@ -54,17 +54,19 @@ class SuiteResult:
 
 
 def random_bernoulli_instances(rng, count: int):
-    """Seeded weight vectors (n <= 500), rejection-sampled so lam > 16 e sigma^2."""
-    out = []
-    while len(out) < count:
+    """Yield `count` seeded weight vectors (n <= 500), rejection-sampled so
+    lam > 16 e sigma^2; each is yielded as soon as it is drawn, so a caller
+    that iterates holds one instance at a time."""
+    accepted = 0
+    while accepted < count:
         n = int(rng.integers(20, 501))
         scale = float(rng.uniform(0.004, 0.04))
         wts = rng.uniform(0.0, scale, size=n)
         lam = math.fsum(wts.tolist())
         s2 = math.fsum((wts * wts).tolist())
         if lam > 16.0 * math.e * s2 and lam > 0.05:
-            out.append(wts)
-    return out
+            accepted += 1
+            yield wts
 
 
 def _suite_theorem_b(rec, rng, instances):

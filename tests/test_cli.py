@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from modpoisson import cli
+from modpoisson import _arith, cli
 from modpoisson.cli import main
 from modpoisson.suites import SUITE_NAMES
 
@@ -118,6 +118,23 @@ def test_scheme_b2_example(capsys):
     assert k == "0"
     assert float(mass) == pytest.approx(0.875 * math.exp(-2.0), abs=1e-15)
     assert "negative entries" in err  # order-2 scheme with b2 < 0 dips negative
+
+
+@pytest.mark.parametrize("lam, r", [("3", "300"), ("30", "1000")])
+def test_scheme_b2_padded_to_a_high_order_sums_to_one(lam, r, capsys):
+    # b_3..b_r are zeros, and C_s overflows long before s = r: 0 * inf is nan
+    code, out, err = run_cli(["scheme", "--b2", "-0.1", "--lambda", lam, "--r", r], capsys)
+    assert code == 0 and "error" not in err
+    masses = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert math.fsum(masses) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_scheme_zero_padding_only_lengthens_the_window(capsys):
+    _, low, _ = run_cli(["scheme", "--b2", "-0.1", "--lambda", "3", "--r", "2"], capsys)
+    _, high, _ = run_cli(["scheme", "--b2", "-0.1", "--lambda", "3", "--r", "300"], capsys)
+    low, high = low.splitlines(), high.splitlines()
+    assert len(high) == len(low) + 298
+    assert high[:len(low)] == low
 
 
 def test_scheme_order_zero_is_poisson(capsys):
@@ -511,6 +528,16 @@ def test_prime_power_test_of_a_large_q_ends_within_a_second(args, capsys):
     assert (code, out) == (1, "")
     assert err == ("error: q = 2305843009213693951 has no prime factor below 65536; the "
                    "prime-power test decides such a q only below 65536^2 = 4294967296\n")
+
+
+def test_compare_fq_trial_divides_q_once(capsys):
+    # the spec, its law and its alphabet each test q; the divisions run once
+    _arith._prime_power_base.cache_clear()
+    code, _, _ = run_cli(["compare", "--model", "fq", "--q", "4294967291", "--n", "3",
+                          "--r", "0:1"], capsys)
+    assert code == 0
+    info = _arith._prime_power_base.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_cli_choices_are_the_tables(capsys):

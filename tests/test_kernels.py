@@ -34,7 +34,7 @@ from modpoisson.models import (RATIONAL_FOLD_BUDGET, ModelSpec, Pmf, bernoulli_s
                                omega_values, weighted_perm_cycle_pmf,
                                weighted_perm_normalization)
 from modpoisson.schemes import poisson_pmf, scheme_measures
-from modpoisson.suites import SuiteResult, random_bernoulli_instances
+from modpoisson.suites import SuiteResult, random_bernoulli_instances, run_suite
 from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet,
                                 elementary_from_power, power_sums,
                                 residue_coeffs, residue_product_eval)
@@ -383,6 +383,22 @@ def test_chen_stein_rows_match_the_suites_own_path():
         assert chen.tv == lecam.tv
         assert (chen.tv, chen.bound, lecam.bound, chen.holds, lecam.holds) == \
             reference_chen_stein(wts)
+
+
+@pytest.mark.parametrize("suite", ["theorem-b", "chen-stein"])
+def test_randomized_suite_peak_memory_does_not_grow_with_its_instances(suite):
+    # the instances are drawn one at a time, so 400 of them need no more
+    # memory than 50; a list of all of them grows by ~2 KB per instance
+    run_suite(suite, seed=1, instances=2)  # warm-up: first-call allocations
+    peaks = []
+    for count in (50, 400):
+        tracemalloc.start()
+        try:
+            run_suite(suite, seed=1, instances=count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 100 * 1024
 
 
 INFINITE_ALPHABETS = {

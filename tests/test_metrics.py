@@ -234,9 +234,20 @@ def test_verify_bounds_fq_and_omega_sweeps():
         assert all(row.holds is None for row in rows)  # lam too small here
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
+def test_verify_bounds_refuses_a_bad_tolerance_before_the_law_is_called(tolerance):
+    def law(rational):
+        raise AssertionError("the law was called")
+    base = ModelSpec.omega(30)
+    spec = ModelSpec(base.family, base.label, base.n, law, base.rate, base.alphabet)
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        verify_bounds(spec, [0, 1], tolerance=tolerance)
+    assert verify_bounds(spec, [], tolerance=tolerance) == []  # no row, no check
+
+
 def test_verify_bounds_corollary_with_supplied_tail():
     rng = np.random.default_rng(5)
-    wts = random_bernoulli_instances(rng, 1)[0]
+    wts = next(random_bernoulli_instances(rng, 1))
     spec = ModelSpec.bernoulli(wts.tolist())
     rows = verify_bounds(spec, [2, 3], which=("corollary",), tail_rn=1e-9)
     for row in rows:
