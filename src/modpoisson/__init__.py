@@ -9,8 +9,8 @@ The package splits into:
              their mod-Poisson rates
   schemes    the order-r signed measures, Charlier differences,
              positivization, expectation functional
-  metrics    total variation / Kolmogorov distances, the classical and
-             order-r total-variation bounds, verification reports
+  metrics    total variation distance, the classical and order-r
+             total-variation bounds, verification reports
   specialfn  Hermite polynomials, Cramer margins, complex log-gamma
   suites     named end-to-end verification suites
   cli        the `modpoisson` command

@@ -38,10 +38,10 @@ def _parse_float_list(text):
 
 
 def _parse_r_range(text):
-    """'2' -> [2]; '0:4' -> [0, 1, 2, 3, 4]; '4:3' -> [] (empty sweep)."""
+    """'2' -> range(2, 3); '0:4' -> range(0, 5); '4:3' -> an empty sweep."""
     lo, hi = map(int, text.split(":", 1)) if ":" in text else (int(text),) * 2
-    symfunc.check_order(hi)  # before the list of orders or the model's pmf is built
-    return list(range(lo, hi + 1))
+    symfunc.check_order(hi)  # before the model's pmf is built
+    return range(lo, hi + 1)
 
 
 def _add_output_flags(p):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import repeat
 
 import numpy as np
 
@@ -25,14 +24,11 @@ __all__ = [
     "CSV_HEADER",
     "eta",
     "total_variation",
-    "kolmogorov",
-    "lecam_bound",
     "chen_stein_bound",
     "theorem_a_bound",
     "theorem_b_bound",
     "corollary_bound",
     "theorem_c_bound",
-    "two_step_bound",
     "verify_bounds",
 ]
 
@@ -44,39 +40,21 @@ class InapplicableBoundError(ValueError):
     """A bound's precondition fails for these parameters."""
 
 
-def _aligned(a, b):
-    """Both measures' masses as float64 rows over the union of their windows
-    (Fraction masses are rounded to float first)."""
+def total_variation(a, b) -> float:
+    """(1/2) sum_k |a(k) - b(k)| over the union of supports.
+
+    Fraction masses are rounded to float first.  The sub-1e-15 truncation
+    tails of both inputs are added as a conservative correction.
+    """
     lo = min(a.offset, b.offset)
     xy = np.zeros((2, max(a.offset + len(a.masses), b.offset + len(b.masses)) - lo))
     for row, m in zip(xy, (a, b)):
         row[m.offset - lo: m.offset - lo + len(m.masses)] = m.masses
-    return xy
-
-
-def total_variation(a, b) -> float:
-    """(1/2) sum_k |a(k) - b(k)| over the union of supports.
-
-    The sub-1e-15 truncation tails of both inputs are added as a
-    conservative correction.
-    """
-    xs, ys = _aligned(a, b)
-    core = 0.5 * math.fsum(np.abs(xs - ys).tolist())
+    core = 0.5 * math.fsum(np.abs(xy[0] - xy[1]).tolist())
     return core + 0.5 * (abs(1.0 - a.total) + abs(1.0 - b.total))
 
 
-def kolmogorov(a, b) -> float:
-    """max_k |CDF_a(k) - CDF_b(k)|, the CDFs summed in order."""
-    xs, ys = _aligned(a, b)
-    return float(np.max(np.abs(np.cumsum(xs) - np.cumsum(ys))))
-
-
 # --- closed-form bounds -------------------------------------------------------
-
-def lecam_bound(weights) -> float:
-    """sum p_i^2: the classical Le Cam bound on d_TV to Po(sum p_i)."""
-    return math.fsum(map(pow, map(float, weights), repeat(2)))
-
 
 def chen_stein_bound(weights) -> float:
     """(1 - e^-lam)/lam * sum p_i^2, the Chen-Stein sharpening of Le Cam."""
@@ -130,16 +108,6 @@ def theorem_c_bound(lam: float, sigma2: float, r: int, eps_n: float, rho: float)
     if rho <= 1.0:
         raise InapplicableBoundError("rho must exceed 1")
     return theorem_b_bound(lam, sigma2, r) + eps_n * (rho / (rho - 1.0) + lam)
-
-
-def two_step_bound(psi_diff_sup: float, psi_prime_diff_sup: float, lam: float) -> float:
-    """TV bound from sup-norms of a residue difference and its derivative:
-    |psi - chi|/2 + pi/(2 sqrt 3) (|psi' - chi'| + lam |psi - chi|)."""
-    if psi_diff_sup < 0.0 or psi_prime_diff_sup < 0.0 or lam < 0.0:
-        raise ValueError("two_step_bound needs nonnegative inputs")
-    return (psi_diff_sup / 2.0
-            + math.pi / (2.0 * math.sqrt(3.0))
-            * (psi_prime_diff_sup + lam * psi_diff_sup))
 
 
 # --- verification reports -----------------------------------------------------
@@ -202,10 +170,12 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     unknown = [name for name in which if name not in KNOWN_BOUNDS]
     if unknown:
         raise ValueError(f"unknown bound names: {unknown}")
-    rows = ([(name, r) for name in which if name not in ORDER_ZERO_BOUNDS for r in r_list]
-            + [(name, 0) for name in which if name in ORDER_ZERO_BOUNDS])
-    if any(r < 0 for _, r in rows):
+    per_r = [name for name in which if name not in ORDER_ZERO_BOUNDS]
+    # an ascending range holding a negative order is refused at its first one
+    if per_r and any(r < 0 for r in r_list):
         raise ValueError("scheme orders must be >= 0")
+    rows = ([(name, r) for name in per_r for r in r_list]
+            + [(name, 0) for name in which if name in ORDER_ZERO_BOUNDS])
     if not rows:
         return []
 
@@ -234,7 +204,7 @@ def verify_bounds(spec: ModelSpec, r_list, which=("theorem-b",),
     }
     if alphabet.weights:
         bounds["chen-stein"] = lambda r: chen_stein_bound(alphabet.weights)
-        bounds["lecam"] = lambda r: sigma2  # sum p_i^2, as lecam_bound(alphabet.weights)
+        bounds["lecam"] = lambda r: sigma2  # sum p_i^2
     reports = []
     for name, r in rows:
         bound = None

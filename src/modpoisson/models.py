@@ -47,7 +47,6 @@ __all__ = [
     "ModelSpec",
     "bernoulli_sum_pmf",
     "weighted_perm_cycle_pmf",
-    "weighted_perm_normalization",
     "ewens_cycle_pmf",
     "fq_factor_pmf",
     "omega_values",
@@ -161,14 +160,6 @@ class SignedMeasure(Frozen):
 
     def support(self) -> range:
         return range(self.offset, self.offset + len(self.masses))
-
-    def mean(self):
-        return self._sum(k * m for k, m in enumerate(self.masses.tolist(), self.offset))
-
-    def variance(self):
-        mu = self.mean()
-        return self._sum((k - mu) ** 2 * m
-                         for k, m in enumerate(self.masses.tolist(), self.offset))
 
     def to_float(self):
         """The same measure with float masses, underflow-level edges trimmed."""
@@ -331,9 +322,13 @@ def _homogeneous_polynomials(theta_seq, n, rational):
     return np.array(tops, dtype=g.dtype)
 
 
-def _weighted_perm_series(theta_seq, n, rational):
-    """The coefficients [w^j] h_n(w Theta), j = 0..n, and their sum h_n(Theta),
-    for n >= 1; a float sum of 0 or inf is refused."""
+def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
+    """Cycle-count distribution under the weight prod_k theta_k^{m_k}.
+
+    pmf(j) = [w^j] h_n(w Theta) / h_n(Theta); the weights theta_k past the
+    given theta_seq repeat its last one.  A float h_n(Theta) of 0 or inf is
+    refused.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     coeffs = _homogeneous_polynomials(theta_seq, n, rational)
@@ -341,22 +336,7 @@ def _weighted_perm_series(theta_seq, n, rational):
     if not 0 < norm < math.inf:
         raise ValueError(f"h_n(Theta) = {norm} is outside the float range; "
                          "use the rational mode")
-    return coeffs, norm
-
-
-def weighted_perm_cycle_pmf(theta_seq, n: int, rational: bool = False):
-    """Cycle-count distribution under the weight prod_k theta_k^{m_k}.
-
-    pmf(j) = [w^j] h_n(w Theta) / h_n(Theta); the weights theta_k past the
-    given theta_seq repeat its last one.
-    """
-    coeffs, norm = _weighted_perm_series(theta_seq, n, rational)
     return Pmf.from_masses(0, coeffs / norm)
-
-
-def weighted_perm_normalization(theta_seq, n: int, rational: bool = False):
-    """h_n(Theta), the partition function of the weighted measure."""
-    return _weighted_perm_series(theta_seq, n, rational)[1]
 
 
 def ewens_cycle_pmf(theta, n: int, rational: bool = False):

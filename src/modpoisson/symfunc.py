@@ -38,7 +38,6 @@ __all__ = [
     "check_order",
     "power_sums",
     "elementary_from_power",
-    "power_from_elementary",
     "virtual_residue_coeffs",
     "residue_coeffs",
     "residue_series_eval",
@@ -312,17 +311,6 @@ def elementary_from_power(ps, rmax: int):
         if not math.isfinite(e[k]):
             raise OverflowError(f"residue coefficient b_{k} = e_{k} overflows the float range")
     return e
-
-
-def power_from_elementary(e, kmax: int):
-    """Inverse Newton recursion: recover p_1..p_kmax from e_0..e_kmax."""
-    if len(e) < kmax + 1:
-        raise ValueError("need e_0..e_kmax")
-    p = [0.0] * kmax
-    for k in range(1, kmax + 1):
-        acc = math.fsum((-1) ** (i - 1) * p[i - 1] * e[k - i] for i in range(1, k))
-        p[k - 1] = (-1) ** (k - 1) * (k * e[k] - acc)
-    return p
 
 
 def virtual_residue_coeffs(ps, rmax: int, lam: float) -> ResidueCoeffs:

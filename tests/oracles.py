@@ -160,10 +160,6 @@ def reference_weighted_perm_cycle_pmf(theta_seq, n):
     return Pmf.from_masses(0, [c / norm for c in coeffs])
 
 
-def reference_weighted_perm_normalization(theta_seq, n):
-    return sum(reference_homogeneous_polynomials(theta_seq, n))
-
-
 def reference_fq_factor_pmf(q, n, rational=False):
     """The Fraction recursion m f_m = sum_k L_k f_{m-k} over F_q."""
     from modpoisson._arith import irreducible_count
@@ -245,8 +241,8 @@ def reference_rectify_positive(nu):
 
 
 # --- reference distances ----------------------------------------------------------
-# The list-based TV and Kolmogorov distances that metrics.py replaced with
-# numpy ones; the replacements must reproduce them bit for bit.
+# The list-based TV distance that metrics.py replaced with a numpy one; the
+# replacement must reproduce it bit for bit.
 
 def _reference_aligned(a, b):
     lo = min(a.offset, b.offset)
@@ -265,17 +261,6 @@ def reference_total_variation(a, b):
     return core + 0.5 * (abs(1.0 - a.total) + abs(1.0 - b.total))
 
 
-def reference_kolmogorov(a, b):
-    xs, ys = _reference_aligned(a, b)
-    worst = 0.0
-    ca = cb = 0.0
-    for x, y in zip(xs, ys):
-        ca += x
-        cb += y
-        worst = max(worst, abs(ca - cb))
-    return worst
-
-
 # --- reference chen-stein suite ----------------------------------------------------
 # The chen-stein suite's own TV-versus-bound path, before it went through
 # metrics.verify_bounds; the rows of verify_bounds must reproduce it bit for bit.
@@ -288,8 +273,8 @@ def reference_chen_stein(wts):
     lam = math.fsum(wts.tolist())
     pmf = bernoulli_sum_pmf(wts.tolist())
     tv0 = metrics.total_variation(pmf, schemes.poisson_pmf(lam))
-    chen = metrics.chen_stein_bound(wts.tolist())
-    lecam = metrics.lecam_bound(wts.tolist())
+    lecam = math.fsum(p * p for p in wts.tolist())
+    chen = -math.expm1(-lam) / lam * lecam
     return (tv0, chen, lecam, tv0 <= chen + metrics.HOLDS_SLACK,
             tv0 <= lecam + metrics.HOLDS_SLACK)
 

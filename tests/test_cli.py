@@ -299,10 +299,11 @@ def test_scheme_at_a_rate_whose_poisson_masses_underflow(capsys):
 
 
 def test_compare_empty_range_writes_header_only(capsys):
-    code, out, _ = run_cli(["compare", "--model", "ewens", "--theta", "1",
-                            "--n", "50", "--r", "4:3"], capsys)
-    assert code == 0
-    assert out.splitlines() == ["model,family,n,r,lambda,sigma2,tv,bound,name,holds,slack"]
+    for orders in ("4:3", "-3:-5"):
+        code, out, _ = run_cli(["compare", "--model", "ewens", "--theta", "1",
+                                "--n", "50", f"--r={orders}"], capsys)
+        assert code == 0
+        assert out.splitlines() == ["model,family,n,r,lambda,sigma2,tv,bound,name,holds,slack"]
 
 
 def test_compare_jobs_match_serial(capsys):
@@ -480,6 +481,12 @@ WEIGHTS_FILE = "<weights.csv>"
      "error: scheme order r = 100000 exceeds the budget 1000; its work grows as r^2"),
     (["compare", "--model", "ewens", "--theta", "1", "--n", "50", "--r", "1001"],
      "error: scheme order r = 1001 exceeds the budget 1000; its work grows as r^2"),
+    # a negative order is refused before the range is listed: a list of 10^7
+    # orders took 2.7 s and 1.2 GB, and one of 10^15 raised a bare MemoryError
+    (["compare", "--model", "ewens", "--theta", "1", "--n", "10", "--r=-10000000:1"],
+     "error: scheme orders must be >= 0"),
+    (["compare", "--model", "ewens", "--theta", "1", "--n", "10", "--r=-1000000000000000:1"],
+     "error: scheme orders must be >= 0"),
 ], ids=["ewens_theta_nan", "ewens_theta_inf", "theta_seq_inf", "theta_seq_nan_rational",
         "h_n_overflow", "rational_fold_over_budget", "h_n_over_budget",
         "fq_over_budget", "rational_h_n_over_budget", "eps_n_nan", "eps_n_negative",
@@ -494,7 +501,8 @@ WEIGHTS_FILE = "<weights.csv>"
         "weighted_perm_empty_theta_seq", "harmonic_order_past_budget",
         "omega_order_one_past_budget", "b2_order_past_budget", "b_order_past_budget",
         "empty_weights_order_past_budget", "compare_range_past_budget",
-        "compare_order_past_budget"])
+        "compare_order_past_budget", "compare_range_from_minus_1e7",
+        "compare_range_from_minus_1e15"])
 def test_out_of_domain_parameters_are_one_error_line(args, message, tmp_path, capsys):
     weights = tmp_path / "w.csv"
     weights.write_text("0.1\n0.2\n")

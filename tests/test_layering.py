@@ -17,6 +17,10 @@ none of them.
 Only the command touches the garbage collector (it freezes the heap at
 exit); the library leaves collection to its caller.
 
+Every public function and class of the library is reached: some module,
+script or benchmark, or the acceptance suite, names it.  A name that only
+its own tests call is dead weight, apart from the one exemption below.
+
 The records are plain slot classes: importing the command compiles no
 generated code, so `dataclasses` stays unimported.  Every record but the
 mutable SuiteResult refuses assignment and deletion after construction.
@@ -25,6 +29,7 @@ mutable SuiteResult refuses assignment and deletion after construction.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -37,7 +42,8 @@ from modpoisson.metrics import BoundReport
 from modpoisson.models import ModelSpec, Pmf, SignedMeasure
 from modpoisson.symfunc import Alphabet, ResidueCoeffs
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "modpoisson"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "modpoisson"
 LAYERS = ("metrics.py", "schemes.py", "suites.py", "cli.py", "io.py")
 NAMED_ATTRIBUTES = {"family", "kind"}
 MODULES = sorted(path.name for path in SRC.glob("*.py"))
@@ -212,3 +218,62 @@ def test_package_root_binds_only_its_version_and_submodules():
         importlib.import_module(f"modpoisson.{name}")
     assert {name for name in vars(modpoisson) if not name.startswith("__")} == submodules
     assert isinstance(modpoisson.__version__, str)
+
+
+def _span(node):
+    """The 0-based slice of a module's lines that holds node, decorators included."""
+    first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
+    return slice(first - 1, node.end_lineno)
+
+
+def _unreached(library, others):
+    """The public module-level functions and classes of the `library` module
+    texts that no text names outside their own definition and `__all__`."""
+    modules, definitions = [], []
+    for index, source in enumerate(library):
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                lines[_span(node)] = [""] * (node.end_lineno - node.lineno + 1)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                definitions.append((node.name, index, _span(node)))
+        modules.append(lines)
+    unreached = []
+    for name, index, span in definitions:
+        own = list(modules[index])
+        del own[span]
+        texts = [*others, *("\n".join(lines) for i, lines in enumerate(modules) if i != index),
+                 "\n".join(own)]
+        if not any(re.search(rf"\b{name}\b", text) for text in texts):
+            unreached.append(name)
+    return unreached
+
+
+#: public names that only tests reach, each with its reason
+REACHED_ONLY_BY_TESTS = {
+    # the moment bridge: the README documents it as library API
+    "stirling2_elementary_bridge",
+}
+
+
+def test_every_public_function_is_reached():
+    library = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    others = [path.read_text(encoding="utf-8")
+              for path in [*sorted((ROOT / "scripts").rglob("*.py")),
+                           *sorted((ROOT / "perfbench").rglob("*.py")),
+                           ROOT / "tests" / "test_acceptance.py"]]
+    assert [name for name in _unreached(library, others)
+            if name not in REACHED_ONLY_BY_TESTS] == []
+
+
+def test_the_guard_sees_each_unreached_name():
+    library = ['__all__ = [\n    "used",\n    "exported",\n    "recursive",\n    "Kept",\n]\n'
+               "def used():\n    return 1\n"
+               'def exported():\n    """exported() -> None"""\n'
+               "@cache\ndef recursive(n):\n    return recursive(n - 1)\n"
+               "class Kept:\n    pass\n"
+               "def _private():\n    pass\n",
+               "from .a import used\n"]
+    assert _unreached(library, ["print(a.Kept)\n"]) == ["exported", "recursive"]

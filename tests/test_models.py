@@ -12,16 +12,14 @@ from modpoisson.models import (EULER_GAMMA, FQ_RECURSION_BUDGET, HN_SERIES_BUDGE
                                OMEGA_SIEVE_BUDGET, RATIONAL_HN_SERIES_BUDGET, ModelSpec,
                                Pmf, SignedMeasure, bernoulli_sum_pmf, empirical_residue,
                                ewens_cycle_pmf, fq_factor_pmf, gamma_theta, model_lambda,
-                               omega_pmf, omega_values, r_q, weighted_perm_cycle_pmf,
-                               weighted_perm_normalization)
+                               omega_pmf, omega_values, r_q, weighted_perm_cycle_pmf)
 from modpoisson._arith import PRIME_POWER_TRIAL_BOUND, irreducible_count, prime_power_base
-from modpoisson.metrics import chen_stein_bound, two_step_bound
+from modpoisson.metrics import chen_stein_bound
 from modpoisson.schemes import charlier_delta, poisson_pmf, rectify_positive
 from modpoisson.specialfn import (cramer_bound_margin, hermite, hermite_explicit,
                                   hermite_multiplication)
 from modpoisson.suites import fq_factor_histogram_by_enumeration, residue_error, run_suite
-from modpoisson.symfunc import (Alphabet, elementary_from_power, power_from_elementary,
-                                power_sums, prime_zeta, zeta)
+from modpoisson.symfunc import Alphabet, elementary_from_power, power_sums, prime_zeta, zeta
 
 from oracles import permutation_cycle_counts, weighted_cycle_histogram
 
@@ -121,14 +119,6 @@ def test_weighted_perm_matches_exhaustive_enumeration(n):
         assert exact.mass(j) == expected[j]
 
 
-def test_weighted_perm_normalization_matches_ewens_closed_product():
-    for theta in (0.5, 1.0, 2.0, 3.25):
-        for n in (1, 5, 20, 60):
-            h = weighted_perm_normalization([theta] * n, n)
-            closed = math.prod(1.0 + (theta - 1.0) / i for i in range(1, n + 1))
-            assert h == pytest.approx(closed, rel=1e-12)
-
-
 @pytest.mark.parametrize("theta_seq, n, message", [
     ([1e308, 1e308], 2, "h_n(Theta) = inf is outside the float range; use the rational mode"),
     ([5e-324, 5e-324], 2, "h_n(Theta) = 0.0 is outside the float range; use the rational mode"),
@@ -136,12 +126,11 @@ def test_weighted_perm_normalization_matches_ewens_closed_product():
     ([1.0], -1, "n must be >= 1"),
 ], ids=["overflow", "underflow", "n0", "n_negative"])
 def test_weighted_perm_normalization_refuses_what_the_pmf_refuses(theta_seq, n, message):
-    for refused in (weighted_perm_normalization, weighted_perm_cycle_pmf):
-        with pytest.raises(ValueError) as caught:
-            refused(theta_seq, n)
-        assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        weighted_perm_cycle_pmf(theta_seq, n)
+    assert str(caught.value) == message
     if n > 0:
-        assert weighted_perm_normalization(theta_seq, n, rational=True) > 0
+        assert weighted_perm_cycle_pmf(theta_seq, n, rational=True).total == 1
 
 
 # --- Ewens measure ----------------------------------------------------------------
@@ -286,7 +275,6 @@ def test_model_laws_refuse_arguments_outside_their_domain(law, args, message):
     (fq_factor_pmf, (2.5, 3), "q must be a prime power >= 2"),
     (Alphabet, ("fq_limit", (), 0.0, 2.5), "fq_limit needs a prime power q >= 2"),
     (chen_stein_bound, ([0.0, 0.0],), "chen_stein_bound needs lam > 0"),
-    (two_step_bound, (-1.0, 0.0, 1.0), "two_step_bound needs nonnegative inputs"),
     (SignedMeasure, (-1, [1.0]), "offset must be >= 0"),
     (charlier_delta, (0.0, 1, 0.5, 3), "lam must be positive"),
     (charlier_delta, (1.0, -1, 0.5, 3), "need s >= 0 and k >= 0, in steps of 1"),
@@ -301,13 +289,11 @@ def test_model_laws_refuse_arguments_outside_their_domain(law, args, message):
     (prime_zeta, (1.5,), "prime zeta evaluated for s >= 2 only"),
     (elementary_from_power, (power_sums(Alphabet.harmonic(), 3), 2),
      "power sums must be finite; use virtual_residue_coeffs for infinite alphabets (p_1 -> 0)"),
-    (power_from_elementary, ([1.0], 2), "need e_0..e_kmax"),
 ], ids=["gauss_q1", "gauss_q_fraction", "gauss_q_float", "r_q_1", "r_q_inf", "r_q_fraction",
-        "fq_q_fraction", "fq_limit_q_fraction", "chen_stein_zero_rate", "two_step_negative",
+        "fq_q_fraction", "fq_limit_q_fraction", "chen_stein_zero_rate",
         "measure_offset", "charlier_lam0", "charlier_s_negative", "charlier_step2", "hermite",
         "hermite_explicit", "hermite_multiplication", "cramer_degree0", "unknown_suite",
-        "zeta_s_below_2", "prime_zeta_s_below_2", "elementary_from_infinite",
-        "power_from_short_elementary"])
+        "zeta_s_below_2", "prime_zeta_s_below_2", "elementary_from_infinite"])
 def test_public_guards_refuse_inputs_outside_their_domain(guarded, args, message):
     with pytest.raises(ValueError) as refused:
         guarded(*args)
