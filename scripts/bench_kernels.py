@@ -26,7 +26,7 @@ and (2, 60); the rational Bernoulli fold of the 400 weights
 theta/(theta + i), theta = 33/32, of a rational Ewens law;
 weighted_perm_cycle_pmf in the float mode at n = 800;
 residue_product_eval of Alphabet.omega_limit() at z = 2i, cold; and
-omega_pmf at N = 3 * 10^6.
+omega_pmf at N = 3 * 10^6 (perfbench's `pmf-omega` op) and 10^8.
 Weights are seeded, so every run times the same inputs.
 
 The special-function kernels run cold, as in a fresh `modpoisson`
@@ -128,6 +128,7 @@ def fixed_jobs():
         "residue_product_omega_2j_cold": lambda: (cold(residue_product_eval),
                                                   (Alphabet.omega_limit(), 2j)),
         "omega_pmf_3e6": lambda: (omega_pmf, (3 * 10 ** 6,)),
+        "omega_pmf_1e8": lambda: (omega_pmf, (10 ** 8,)),
     }
 
 

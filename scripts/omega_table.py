@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Distinct-prime-divisor counts of a uniform integer versus Poisson laws.
 
-For each N, sieves the exact distribution of the number of distinct prime
-divisors on {1..N} and reports its total variation distance to
-Po(log log N + gamma) (the mod-Poisson rate) and to Po(log log N).  At
-desk-scale N the shifted rate is not yet the better plain-Poisson fit;
-the derived order-2 scheme column shows what the residue correction buys.
+For each N, counts the exact distribution of the number of distinct prime
+divisors on {1..N} (models.omega_pmf, from prime counts, no sieve to N)
+and reports its total variation distance to Po(log log N + gamma) (the
+mod-Poisson rate) and to Po(log log N).  At desk-scale N the shifted rate
+is not yet the better plain-Poisson fit; the derived order-2 scheme column
+shows what the residue correction buys.
 """
 
 import argparse

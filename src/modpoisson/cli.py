@@ -232,6 +232,11 @@ def _cmd_compare(args) -> int:
     reports = metrics.verify_bounds(spec, _parse_r_range(args.r), which=names,
                                     tolerance=args.tolerance, eps_n=args.eps_n,
                                     rho=args.rho, tail_rn=args.tail_rn)
+    if far := [rep for rep in reports if rep.tv > 1.0]:  # two laws are at most 1 apart
+        print(f"warning: tv = {max(rep.tv for rep in far):.4g} > 1 from r = "
+              f"{min(rep.r for rep in far)} at lambda = {far[0].lam:.4g}: the scheme is "
+              "farther from the model than any law can be",
+              file=sys.stderr)
     if args.format == "csv":
         _emit("\n".join(io.report_csv_lines(reports)), args.output)
     else:

@@ -7,7 +7,8 @@ weighted-permutation h_n(w Theta) from the powers of one series,
 np.convolve in both modes (object rows of integers when rational);
 integer recursions for the F_q counts (object rows, np.convolve) and the
 rational Bernoulli fold, whose Fraction masses are formed once at the
-end, as are those of the rational h_n; and a numpy sieve for omega.  The
+end, as are those of the rational h_n; and for omega, prime counts at the
+floor values N // i and a walk over the integers by their largest prime.  The
 families are
 
   bernoulli_sum        X = sum of independent Be(p_i)
@@ -86,10 +87,13 @@ _FOLD_BLOCK_BYTES = (2 * 33 * 33 * 8, 128 * 1024)
 #: largest accepted sizes take 0.4-1.1 s on a 2-CPU x86-64 VM (q = 2 runs to
 #: n = 137, q = 2^64 to n = 68, q = 2^1000 to n = 31)
 FQ_RECURSION_BUDGET = 10 ** 15
-#: largest N the omega sieve accepts, at about 1 byte per integer
+#: largest N^(3/4) of the omega count, about the size of its walk: the
+#: largest accepted N, 5.4 x 10^9, takes about 1 s on a 2-CPU x86-64 VM
+OMEGA_COUNT_BUDGET = 2 * 10 ** 7
+#: largest n_max the omega sieve accepts, at about 1 byte per integer
 OMEGA_SIEVE_BUDGET = 10 ** 8
-#: integers per block of the omega sieve's large primes and of its count:
-#: one mask of all n_max integers would raise its peak memory by n_max bytes
+#: integers per block of the omega sieve's large primes: one mask of all
+#: n_max integers would raise its peak memory by n_max bytes
 _OMEGA_BLOCK = 1 << 16
 
 
@@ -416,6 +420,8 @@ def omega_values(n_max: int) -> np.ndarray:
     The blocks go in increasing order: a multiple j p with j >= 2 is
     composite, so marking one never hides a prime of a later block.
     """
+    if n_max > OMEGA_SIEVE_BUDGET:  # before the n_max + 1 bytes are allocated
+        raise ValueError(f"n_max={n_max} exceeds the sieve memory budget {OMEGA_SIEVE_BUDGET}")
     counts = np.zeros(n_max + 1, dtype=np.uint8)
     root = math.isqrt(n_max)
     for p in primes_up_to(root):
@@ -429,20 +435,18 @@ def omega_values(n_max: int) -> np.ndarray:
 
 def omega_pmf(n_max: int) -> Pmf:
     """Distribution of the number of distinct prime divisors of a uniform
-    integer in {1..n_max}, by sieve.
-
-    Memory is about 1 byte per integer, the uint8 omega array: each value
-    of omega is counted one block of integers at a time.
+    integer in {1..n_max}: the counts of each omega over n_max, from a table
+    of pi at the floor values n_max // i and a walk over the integers by
+    their largest prime.  Time grows about as n_max^(3/4), memory as
+    sqrt(n_max).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > OMEGA_SIEVE_BUDGET:
-        raise ValueError(f"n_max={n_max} exceeds the sieve memory budget {OMEGA_SIEVE_BUDGET}")
-    values = omega_values(n_max)
-    blocks = range(1, n_max + 1, _OMEGA_BLOCK)
-    counts = [sum(np.count_nonzero(values[lo:lo + _OMEGA_BLOCK] == k) for lo in blocks)
-              for k in range(int(values.max()) + 1)]
-    return Pmf.from_masses(0, np.array(counts) / float(n_max))
+    if int(n_max) ** 3 > OMEGA_COUNT_BUDGET ** 4:  # before any table; int: no int64 wrap
+        raise ValueError(f"omega count at N = {n_max}: N^(3/4) exceeds the budget "
+                         f"{OMEGA_COUNT_BUDGET}")
+    from ._omega import omega_counts  # compiled only where omega is counted
+    return Pmf.from_masses(0, np.array(omega_counts(n_max)) / float(n_max))
 
 
 # --- mod-Poisson parameters ---------------------------------------------------

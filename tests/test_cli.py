@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -285,7 +286,11 @@ def test_compare_omega_at_small_rate_to_order_8(capsys):
     # lam = 0.21, where the Charlier recurrence would multiply rounding by
     # up to 7!/lam^7 and push the order-8 total off 1
     code, out, err = run_cli(["compare", "--model", "omega", "--N", "2", "--r", "0:8"], capsys)
-    assert (code, err) == (0, "")
+    assert code == 0
+    # tv past 1 from r = 2 on: the scheme is farther from the law than any law can be
+    tv = max(float(line.split(",")[6]) for line in out.splitlines()[1:])
+    assert err.splitlines() == [f"warning: tv = {tv:.4g} > 1 from r = 2 at lambda = 0.2107: "
+                                "the scheme is farther from the model than any law can be"]
     assert [line.split(",")[3] for line in out.splitlines()[1:]] == [str(r) for r in range(9)]
 
 
@@ -341,6 +346,17 @@ def test_compare_omega_n1_names_precondition(capsys):
     code, out, _ = run_cli(["pmf", "--model", "omega", "--N", "1"], capsys)
     assert code == 0
     assert out.splitlines() == ["k,mass", "0,1"]
+
+
+def test_pmf_omega_past_the_count_budget_is_one_error_line(capsys):
+    # the largest accepted N, 5428835233, takes about 1 s; the next is refused at once
+    start = time.perf_counter()
+    code, out, err = run_cli(["pmf", "--model", "omega", "--N", "5428835234"], capsys)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: omega count at N = 5428835234: N^(3/4) exceeds "
+                                "the budget 20000000"]
+    assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
 
 def test_compare_nonpositive_rate_is_one_error_line(capsys):

@@ -71,7 +71,7 @@ CASES = {
     # constant weights: the Ewens rows of --theta 1 --n 3, bar model, family, tv, slack
     "weighted_perm_constant_is_ewens": [
         "--model", "weighted-perm", "--theta-seq", "1,1,1", "--n", "3", "--r", "1"],
-    # out of the bounds' regime (lam = 0.21), pinned as it stands
+    # out of the bounds' regime (lam = 0.21), pinned as it stands; tv > 1 at r = 2 warns
     "omega_n2_out_of_regime": ["--model", "omega", "--N", "2", "--r", "0:2"],
     # theorem-c without --eps-n: an empty bound column
     "theorem_c_no_eps_n": [

@@ -1,8 +1,8 @@
 """Bit identity of the exact model kernels with the reference kernels.
 
 The integer F_q recursion, the integer-numerator rational fold, the
-rational h_n series, the grouped omega sieve, the numpy TV distance
-and the one head/tail split of the alphabets must
+rational h_n series, the grouped omega sieve and the omega count, the
+numpy TV distance and the one head/tail split of the alphabets must
 give exactly (==, not approx) what the reference kernels in oracles.py
 give.  The float h_n series is held to the rational one, within 1.2e-15
 relative per mass.  The float
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from modpoisson import models
 from modpoisson._arith import primes_up_to
+from modpoisson._omega import omega_counts
 from modpoisson.metrics import chen_stein_bound, total_variation, verify_bounds
 from modpoisson.models import (RATIONAL_FOLD_BUDGET, ModelSpec, Pmf, bernoulli_sum_pmf,
                                ewens_cycle_pmf, fq_factor_pmf, omega_pmf,
@@ -72,6 +73,42 @@ def test_omega_matches_per_prime_sieve(big_n):
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert_same(omega_pmf(big_n), reference_omega_pmf(big_n))
+
+
+def test_omega_count_matches_the_sieve_oracle_at_every_n_to_3000():
+    for big_n in range(1, 3001):
+        assert_same(omega_pmf(big_n), reference_omega_pmf(big_n))
+
+
+def test_omega_count_matches_the_sieve_oracle_at_random_n_below_1e6():
+    values = reference_omega_values(10 ** 6 - 1)
+    for big_n in np.random.default_rng(32).integers(3001, 10 ** 6, size=300).tolist():
+        # reference_omega_pmf(big_n), from the prefix of one sieve
+        counts = np.bincount(values[1:big_n + 1])
+        assert_same(omega_pmf(big_n), Pmf.from_masses(0, (counts / float(big_n)).tolist()))
+
+
+# p^2 - 1 and p^2 end the floor-value table's small half at sqrt(N) = p - 1
+# and p; p q = 997 x 1009 and 991 x 997 sit between two squares of primes
+@pytest.mark.parametrize("big_n", [997 ** 2 - 1, 997 ** 2, 1009 ** 2 - 1, 1009 ** 2,
+                                   991 * 997, 997 * 1009, 3 * 10 ** 6])
+def test_omega_count_matches_the_sieve_oracle_near_squares_and_at_3e6(big_n):
+    assert_same(omega_pmf(big_n), reference_omega_pmf(big_n))
+
+
+def test_omega_counts_sum_to_n_at_1e8():
+    assert sum(omega_counts(10 ** 8)) == 10 ** 8
+
+
+def test_omega_pmf_at_3e6_is_counted_in_under_1_mib():
+    omega_pmf(1000)  # warm-up: first-call allocations are not the count's
+    tracemalloc.start()
+    try:
+        omega_pmf(3 * 10 ** 6)  # the sieve's uint8 omega array alone is 3.0 MB
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def _theta_seqs(n):

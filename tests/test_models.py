@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modpoisson.models import (EULER_GAMMA, FQ_RECURSION_BUDGET, HN_SERIES_BUDGET,
-                               OMEGA_SIEVE_BUDGET, RATIONAL_HN_SERIES_BUDGET, ModelSpec,
+                               OMEGA_COUNT_BUDGET, OMEGA_SIEVE_BUDGET,
+                               RATIONAL_HN_SERIES_BUDGET, ModelSpec,
                                Pmf, SignedMeasure, bernoulli_sum_pmf, empirical_residue,
                                ewens_cycle_pmf, fq_factor_pmf, gamma_theta, model_lambda,
                                omega_pmf, omega_values, r_q, weighted_perm_cycle_pmf)
@@ -300,10 +302,33 @@ def test_public_guards_refuse_inputs_outside_their_domain(guarded, args, message
     assert str(refused.value) == message
 
 
+def _traced_peak_of_refusal(kernel, arg, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            kernel(arg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == message
+    return peak
+
+
 def test_omega_memory_budget():
-    # refused before the sieve allocates anything
-    with pytest.raises(ValueError, match="sieve memory budget"):
-        omega_pmf(OMEGA_SIEVE_BUDGET + 1)
+    # refused before the sieve allocates its n_max + 1 bytes
+    big_n = OMEGA_SIEVE_BUDGET + 1
+    message = f"n_max={big_n} exceeds the sieve memory budget {OMEGA_SIEVE_BUDGET}"
+    assert _traced_peak_of_refusal(omega_values, big_n, message) < 2 ** 20
+
+
+def test_omega_count_budget():
+    # the largest accepted N (about 1 s) and the next one; nothing is built past it
+    largest = 5428835233
+    assert largest ** 3 <= OMEGA_COUNT_BUDGET ** 4 < (largest + 1) ** 3
+    for big_n in (largest + 1, np.int64(largest + 1), 10 ** 400):  # N^3 wraps in int64
+        message = (f"omega count at N = {big_n}: N^(3/4) exceeds the budget "
+                   f"{OMEGA_COUNT_BUDGET}")
+        assert _traced_peak_of_refusal(omega_pmf, big_n, message) < 2 ** 20
 
 
 def test_fq_recursion_budget():
