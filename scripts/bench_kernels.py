@@ -25,8 +25,10 @@ of the call's own allocations.  They are fq_factor_pmf at (q, n) = (2, 40)
 and (2, 60); the rational Bernoulli fold of the 400 weights
 theta/(theta + i), theta = 33/32, of a rational Ewens law;
 weighted_perm_cycle_pmf in the float mode at n = 800;
-residue_product_eval of Alphabet.omega_limit() at z = 2i, cold; and
-omega_pmf at N = 3 * 10^6 (perfbench's `pmf-omega` op) and 10^8.
+residue_product_eval of Alphabet.omega_limit() at z = 2i, cold;
+omega_pmf at N = 3 * 10^6 (perfbench's `pmf-omega` op) and 10^8; and
+the `oracles` suite's exhaustive F_q count at its largest case,
+fq_factor_histogram_by_enumeration(2, 10).
 Weights are seeded, so every run times the same inputs.
 
 The special-function kernels run cold, as in a fresh `modpoisson`
@@ -62,6 +64,7 @@ from modpoisson.metrics import total_variation, verify_bounds
 from modpoisson.models import (ModelSpec, bernoulli_sum_pmf, fq_factor_pmf, gamma_theta,
                                omega_pmf, weighted_perm_cycle_pmf)
 from modpoisson.schemes import poisson_pmf, scheme_measures
+from modpoisson.suites import fq_factor_histogram_by_enumeration
 from modpoisson.symfunc import (Alphabet, ResidueCoeffs, power_sums, residue_coeffs,
                                 residue_product_eval, zeta)
 
@@ -129,6 +132,7 @@ def fixed_jobs():
                                                   (Alphabet.omega_limit(), 2j)),
         "omega_pmf_3e6": lambda: (omega_pmf, (3 * 10 ** 6,)),
         "omega_pmf_1e8": lambda: (omega_pmf, (10 ** 8,)),
+        "fq_enumeration_2_10": lambda: (fq_factor_histogram_by_enumeration, (2, 10)),
     }
 
 

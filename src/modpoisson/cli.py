@@ -237,6 +237,9 @@ def _cmd_compare(args) -> int:
               f"{min(rep.r for rep in far)} at lambda = {far[0].lam:.4g}: the scheme is "
               "farther from the model than any law can be",
               file=sys.stderr)
+    if reports and (row := reports[0]).lam > row.n:  # every family's count is at most n
+        print(f"warning: lambda = {row.lam:.4g} > n = {row.n}: the rate exceeds the "
+              "largest value the model takes", file=sys.stderr)
     if args.format == "csv":
         _emit("\n".join(io.report_csv_lines(reports)), args.output)
     else:

@@ -203,44 +203,23 @@ def _suite_rates(rec):
 
 # --- brute-force oracles -------------------------------------------------------
 
-def _poly_rem(a, b, q):
-    """Remainder of a modulo monic b, coefficients low-to-high over F_q."""
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db:
-        lead = a[-1] % q
-        if lead:
-            shift = len(a) - 1 - db
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - lead * c) % q
-        a.pop()
-    while a and a[-1] % q == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _monic_polys(q, degree):
-    for tail in itertools.product(range(q), repeat=degree):
-        yield tail + (1,)
-
-
-def _irreducibles_up_to(q, dmax):
-    irr = []
-    for d in range(1, dmax + 1):
-        for cand in _monic_polys(q, d):
-            if not any(len(p) - 1 <= d // 2 and not _poly_rem(cand, p, q) for p in irr):
-                irr.append(cand)
-    return irr
-
-
 def fq_factor_histogram_by_enumeration(q: int, n: int):
     """counts[j] = number of monic degree-n polynomials over F_q (q prime)
-    with exactly j distinct monic irreducible divisors.  Exhaustive."""
-    irr = _irreducibles_up_to(q, n)
+    with exactly j distinct monic irreducible divisors.  Exhaustive: a sieve
+    of Eratosthenes on the monics of degree <= n, coefficients low to high."""
+    monics = [[tail + (1,) for tail in itertools.product(range(q), repeat=d)]
+              for d in range(n + 1)]
+    marks = {}  # monic -> its distinct irreducible divisors marked so far
+    for d in range(1, n + 1):
+        # an unmarked degree-d monic has no irreducible factor of lower degree
+        for p in [p for p in monics[d] if p not in marks]:
+            for e in range(n - d + 1):
+                for m in monics[e]:  # each multiple of p is p * m for one m
+                    prod = tuple((np.convolve(p, m) % q).tolist())
+                    marks[prod] = marks.get(prod, 0) + 1
     counts = [0] * (n + 1)
-    for poly in _monic_polys(q, n):
-        j = sum(1 for p in irr if not _poly_rem(poly, p, q))
-        counts[j] += 1
+    for poly in monics[n]:
+        counts[marks.get(poly, 0)] += 1
     return counts
 
 

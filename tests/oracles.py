@@ -192,6 +192,50 @@ def reference_fq_factor_pmf(q, n, rational=False):
     return exact if rational else exact.to_float()
 
 
+# The trial-division enumerator that the suites' monic sieve replaced; the
+# sieve must reproduce its histograms exactly.
+
+def _poly_rem(a, b, q):
+    """Remainder of a modulo monic b, coefficients low-to-high over F_q."""
+    a = list(a)
+    db = len(b) - 1
+    while len(a) - 1 >= db:
+        lead = a[-1] % q
+        if lead:
+            shift = len(a) - 1 - db
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - lead * c) % q
+        a.pop()
+    while a and a[-1] % q == 0:
+        a.pop()
+    return tuple(a)
+
+
+def _monic_polys(q, degree):
+    for tail in itertools.product(range(q), repeat=degree):
+        yield tail + (1,)
+
+
+def _irreducibles_up_to(q, dmax):
+    irr = []
+    for d in range(1, dmax + 1):
+        for cand in _monic_polys(q, d):
+            if not any(len(p) - 1 <= d // 2 and not _poly_rem(cand, p, q) for p in irr):
+                irr.append(cand)
+    return irr
+
+
+def reference_fq_factor_histogram(q: int, n: int):
+    """counts[j] = number of monic degree-n polynomials over F_q (q prime)
+    with exactly j distinct monic irreducible divisors.  Exhaustive."""
+    irr = _irreducibles_up_to(q, n)
+    counts = [0] * (n + 1)
+    for poly in _monic_polys(q, n):
+        j = sum(1 for p in irr if not _poly_rem(poly, p, q))
+        counts[j] += 1
+    return counts
+
+
 def reference_omega_values(n_max):
     """omega(k) for k = 0..n_max by one slice update per prime."""
     import numpy as np
@@ -409,3 +453,15 @@ def mp_poisson_tails(lam, start, end):
         def upto(n):
             return mpmath.gammainc(n + 1, lam, mpmath.inf, regularized=True) if n >= 0 else 0
         return upto(start - 1), 1 - upto(end)
+
+
+def mp_total_variation(a, b):
+    """(1/2) sum_k |a(k) - b(k)| plus the two measures' tail terms
+    (1/2)|1 - total|, summed from their float masses in 50-digit mpmath."""
+    import mpmath
+    with mpmath.workdps(50):
+        xs = {k: mpmath.mpf(m) for k, m in zip(a.support(), a.masses.tolist())}
+        ys = {k: mpmath.mpf(m) for k, m in zip(b.support(), b.masses.tolist())}
+        core = mpmath.fsum(abs(xs.get(k, 0) - ys.get(k, 0)) for k in xs.keys() | ys.keys())
+        tails = abs(1 - mpmath.fsum(xs.values())) + abs(1 - mpmath.fsum(ys.values()))
+        return (core + tails) / 2

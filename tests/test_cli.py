@@ -390,6 +390,20 @@ def test_compare_nonpositive_weighted_perm_rate_names_theta_and_k(capsys):
                                 "-15.2862 is not positive at theta = 8, K = -7.95, n = 3"]
 
 
+def test_compare_rate_past_n_is_one_warning_line(capsys):
+    # theta_1 = 100 gives lam = 103.67 for a law of at most 60 cycles; tv
+    # stays just below 1, so only the rate warns
+    code, out, err = run_cli(["compare", "--model", "weighted-perm", "--theta-seq",
+                              "100,1", "--n", "60", "--r", "1:3"], capsys)
+    assert code == 0
+    assert err.splitlines() == ["warning: lambda = 103.7 > n = 60: the rate exceeds "
+                                "the largest value the model takes"]
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[2], row[3], row[4]) for row in rows] == \
+        [("60", str(r), "103.67156022712363") for r in (1, 2, 3)]
+    assert all(float(row[6]) < 1.0 for row in rows)
+
+
 def test_compare_jsonl_matches_schema(capsys):
     import jsonschema
     from importlib import resources

@@ -1,11 +1,11 @@
 """Bit identity of the exact model kernels with the reference kernels.
 
-The integer F_q recursion, the integer-numerator rational fold, the
-rational h_n series, the grouped omega sieve and the omega count, the
-numpy TV distance and the one head/tail split of the alphabets must
-give exactly (==, not approx) what the reference kernels in oracles.py
-give.  The float h_n series is held to the rational one, within 1.2e-15
-relative per mass.  The float
+The integer F_q recursion, the F_q sieve on monic polynomials, the
+integer-numerator rational fold, the rational h_n series, the grouped
+omega sieve and the omega count, the numpy TV distance and the one
+head/tail split of the alphabets must give exactly (==, not approx) what
+the reference kernels in oracles.py give.  The float h_n series is held
+to the rational one, within 1.2e-15 relative per mass.  The float
 Bernoulli product tree sums in another order than the sequential fold it
 replaced, so it is held to exact laws instead: it must be at least as
 accurate as that fold, and within 3e-15 relative per mass.  Its sheared
@@ -33,12 +33,14 @@ from modpoisson.models import (RATIONAL_FOLD_BUDGET, ModelSpec, Pmf, bernoulli_s
                                ewens_cycle_pmf, fq_factor_pmf, omega_pmf,
                                omega_values, weighted_perm_cycle_pmf)
 from modpoisson.schemes import poisson_pmf, scheme_measures
-from modpoisson.suites import SuiteResult, random_bernoulli_instances, run_suite
+from modpoisson.suites import (SuiteResult, fq_factor_histogram_by_enumeration,
+                               random_bernoulli_instances, run_suite)
 from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet,
                                 elementary_from_power, power_sums,
                                 residue_coeffs, residue_product_eval)
 from oracles import (reference_bernoulli_fold_float, reference_bernoulli_rational_pmf,
-                     reference_chen_stein, reference_fq_factor_pmf,
+                     reference_chen_stein, reference_fq_factor_histogram,
+                     reference_fq_factor_pmf,
                      reference_omega_pmf, reference_omega_values,
                      reference_power_sums_infinite, reference_residue_product_eval,
                      reference_total_variation, reference_weighted_perm_cycle_pmf)
@@ -56,6 +58,26 @@ def test_fq_factor_pmf_matches_fraction_recursion(q, n):
     exact = reference_fq_factor_pmf(q, n, rational=True)
     assert_same(fq_factor_pmf(q, n, rational=True), exact)
     assert_same(fq_factor_pmf(q, n), exact.to_float())  # the reference float mode
+
+
+#: the `oracles` suite's grid, and past it in n and in q
+FQ_ENUMERATION_CASES = [*((2, n) for n in range(1, 11)), *((3, n) for n in range(1, 7)),
+                        (2, 12), (5, 4), (7, 3)]
+
+
+@pytest.mark.parametrize("q, n", FQ_ENUMERATION_CASES)
+def test_fq_monic_sieve_matches_trial_division(q, n):
+    assert fq_factor_histogram_by_enumeration(q, n) == reference_fq_factor_histogram(q, n)
+
+
+def test_oracles_suite_takes_under_0_3_s():
+    # with the reference count, which divides every monic by every
+    # irreducible, in place of the sieve the suite takes about 0.88 s
+    start = time.perf_counter()
+    result = run_suite("oracles")
+    elapsed = time.perf_counter() - start
+    assert result.passed
+    assert elapsed < 0.3, f"took {elapsed:.2f}s"
 
 
 def test_primes_up_to_matches_trial_division():

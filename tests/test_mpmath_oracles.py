@@ -7,23 +7,27 @@ relative (a = 300), so there Hurwitz zeta is checked against a 60-digit
 partial sum with a 14-term Euler-Maclaurin tail instead.
 The integer sequences the oracles need (Moebius values, counts of monic
 irreducible polynomials) are recomputed in this module from their
-definitions, not taken from the library.  Scheme masses are checked against
-`oracles.mp_scheme_masses`, the scheme's defining double sum in mpmath.
+definitions, not taken from the library, and so is the Ewens law, from the
+unsigned Stirling numbers of the first kind in Python integers.  Scheme
+masses are checked against `oracles.mp_scheme_masses`, the scheme's defining
+double sum in mpmath, and total variation against `oracles.mp_total_variation`.
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from modpoisson.models import gamma_theta, r_q
-from modpoisson.schemes import scheme_measure
+from modpoisson.metrics import total_variation
+from modpoisson.models import ModelSpec, ewens_cycle_pmf, gamma_theta, model_lambda, r_q
+from modpoisson.schemes import scheme_measure, scheme_measures
 from modpoisson.specialfn import complex_log_gamma
 from modpoisson.symfunc import (OMEGA_RESIDUE_RADIUS, Alphabet, power_sums,
                                 prime_zeta, residue_coeffs, residue_product_eval, zeta)
-from oracles import mp_scheme_masses
+from oracles import mp_scheme_masses, mp_total_variation
 
 mpmath.mp.dps = 40
 
@@ -279,3 +283,49 @@ def test_scheme_masses_against_the_50_digit_double_sum(alphabet, lam, r):
     errors = [abs(got - ref) for got, ref in zip(nu.masses.tolist(), want)]
     assert float(max(errors)) <= 1e-13
     assert max(float(e / abs(ref)) for e, ref in zip(errors, want) if abs(ref) > 1e-300) <= 1e-11
+
+
+# --- the Ewens law and total variation ------------------------------------------------
+
+def _unsigned_stirling1(n):
+    """|s(n, k)| for k = 0..n from |s(m+1, k)| = m |s(m, k)| + |s(m, k-1)|."""
+    row = [1]
+    for m in range(n):
+        row = [m * c + prev for c, prev in zip(row + [0], [0] + row)]
+    return row
+
+
+def _ewens_law(theta, n):
+    """P(K = k) = theta^k |s(n, k)| / (theta (theta+1) ... (theta+n-1)), as Fractions."""
+    theta = Fraction(theta)
+    rising = math.prod(theta + i for i in range(n))
+    return [theta ** k * c / rising for k, c in enumerate(_unsigned_stirling1(n))]
+
+
+@pytest.mark.parametrize("theta", [1 / 32, 0.71875, 1.0, 2.5, 37.0])
+@pytest.mark.parametrize("n", [1, 2, 10, 200, 500])
+def test_ewens_law_against_stirling_numbers(theta, n):
+    want = _ewens_law(theta, n)
+    exact = ewens_cycle_pmf(theta, n, rational=True)
+    assert [exact.mass(k) for k in range(n + 1)] == want
+    approx = ewens_cycle_pmf(theta, n)
+    errors = [abs(Fraction(approx.mass(k)) - ref) / ref
+              for k, ref in enumerate(want) if ref > 1e-300]
+    assert float(max(errors)) <= 1e-14
+
+
+_TV_WEIGHTS = np.random.default_rng(5).uniform(0.0, 0.05, 3000)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec.bernoulli(_TV_WEIGHTS[:400]),
+    ModelSpec.bernoulli(_TV_WEIGHTS),
+    ModelSpec.ewens(1.3, 200),
+    ModelSpec.fq_poly(2, 30),
+    ModelSpec.omega(10 ** 6),
+], ids=["bernoulli400", "bernoulli3000", "ewens", "fq2", "omega"])
+def test_total_variation_against_50_digits(spec):
+    pmf = spec.pmf()
+    rc = residue_coeffs(spec.alphabet(1e-12), 6, model_lambda(spec))
+    for nu in scheme_measures(rc, (0, 2, 4, 6)):
+        assert abs(total_variation(pmf, nu) - mp_total_variation(pmf, nu)) <= 1e-15

@@ -52,10 +52,11 @@ def test_bench_kernels_adds_its_label_and_keeps_the_others(tmp_path):
                             "weighted_perm_400", "weighted_perm_rational_60",
                             "fq_factor_2_40", "fq_factor_2_60", "fold_rational_400",
                             "weighted_perm_800", "residue_product_omega_2j_cold",
-                            "omega_pmf_3e6", "omega_pmf_1e8"}
+                            "omega_pmf_3e6", "omega_pmf_1e8", "fq_enumeration_2_10"}
     assert all(k["best_s"] > 0.0 for k in kernels.values())
     fresh = {"fq_factor_2_40", "fq_factor_2_60", "fold_rational_400", "weighted_perm_800",
-             "residue_product_omega_2j_cold", "omega_pmf_3e6", "omega_pmf_1e8"}
+             "residue_product_omega_2j_cold", "omega_pmf_3e6", "omega_pmf_1e8",
+             "fq_enumeration_2_10"}
     assert {name: set(k) for name, k in kernels.items() if set(k) != {"best_s"}} == {
         name: {"best_s", "peak_rss_mb", "peak_traced_mb"} for name in fresh}
     assert all(kernels[name]["peak_rss_mb"] >= 0.0 for name in fresh)
