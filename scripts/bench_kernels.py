@@ -31,6 +31,13 @@ the `oracles` suite's exhaustive F_q count at its largest case,
 fq_factor_histogram_by_enumeration(2, 10).
 Weights are seeded, so every run times the same inputs.
 
+import_cli is the start-up that every `modpoisson` command pays before its
+work: the median, over IMPORT_RUNS fresh interpreters, of the wall time of
+`import modpoisson; import modpoisson.cli` after numpy's import, as
+perfbench's child process imports them.  The interpreters run with
+PYTHONDONTWRITEBYTECODE=1, as perfbench's do, so the package is compiled
+from source unless a __pycache__ already sits beside it.
+
 The special-function kernels run cold, as in a fresh `modpoisson`
 process: each call first empties zeta's cache, the only cache they meet.
 They are gamma_theta(1.2345), the five values zeta(k, 1.2345) for
@@ -51,6 +58,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -111,6 +119,29 @@ def fresh_peak_mb(name, traced):
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     return float(done.stdout)
+
+
+#: fresh interpreters whose import times give import_cli's median
+IMPORT_RUNS = 21
+
+#: the command's import after numpy's, timed in a fresh interpreter, in seconds
+IMPORT_CLI_CODE = """\
+import time
+import numpy
+start = time.perf_counter()
+import modpoisson
+import modpoisson.cli
+print(time.perf_counter() - start)
+"""
+
+
+def import_cli_median_s():
+    """Median wall time of the command's import over IMPORT_RUNS fresh interpreters."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    return statistics.median(
+        float(subprocess.run([sys.executable, "-c", IMPORT_CLI_CODE], env=env,
+                             capture_output=True, text=True, check=True).stdout)
+        for _ in range(IMPORT_RUNS))
 
 
 def zeta_values(ks, a):
@@ -184,6 +215,7 @@ def main():
 
     peaks = {name: {"peak_rss_mb": fresh_peak_mb(name, False),
                     "peak_traced_mb": fresh_peak_mb(name, True)} for name in fixed_jobs()}
+    import_s = import_cli_median_s()
     jobs = kernel_jobs([int(n) for n in args.fold_sizes.split(",")], args.verify_weights)
     for fn, fn_args in jobs.values():  # warm caches and lazy set-up
         fn(*fn_args)
@@ -196,12 +228,15 @@ def main():
     for name, peak in peaks.items():
         print(f"{name:>30}  {peak['peak_rss_mb']:9.3f} MB peak RSS growth, "
               f"{peak['peak_traced_mb']:9.3f} MB traced peak (fresh process)")
+    print(f"{'import_cli':>30}  {import_s * 1e3:9.3f} ms median of {IMPORT_RUNS} "
+          "fresh processes")
 
     out = Path(args.out)
     results = json.loads(out.read_text()) if out.exists() else {}
     kernels = {name: {"best_s": best_s} for name, best_s in best.items()}
     for name, peak in peaks.items():
         kernels[name].update(peak)
+    kernels["import_cli"] = {"median_s": import_s, "runs": IMPORT_RUNS}
     results[args.label] = {
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "python": platform.python_version(),

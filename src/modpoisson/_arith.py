@@ -1,8 +1,6 @@
 """Small helpers shared across modules: exact number theory, and the
 bases of the immutable records."""
 
-from __future__ import annotations
-
 import functools
 from numbers import Integral
 

@@ -4,8 +4,6 @@ models.omega_pmf imports this module when it is first called, so a
 command that never counts omega does not compile it.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

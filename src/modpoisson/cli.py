@@ -7,12 +7,9 @@ significant digits, and identical invocations produce byte-identical
 output.
 """
 
-from __future__ import annotations
-
 import argparse
 import atexit
 import gc
-import json
 import math
 import re
 import sys
@@ -176,6 +173,7 @@ def _emit_measure(measure, args):
     if args.format == "csv":
         _emit("\n".join(io.mass_csv_lines(measure)), args.output)
     else:
+        import json  # loaded only by the commands that write JSON
         _emit(json.dumps(io.mass_json_obj(measure), sort_keys=True), args.output)
 
 
@@ -254,6 +252,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    import json
     _emit(json.dumps(result.to_json_obj(), sort_keys=True), args.output)
     return 0 if result.passed else 1
 

@@ -1,8 +1,5 @@
 """Serialization: weight files, mass-function CSV/JSON, report tables."""
 
-from __future__ import annotations
-
-import json
 import math
 import warnings
 
@@ -25,7 +22,8 @@ def fmt17(x) -> str:
 
 
 def read_weights_csv(path) -> list:
-    """One probability per line; '#' starts a comment; blanks ignored.
+    """One probability per line; '#' starts a comment; blanks and a leading
+    UTF-8 byte-order mark are ignored.
 
     numpy parses the file.  A file it cannot read, or one with a line of
     several values, is read again line by line, which names the first line
@@ -34,13 +32,13 @@ def read_weights_csv(path) -> list:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty file has no weights
-            table = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
+            table = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8-sig")
         if table.shape[1] == 1:
             return table[:, 0].tolist()
     except (OSError, ValueError):
         pass
     weights = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -76,4 +74,5 @@ def report_json_obj(rep) -> dict:
 
 
 def report_jsonl_lines(reports) -> list:
+    import json  # loaded only by the commands that write JSON
     return [json.dumps(report_json_obj(rep), sort_keys=True) for rep in reports]

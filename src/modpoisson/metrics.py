@@ -7,8 +7,6 @@ inapplicable (holds = None) rather than raised, so parameter sweeps never
 abort.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 

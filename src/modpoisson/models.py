@@ -28,11 +28,8 @@ Every measure in the package is a SignedMeasure; a Pmf is one with
 nonnegative masses, exact when its masses are Fractions.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from fractions import Fraction
 from numbers import Integral
 
 import numpy as np
@@ -100,11 +97,16 @@ _OMEGA_BLOCK = 1 << 16
 def _mass_array(masses) -> np.ndarray:
     """masses as a SignedMeasure holds them."""
     masses = np.asarray(masses)
-    if masses.dtype != object or not all(isinstance(m, Fraction) for m in masses.tolist()):
+    if masses.dtype != object or not _all_fractions(masses.tolist()):
         masses = masses.astype(float, copy=False)
     masses = masses.view()
     masses.flags.writeable = False
     return masses
+
+
+def _all_fractions(values) -> bool:
+    from fractions import Fraction  # loaded only where a mass may be exact
+    return all(isinstance(m, Fraction) for m in values)
 
 
 class SignedMeasure(Frozen):
@@ -154,13 +156,19 @@ class SignedMeasure(Frozen):
         return cls(offset + lo, masses[lo:hi])
 
     def _sum(self, terms):
-        return sum(terms, Fraction(0)) if self._exact else math.fsum(terms)
+        if not self._exact:
+            return math.fsum(terms)
+        from fractions import Fraction
+        return sum(terms, Fraction(0))
 
     def mass(self, k: int):
         j = k - self.offset
         if 0 <= j < len(self.masses):
             return self.masses.item(j)
-        return Fraction(0) if self._exact else 0.0
+        if not self._exact:
+            return 0.0
+        from fractions import Fraction
+        return Fraction(0)
 
     def support(self) -> range:
         return range(self.offset, self.offset + len(self.masses))
@@ -249,6 +257,7 @@ def bernoulli_sum_pmf(weights, rational: bool = False):
     """
     weights = list(weights)
     if rational:
+        from fractions import Fraction
         weights = [Fraction(p) for p in weights]
         cost = (len(weights) + 1) * sum(p.denominator.bit_length() for p in weights)
         if cost > RATIONAL_FOLD_BUDGET:
@@ -307,6 +316,7 @@ def _homogeneous_polynomials(theta_seq, n, rational):
     thetas = list(theta_seq[:n])
     thetas += thetas[-1:] * (n - len(thetas))
     if rational:
+        from fractions import Fraction
         g = [Fraction(t) / k for k, t in enumerate(thetas, 1)]
         d = math.lcm(*(c.denominator for c in g))
         _check_series_budget(n, rational, d.bit_length())
@@ -355,7 +365,11 @@ def ewens_cycle_pmf(theta, n: int, rational: bool = False):
         raise ValueError("n must be >= 1")
     if not 0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
-    th = Fraction(theta) if rational else float(theta)
+    if rational:
+        from fractions import Fraction
+        th = Fraction(theta)
+    else:
+        th = float(theta)
     inner = bernoulli_sum_pmf([th / (th + i) for i in range(1, n)], rational)
     return Pmf(inner.offset + 1, inner.masses)
 
@@ -403,6 +417,7 @@ def fq_factor_pmf(q: int, n: int, rational: bool = False):
     total = sum(fs[n])
     if total != q ** n:
         raise AssertionError(f"count identity f_n(1) = q^n failed: {total} != {q ** n}")
+    from fractions import Fraction
     exact = Pmf.from_masses(0, [Fraction(c, total) for c in fs[n]])
     return exact if rational else exact.to_float()
 

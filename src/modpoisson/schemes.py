@@ -18,8 +18,6 @@ taken under the plain Poisson law after a forward-difference transform of
 the integrand.
 """
 
-from __future__ import annotations
-
 import bisect
 import math
 

@@ -9,8 +9,6 @@ log Gamma(z+1) for Re(z) > 0 by the shifted Stirling series, from which
 the n^{theta w - 1} ratio estimate is checked.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 

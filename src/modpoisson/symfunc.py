@@ -18,8 +18,6 @@ through zeta-type series with analytic tail corrections, to the tolerance
 carried by the alphabet.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import operator

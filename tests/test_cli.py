@@ -65,6 +65,22 @@ def test_pmf_weights_file(tmp_path, capsys):
     assert out.splitlines()[1] == "0,0.25"
 
 
+def test_weights_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # as some editors save UTF-8: numpy's parse and the line-by-line one skip it
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text("0.1\n0.2\n", encoding="utf-8")
+    marked.write_text("0.1\n0.2\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    runs = [run_cli(["pmf", "--model", "bernoulli", "--weights-file", str(path)], capsys)
+            for path in (plain, marked)]
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+    marked.write_text("# a comment\nabc\n", encoding="utf-8-sig")
+    code, out, err = run_cli(["pmf", "--model", "bernoulli", "--weights-file",
+                              str(marked)], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {marked}:2: not a probability: 'abc'"]
+
+
 @pytest.mark.parametrize("command", [["pmf", "--model", "bernoulli"],
                                      ["compare", "--model", "bernoulli", "--r", "1"],
                                      ["scheme", "--lambda", "1", "--r", "2"]],
@@ -679,6 +695,13 @@ def test_verify_refuses_an_instance_count_below_one(suite, count, capsys):
                               "--instances", count], capsys)
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: instances must be >= 1, got {count}"]
+
+
+@pytest.mark.parametrize("suite", ["theorem-b", "chen-stein", "coefficients"])
+def test_verify_refuses_a_negative_seed(suite, capsys):
+    code, out, err = run_cli(["verify", "--suite", suite, "--seed", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: seed must be >= 0, got -1"]
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--instances"])

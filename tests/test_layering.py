@@ -24,6 +24,11 @@ its own tests call is dead weight, apart from the one exemption below.
 The records are plain slot classes: importing the command compiles no
 generated code, so `dataclasses` stays unimported.  Every record but the
 mutable SuiteResult refuses assignment and deletion after construction.
+
+Importing the command loads every layer module that the benchmark's tracer
+wraps, and nothing that only some commands use: `json` is loaded by the
+JSON writers, `fractions` by the exact modes, `_suites` by the first suite
+run and `_omega` by the first omega count.
 """
 
 import ast
@@ -38,13 +43,14 @@ from pathlib import Path
 import pytest
 
 import modpoisson
+from modpoisson import _suites, suites
 from modpoisson.metrics import BoundReport
 from modpoisson.models import ModelSpec, Pmf, SignedMeasure
 from modpoisson.symfunc import Alphabet, ResidueCoeffs
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "modpoisson"
-LAYERS = ("metrics.py", "schemes.py", "suites.py", "cli.py", "io.py")
+LAYERS = ("metrics.py", "schemes.py", "suites.py", "_suites.py", "cli.py", "io.py")
 NAMED_ATTRIBUTES = {"family", "kind"}
 MODULES = sorted(path.name for path in SRC.glob("*.py"))
 #: calls that build a measure from masses
@@ -153,6 +159,66 @@ def test_importing_the_command_leaves_dataclasses_unimported():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def _traced_layers():
+    """perfbench/child.py's LAYERS: the modules whose functions its tracer wraps."""
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+
+
+#: prints, after the import and after each command, the layers not loaded and
+#: the lazily loaded modules that are; printing with repr loads no json
+LAZY_IMPORT_PROBE = """
+import contextlib, io, sys
+import numpy
+import modpoisson, modpoisson.cli
+LAYERS = {layers!r}
+LAZY = ("json", "fractions", "decimal", "modpoisson._suites", "modpoisson._omega")
+
+def state(label):
+    missing = [layer for layer in LAYERS if "modpoisson." + layer not in sys.modules]
+    print(label, missing, [name for name in LAZY if name in sys.modules])
+
+state("import")
+for label, argv in (("csv", ["pmf", "--model", "bernoulli", "--weights", "0.1,0.2"]),
+                    ("json", ["pmf", "--model", "ewens", "--theta", "1", "--n", "5",
+                              "--rational", "--format", "json"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert modpoisson.cli.main(argv) == 0
+    state(label)
+"""
+
+
+def test_each_command_loads_only_what_it_uses():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = LAZY_IMPORT_PROBE.format(layers=_traced_layers())
+    done = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "import [] []",
+        "csv [] []",
+        "json [] ['json', 'fractions', 'decimal']",
+    ]
+
+
+def test_suite_names_are_the_suite_table_in_order():
+    assert suites.SUITE_NAMES == tuple(_suites.SUITES)
+
+
+def test_an_unknown_suite_is_refused_before_the_suites_are_compiled():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = ("import sys\nfrom modpoisson import suites\ntry:\n"
+             "    suites.run_suite('unknown')\nexcept ValueError as exc:\n    print(exc)\n"
+             "print('modpoisson._suites' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        f"unknown suite 'unknown'; choose from {suites.SUITE_NAMES}", "False"]
 
 
 IMMUTABLE_RECORDS = {

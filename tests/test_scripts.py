@@ -52,7 +52,11 @@ def test_bench_kernels_adds_its_label_and_keeps_the_others(tmp_path):
                             "weighted_perm_400", "weighted_perm_rational_60",
                             "fq_factor_2_40", "fq_factor_2_60", "fold_rational_400",
                             "weighted_perm_800", "residue_product_omega_2j_cold",
-                            "omega_pmf_3e6", "omega_pmf_1e8", "fq_enumeration_2_10"}
+                            "omega_pmf_3e6", "omega_pmf_1e8", "fq_enumeration_2_10",
+                            "import_cli"}
+    import_cli = kernels.pop("import_cli")
+    assert set(import_cli) == {"median_s", "runs"}
+    assert import_cli["median_s"] > 0.0 and import_cli["runs"] >= 21
     assert all(k["best_s"] > 0.0 for k in kernels.values())
     fresh = {"fq_factor_2_40", "fq_factor_2_60", "fold_rational_400", "weighted_perm_800",
              "residue_product_omega_2j_cold", "omega_pmf_3e6", "omega_pmf_1e8",
