@@ -56,34 +56,30 @@ def _suite_coefficients(rec, rng, instances):
 
 def _suite_hermite(rec):
     # recurrence vs explicit expansion
-    pts = [x + 1j * y for x in np.linspace(-5, 5, 9) for y in np.linspace(-5, 5, 5)]
+    pts = (np.linspace(-5, 5, 9)[:, None] + 1j * np.linspace(-5, 5, 5)).ravel()
     for m in range(0, 31):
-        for z in pts:
-            a = specialfn.hermite(m, z)
-            b = specialfn.hermite_explicit(m, z)
-            scale = max(1.0, abs(a))
-            rec.expect(abs(a - b) <= 1e-9 * scale,
-                       "hermite mismatch m={} z={}: {:.2e}", m, z, abs(a - b))
+        a = specialfn.hermite(m, pts)
+        err = np.abs(a - specialfn.hermite_explicit(m, pts))
+        rec.expect_each(err <= 1e-9 * np.maximum(1.0, np.abs(a)),
+                        "hermite mismatch m={} z={}: {:.2e}", m, pts, err)
     # multiplication theorem
+    xs = np.linspace(-4.0, 4.0, 17)
     for m in range(0, 16):
         for a in (0.5, 1.0, 2.0):
-            for x in np.linspace(-4.0, 4.0, 17):
-                lhs = specialfn.hermite(m, a * x)
-                rhs = specialfn.hermite_multiplication(m, a, float(x))
-                scale = max(1.0, abs(lhs))
-                rec.expect(abs(lhs - rhs) <= 1e-9 * scale,
-                           "multiplication residual m={} a={} x={:.2f}", m, a, x)
+            lhs = specialfn.hermite(m, a * xs)
+            rhs = specialfn.hermite_multiplication(m, a, xs)
+            rec.expect_each(np.abs(lhs - rhs) <= 1e-9 * np.maximum(1.0, np.abs(lhs)),
+                            "multiplication residual m={} a={} x={:.2f}", m, a, xs)
     # Cramer margins: real then complex
+    xs = np.linspace(-10.0, 10.0, 41)
     for m in range(1, 31):
-        for x in np.linspace(-10.0, 10.0, 41):
-            rec.expect(specialfn.cramer_bound_margin(m, float(x)) >= 0.0,
-                       "real Cramer margin < 0 at m={}, x={:.2f}", m, x)
+        rec.expect_each(specialfn.cramer_bound_margin(m, xs) >= 0.0,
+                        "real Cramer margin < 0 at m={}, x={:.2f}", m, xs)
+    zs = np.array([radius * cmath.exp(2j * math.pi * (j + 0.5) / 8)
+                   for radius in (1.0, 2.5, 5.0) for j in range(8)])
     for m in range(1, 21):
-        for radius in (1.0, 2.5, 5.0):
-            for j in range(8):
-                z = radius * cmath.exp(2j * math.pi * (j + 0.5) / 8)
-                rec.expect(specialfn.cramer_bound_margin(m, z) >= 0.0,
-                           "complex Cramer margin < 0 at m={}, z={:.2f}", m, z)
+        rec.expect_each(specialfn.cramer_bound_margin(m, zs) >= 0.0,
+                        "complex Cramer margin < 0 at m={}, z={:.2f}", m, zs)
     return {}
 
 
@@ -97,30 +93,27 @@ def _suite_charlier(rec):
             ks = nxt.support()
             errs = np.abs(nxt.masses - np.append(cur.masses, 0.0)
                           - schemes.charlier_delta(lam, s, bs[s], ks))
-            for k, err in zip(ks, errs.tolist()):
-                worst = max(worst, err)
-                rec.expect(err < 1e-12,
-                           "telescoping error {:.2e} at lam={}, s={}, k={}", err, lam, s, k)
+            worst = max(worst, float(errs.max()))
+            rec.expect_each(errs < 1e-12, "telescoping error {:.2e} at lam={}, s={}, k={}",
+                            errs, lam, s, np.array(ks))
     return {"worst_error": worst}
 
 
 def _suite_gamma_ratio(rec):
     theta, rho = 1.0, 1.25
-    grid = [rho * (i + 1) / 8.0 * cmath.exp(2j * math.pi * j / 8)
-            for i in range(8) for j in range(8)]
+    grid = np.array([rho * (i + 1) / 8.0 * cmath.exp(2j * math.pi * j / 8)
+                     for i in range(8) for j in range(8)])
     min_margin = math.inf
     for n in range(5, 101):
-        for w in grid:
-            margin = specialfn.gamma_ratio_margin(n, theta, rho, w)
-            min_margin = min(min_margin, margin)
-            rec.expect(margin >= 0.0, "ratio margin {:.2e} < 0 at n={}, w={:.2f}", margin, n, w)
+        margin = specialfn.gamma_ratio_margin(n, theta, rho, grid)
+        min_margin = min(min_margin, float(margin.min()))
+        rec.expect_each(margin >= 0.0, "ratio margin {:.2e} < 0 at n={}, w={:.2f}",
+                        margin, n, grid)
     # recurrence of the log-gamma itself
-    for re in np.linspace(1.25, 10.0, 8):
-        for im in np.linspace(-5.0, 5.0, 7):
-            z = complex(re, im)
-            resid = abs(specialfn.complex_log_gamma(z) - cmath.log(z)
-                        - specialfn.complex_log_gamma(z - 1.0))
-            rec.expect(resid < 1e-10, "log-gamma recurrence residual {:.2e} at {}", resid, z)
+    z = (np.linspace(1.25, 10.0, 8)[:, None] + 1j * np.linspace(-5.0, 5.0, 7)).ravel()
+    resid = np.abs(specialfn.complex_log_gamma(z) - np.log(z)
+                   - specialfn.complex_log_gamma(z - 1.0))
+    rec.expect_each(resid < 1e-10, "log-gamma recurrence residual {:.2e} at {}", resid, z)
     return {"min_margin": min_margin}
 
 

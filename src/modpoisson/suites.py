@@ -56,9 +56,20 @@ class SuiteResult:
             if len(self.failures) < 50:
                 self.failures.append(message.format(*args))
 
+    def expect_each(self, ok, message, *args):
+        """`expect` for each element of the boolean array ok, in order: each
+        counts as one check, and a failed one's message reads every array
+        among args at that element's index."""
+        self.checks += ok.size
+        if not ok.all():
+            self.passed = False
+            for i in np.flatnonzero(~ok)[:50 - len(self.failures)]:
+                self.failures.append(message.format(
+                    *(arg.flat[i] if isinstance(arg, np.ndarray) else arg for arg in args)))
+
 
 def random_bernoulli_instances(rng, count: int):
-    """Yield `count` seeded weight vectors (n <= 500), rejection-sampled so
+    """Yield `count` seeded weight lists (n <= 500), rejection-sampled so
     lam > 16 e sigma^2; each is yielded as soon as it is drawn, so a caller
     that iterates holds one instance at a time."""
     accepted = 0
@@ -66,11 +77,12 @@ def random_bernoulli_instances(rng, count: int):
         n = int(rng.integers(20, 501))
         scale = float(rng.uniform(0.004, 0.04))
         wts = rng.uniform(0.0, scale, size=n)
-        lam = math.fsum(wts.tolist())
+        weights = wts.tolist()
+        lam = math.fsum(weights)
         s2 = math.fsum((wts * wts).tolist())
         if lam > 16.0 * math.e * s2 and lam > 0.05:
             accepted += 1
-            yield wts
+            yield weights
 
 
 def residue_error(pmf, lam, alphabet, points=16):

@@ -151,10 +151,11 @@ def power_sums(alphabet: Alphabet, kmax: int) -> tuple:
     """The tuple p_1..p_kmax of any alphabet's power sums, kmax >= 2; p_2 is
     the alphabet's sigma^2.
 
-    A finite alphabet's are compensated sums p_k = sum_i a_i^k.  An infinite
-    kind's are the tail of `_split` with an empty head (for theta = 1, the
-    harmonic alphabet, p_k = zeta(k)); p_1 diverges for all of them and is
-    reported as +inf: only the virtual specialization (p_1 := 0) is consumed.
+    A finite alphabet's are compensated sums p_k = sum_i a_i^k; p_1 sums the
+    weights themselves, since pow(a, 1) == a exactly.  An infinite kind's are
+    the tail of `_split` with an empty head (for theta = 1, the harmonic
+    alphabet, p_k = zeta(k)); p_1 diverges for all of them and is reported
+    as +inf: only the virtual specialization (p_1 := 0) is consumed.
     """
     if kmax < 2:
         raise ValueError("power sums must extend at least to k = 2")
@@ -162,8 +163,8 @@ def power_sums(alphabet: Alphabet, kmax: int) -> tuple:
     if alphabet.kind == "finite":
         if not alphabet.weights:
             raise ValueError("empty weight list")
-        return tuple(math.fsum(map(pow, alphabet.weights, repeat(k)))
-                     for k in range(1, kmax + 1))
+        return (math.fsum(alphabet.weights),) + tuple(
+            math.fsum(map(pow, alphabet.weights, repeat(k))) for k in range(2, kmax + 1))
     if alphabet.tolerance < _MIN_TOLERANCE:
         raise ToleranceError(
             f"tolerance {alphabet.tolerance:g} is below the double-precision "

@@ -310,14 +310,14 @@ def reference_total_variation(a, b):
 # metrics.verify_bounds; the rows of verify_bounds must reproduce it bit for bit.
 
 def reference_chen_stein(wts):
-    """(tv, chen-stein bound, lecam bound) of one weight vector, and whether
+    """(tv, chen-stein bound, lecam bound) of one weight list, and whether
     each bound holds within HOLDS_SLACK."""
     from modpoisson import metrics, schemes
     from modpoisson.models import bernoulli_sum_pmf
-    lam = math.fsum(wts.tolist())
-    pmf = bernoulli_sum_pmf(wts.tolist())
+    lam = math.fsum(wts)
+    pmf = bernoulli_sum_pmf(wts)
     tv0 = metrics.total_variation(pmf, schemes.poisson_pmf(lam))
-    lecam = math.fsum(p * p for p in wts.tolist())
+    lecam = math.fsum(p * p for p in wts)
     chen = -math.expm1(-lam) / lam * lecam
     return (tv0, chen, lecam, tv0 <= chen + metrics.HOLDS_SLACK,
             tv0 <= lecam + metrics.HOLDS_SLACK)

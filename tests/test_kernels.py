@@ -19,6 +19,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -403,7 +404,6 @@ def _distance_pairs():
     rng = np.random.default_rng(7)
     pairs = []
     for wts in random_bernoulli_instances(rng, 8):
-        wts = wts.tolist()
         rc = residue_coeffs(Alphabet.finite(wts), 6, math.fsum(wts))
         pmf = bernoulli_sum_pmf(wts)
         pairs += [(pmf, nu) for nu in scheme_measures(rc, range(7))]
@@ -517,6 +517,14 @@ def test_map_power_and_newton_sums_match_the_generator_forms():
                 _generator_elementary(values, 30)
 
 
+def test_power_sums_p1_is_the_map_forms_bit_for_bit():
+    # p_1 is fsum(weights), where the map form summed pow(a, 1): the same
+    # tuple, zero signs included, on subnormal and signed-zero weights too
+    for weights in _seeded_weight_sets() + [[-0.0], [5e-324, 2.5e-310, -0.0, 1.0]]:
+        old = tuple(math.fsum(map(pow, weights, repeat(k))) for k in range(1, 8))
+        assert list(map(repr, power_sums(Alphabet.finite(weights), 7))) == list(map(repr, old))
+
+
 def test_map_classical_bounds_match_the_generator_forms():
     for weights in _seeded_weight_sets():
         if math.fsum(weights) > 0.0:
@@ -545,3 +553,26 @@ def test_suite_messages_are_formatted_as_the_f_strings_were():
         result.expect(False, *args)
     assert result.failures == [want for _, want in cases]
     assert (result.checks, result.passed) == (len(cases) + 1, False)
+    # the array form: one check per element, and the scalar form's text for
+    # each failing element, in element order, up to the first 50 messages
+    every = SuiteResult("formatting")
+    every.expect_each(np.ones(3, dtype=bool), "{:.3e}", None)
+    assert (every.checks, every.passed, every.failures) == (3, True, [])
+    xs = np.linspace(-4.0, 4.0, 80)
+    zs = xs + 1j * xs[::-1]
+    ok = np.arange(80) % 5 == 0  # 16 pass, 64 fail
+    for message, *args in (("multiplication residual m={} a={} x={:.2f}", m, 0.5, xs),
+                           ("hermite mismatch m={} z={}: {:.2e}", m, zs, xs),
+                           ("complex Cramer margin < 0 at m={}, z={:.2f}", m, zs)):
+        every, each = SuiteResult("array"), SuiteResult("scalar")
+        for rec in (every, each):
+            rec.expect(False, "b_1 != 0 from a virtual alphabet")
+        every.expect_each(ok, message, *args)
+        for i, passed in enumerate(ok.tolist()):
+            each.expect(passed, message, *(arg.tolist()[i] if isinstance(arg, np.ndarray)
+                                           else arg for arg in args))
+        assert every.failures == each.failures
+        assert len(every.failures) == 50
+        assert every.failures[1] == message.format(*(
+            arg.tolist()[1] if isinstance(arg, np.ndarray) else arg for arg in args))
+        assert (every.checks, every.passed) == (each.checks, each.passed) == (81, False)

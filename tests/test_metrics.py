@@ -172,7 +172,7 @@ def test_theorem_c_arithmetic():
 def test_verify_bounds_bernoulli_rows_hold():
     rng = np.random.default_rng(5)
     for wts in random_bernoulli_instances(rng, 10):
-        spec = ModelSpec.bernoulli(wts.tolist())
+        spec = ModelSpec.bernoulli(wts)
         rows = verify_bounds(spec, range(1, 7), which=("theorem-b",))
         assert len(rows) == 6
         for row in rows:
@@ -217,8 +217,7 @@ def test_verify_bounds_refuses_a_bad_tolerance_before_the_law_is_called(toleranc
 
 def test_verify_bounds_corollary_with_supplied_tail():
     rng = np.random.default_rng(5)
-    wts = next(random_bernoulli_instances(rng, 1))
-    spec = ModelSpec.bernoulli(wts.tolist())
+    spec = ModelSpec.bernoulli(next(random_bernoulli_instances(rng, 1)))
     rows = verify_bounds(spec, [2, 3], which=("corollary",), tail_rn=1e-9)
     for row in rows:
         assert row.holds is True

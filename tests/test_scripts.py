@@ -53,14 +53,14 @@ def test_bench_kernels_adds_its_label_and_keeps_the_others(tmp_path):
                             "fq_factor_2_40", "fq_factor_2_60", "fold_rational_400",
                             "weighted_perm_800", "residue_product_omega_2j_cold",
                             "omega_pmf_3e6", "omega_pmf_1e8", "fq_enumeration_2_10",
-                            "import_cli"}
+                            "suite_hermite", "suite_gamma_ratio", "import_cli"}
     import_cli = kernels.pop("import_cli")
     assert set(import_cli) == {"median_s", "runs"}
     assert import_cli["median_s"] > 0.0 and import_cli["runs"] >= 21
     assert all(k["best_s"] > 0.0 for k in kernels.values())
     fresh = {"fq_factor_2_40", "fq_factor_2_60", "fold_rational_400", "weighted_perm_800",
              "residue_product_omega_2j_cold", "omega_pmf_3e6", "omega_pmf_1e8",
-             "fq_enumeration_2_10"}
+             "fq_enumeration_2_10", "suite_hermite", "suite_gamma_ratio"}
     assert {name: set(k) for name, k in kernels.items() if set(k) != {"best_s"}} == {
         name: {"best_s", "peak_rss_mb", "peak_traced_mb"} for name in fresh}
     assert all(kernels[name]["peak_rss_mb"] >= 0.0 for name in fresh)
